@@ -152,12 +152,11 @@ fn pred_args_comment(p: &Predicate) -> String {
 }
 
 /// How the Datalog engine will evaluate a regular rule, mirroring the
-/// classification in `cologne_datalog::Engine::add_rule`: rules with an
-/// aggregate head or a repeated body relation are recomputed and diffed
-/// against the previous output; everything else is maintained
-/// incrementally with pipelined per-delta counting.
+/// classification in `cologne_datalog::Engine::add_rule`: a rule whose body
+/// repeats a relation is recomputed and diffed against its previous output;
+/// everything else — aggregate heads included, through per-group state — is
+/// maintained incrementally with pipelined per-delta counting.
 fn engine_eval_mode(rule: &RuleDecl) -> &'static str {
-    let aggregate = rule.head.args.iter().any(|a| matches!(a, Arg::Agg(_, _)));
     let mut names: Vec<&str> = rule
         .body
         .iter()
@@ -168,7 +167,7 @@ fn engine_eval_mode(rule: &RuleDecl) -> &'static str {
         .collect();
     names.sort_unstable();
     let repeats = names.windows(2).any(|w| w[0] == w[1]);
-    if aggregate || repeats {
+    if repeats {
         "recompute-diff"
     } else {
         "pipelined-delta"

@@ -896,7 +896,8 @@ impl<'a> GroundingRun<'a> {
             AggFunc::Min => self.model.min_var(&vars),
             AggFunc::Max => self.model.max_var(&vars),
             // STDEV is lowered to the scaled integer variance
-            // n·Σx² − (Σx)², which has the same argmin (see DESIGN.md).
+            // n·Σx² − (Σx)², which has the same argmin and stays in the
+            // integers (see `Model::scaled_variance_var`).
             AggFunc::Stdev => self.model.scaled_variance_var(&vars),
         };
         Ok(self.new_sym(result_var))

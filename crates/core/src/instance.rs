@@ -34,7 +34,8 @@ pub struct SolveReport {
     /// True when there was nothing to solve (no solver variables grounded).
     pub trivial: bool,
     /// Objective value of the best solution found (integer objective; for
-    /// `STDEV` goals this is the scaled variance, see DESIGN.md).
+    /// `STDEV` goals this is the scaled variance `n·Σx² − (Σx)²`, which has
+    /// the same argmin; see `cologne_solver::Model::scaled_variance_var`).
     pub objective: Option<i64>,
     /// True if the search proved optimality / exhausted the space before any
     /// limit was reached.

@@ -7,9 +7,11 @@
 //! location specifier addressed to another node is shipped over the network
 //! instead of being materialized locally.
 //!
-//! Rules whose head contains aggregates (or whose body repeats a relation)
-//! are maintained by full re-evaluation followed by diffing — semantically
-//! identical, and the affected rules in the paper's programs are tiny.
+//! Aggregate heads are maintained by delta too: each signed derivation of
+//! the pinned plan is folded into per-group state (`groups`), and once
+//! the queue drains only the touched groups are turned back into head rows
+//! and compared with what they last emitted. Only a rule whose body repeats
+//! a relation is maintained by full re-evaluation followed by diffing.
 //!
 //! ## Evaluation-core architecture
 //!
@@ -31,7 +33,8 @@
 //!   (selections and index probes replace the interpreted
 //!   `Atom::match_tuple`/`Bindings` walk). The pipelined delta loop fires
 //!   the pinned variant of a plan for each delta tuple, joining only
-//!   against indexed stabilized relations.
+//!   against indexed stabilized relations, out of engine-owned scratch
+//!   buffers (no allocation per delta).
 //! * **Batched delta bookkeeping** — visibility changes are accumulated in
 //!   dense per-relation counters during a run and folded into the
 //!   name-keyed [`DeltaSummary`] once at the end, so the hot loop never
@@ -41,18 +44,20 @@
 //! executable specification); the equivalence test-suite asserts both
 //! engines agree on fixpoint tables, delta summaries and outbox contents.
 
+mod groups;
 pub mod reference;
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 
 use crate::expr::Bindings;
-use crate::intern::Interner;
-use crate::plan::{self, HeadCol, HeadPlan, RulePlan};
+use crate::intern::{Interner, SymbolTable};
+use crate::plan::{self, ExecBuf, HeadCol, HeadPlan, RulePlan};
 use crate::rule::{BodyItem, Rule};
 use crate::schema::{did_you_mean, IngestError, SchemaSet};
 use crate::tuple::{IRow, IVal, RelStore, Tuple};
-use crate::value::{NodeId, Value};
+use crate::value::NodeId;
 
+use groups::GroupTable;
 pub use reference::ReferenceEngine;
 
 /// A tuple addressed to another Cologne instance.
@@ -94,7 +99,10 @@ pub struct EngineStats {
     pub updates: u64,
     /// Number of tuples addressed to remote nodes.
     pub remote_sends: u64,
-    /// Number of full aggregate re-evaluations.
+    /// Number of full rule re-evaluations. Aggregate heads are maintained
+    /// by delta and do not count; what counts is every re-evaluation of a
+    /// rule whose body repeats a relation, and the one evaluation that seeds
+    /// an aggregate rule installed after its body relations held facts.
     pub aggregate_recomputes: u64,
     /// Number of [`Engine::insert`]/[`Engine::delete`] calls that targeted a
     /// relation absent from both the EDB and the IDB (no stored facts, no
@@ -175,6 +183,33 @@ struct IDelta {
     insert: bool,
 }
 
+/// How one rule is kept up to date (parallel to `Engine::rules`).
+#[derive(Default)]
+struct RuleState {
+    /// Group state of an aggregate head.
+    groups: Option<GroupTable>,
+    /// Last output (sorted under `cmp_public`) of a non-aggregate rule
+    /// maintained by full re-evaluation.
+    prev_output: Vec<IRow>,
+    /// A change to a body relation queues a full re-evaluation instead of
+    /// firing a pinned plan: always for a repeated body relation, until the
+    /// first settle for an aggregate rule installed over existing facts
+    /// (its group table has to be seeded from them).
+    full_eval: bool,
+    /// Listed in `Engine::unsettled`.
+    unsettled: bool,
+}
+
+/// Buffers of the delta loop, reused across deltas and runs.
+#[derive(Default)]
+struct Scratch {
+    exec: ExecBuf,
+    /// Head rows to insert (all the rows of a plain firing).
+    ins: Vec<IRow>,
+    /// Head rows to delete.
+    dels: Vec<IRow>,
+}
+
 /// The per-node Datalog engine.
 pub struct Engine {
     node: NodeId,
@@ -189,10 +224,14 @@ pub struct Engine {
     rules: Vec<Rule>,
     /// Compiled plan per rule (parallel to `rules`).
     plans: Vec<RulePlan>,
+    /// Maintenance state per rule (parallel to `rules`).
+    state: Vec<RuleState>,
     /// relation id -> indices of rules that mention it in their body
     trigger: Vec<Vec<usize>>,
-    /// previous output of recompute rules (interned rows, sorted)
-    prev_output: HashMap<usize, Vec<IRow>>,
+    /// Rules with work left for the end of the current drain: group tables
+    /// to finalize, full re-evaluations to run.
+    unsettled: Vec<usize>,
+    scratch: Scratch,
     pending: VecDeque<IDelta>,
     outbox: Vec<RemoteTuple>,
     stats: EngineStats,
@@ -224,8 +263,10 @@ impl Engine {
             exists: Vec::new(),
             rules: Vec::new(),
             plans: Vec::new(),
+            state: Vec::new(),
             trigger: Vec::new(),
-            prev_output: HashMap::new(),
+            unsettled: Vec::new(),
+            scratch: Scratch::default(),
             pending: VecDeque::new(),
             outbox: Vec::new(),
             stats: EngineStats::default(),
@@ -310,10 +351,10 @@ impl Engine {
 
     /// Install a rule. Rules may be added before or after facts.
     ///
-    /// The rule is compiled once into a `RulePlan`; aggregate rules and
-    /// rules whose body repeats a relation are classified for maintenance
-    /// by recompute-and-diff, everything else gets pinned delta plans for
-    /// pipelined firing.
+    /// The rule is compiled once into a `RulePlan`; a rule whose body
+    /// repeats a relation is classified for maintenance by full
+    /// re-evaluation, everything else — aggregate heads included — gets
+    /// pinned delta plans for pipelined firing.
     pub fn add_rule(&mut self, rule: Rule) {
         let idx = self.rules.len();
         self.rule_relations.insert(rule.head.relation.clone());
@@ -326,19 +367,27 @@ impl Engine {
             sorted.sort_unstable();
             sorted.windows(2).any(|w| w[0] == w[1])
         };
-        let recompute = rule.is_aggregate() || repeats;
-        let compiled = plan::compile(&rule, recompute, &mut self.interner);
+        let compiled = plan::compile(&rule, repeats, &mut self.interner);
         self.grow();
         body_rels.sort_unstable();
         body_rels.dedup();
+        let mut facts_exist = false;
         for rel in body_rels {
             let id = self
                 .interner
                 .rels
                 .lookup(rel)
-                .expect("compile interns every body relation");
-            self.trigger[id as usize].push(idx);
+                .expect("compile interns every body relation") as usize;
+            self.trigger[id].push(idx);
+            facts_exist |= self.stores[id].num_rows() > 0;
         }
+        self.state.push(RuleState {
+            groups: compiled
+                .aggregate
+                .then(|| GroupTable::new(&compiled.head.cols)),
+            full_eval: repeats || (compiled.aggregate && facts_exist),
+            ..RuleState::default()
+        });
         self.plans.push(compiled);
         self.rules.push(rule);
     }
@@ -600,19 +649,19 @@ impl Engine {
     pub fn run(&mut self) -> u64 {
         let before = self.stats.updates;
         loop {
-            let mut dirty: HashSet<usize> = HashSet::new();
             while let Some(delta) = self.pending.pop_front() {
                 self.stats.external_deltas += 1;
-                self.apply_delta(delta, &mut dirty);
+                self.apply_delta(delta);
             }
-            if dirty.is_empty() {
+            if self.unsettled.is_empty() {
                 break;
             }
-            let mut dirty_list: Vec<usize> = dirty.into_iter().collect();
-            dirty_list.sort_unstable();
-            for rule_idx in dirty_list {
-                self.recompute_rule(rule_idx);
+            let mut unsettled = std::mem::take(&mut self.unsettled);
+            unsettled.sort_unstable();
+            for rule_idx in unsettled.drain(..) {
+                self.settle_rule(rule_idx);
             }
+            self.unsettled = unsettled;
             if self.pending.is_empty() {
                 break;
             }
@@ -638,11 +687,11 @@ impl Engine {
         self.delta_touched.clear();
     }
 
-    fn apply_delta(&mut self, delta: IDelta, dirty: &mut HashSet<usize>) {
+    fn apply_delta(&mut self, delta: IDelta) {
         let iu = delta.rel as usize;
         self.exists[iu] = true;
         let adj = if delta.insert { 1 } else { -1 };
-        let change = self.stores[iu].adjust(delta.row.clone(), adj);
+        let change = self.stores[iu].adjust(&delta.row, adj);
         let became_visible = match change {
             Some(v) => v,
             None => return, // multiplicity changed but visibility did not
@@ -657,180 +706,109 @@ impl Engine {
             self.delta_del[iu] += 1;
         }
 
-        let rule_indices = self.trigger[iu].clone();
-        for rule_idx in rule_indices {
-            if self.plans[rule_idx].recompute {
-                dirty.insert(rule_idx);
-                continue;
+        // `trigger` only changes in `add_rule`, so indexing it afresh each
+        // turn stands in for cloning the list.
+        for t in 0..self.trigger[iu].len() {
+            let rule_idx = self.trigger[iu][t];
+            if self.state[rule_idx].full_eval {
+                self.mark_unsettled(rule_idx);
+            } else {
+                self.fire_plan(rule_idx, delta.rel, &delta.row, became_visible);
             }
-            self.fire_plan(rule_idx, delta.rel, &delta.row, became_visible);
         }
     }
 
-    /// Fire a non-recompute rule's pinned plan for one delta row.
+    /// Queue a rule for [`Engine::settle_rule`] at the end of this drain.
+    fn mark_unsettled(&mut self, rule_idx: usize) {
+        let state = &mut self.state[rule_idx];
+        if !state.unsettled {
+            state.unsettled = true;
+            self.unsettled.push(rule_idx);
+        }
+    }
+
+    /// Fire a rule's pinned plan for one delta row. A plain head emits each
+    /// derivation as a head-row change; an aggregate head folds it, signed,
+    /// into its group table and leaves the emitting to `settle_rule`.
     fn fire_plan(&mut self, rule_idx: usize, rel: u32, row: &IRow, insert: bool) {
-        let mut results: Vec<IVal> = Vec::new();
-        let n_slots = self.plans[rule_idx].n_slots;
-        {
-            let plans = &self.plans;
-            let stores = &mut self.stores;
-            let Some((_, ops)) = plans[rule_idx].pinned.iter().find(|(r, _)| *r == rel) else {
-                return;
-            };
-            plan::execute(ops, n_slots, Some(row), stores, &mut results);
-        }
-        let mut head_changes: Vec<IRow> = Vec::new();
-        {
-            let head = &self.plans[rule_idx].head;
-            for chunk in results.chunks(n_slots) {
-                self.stats.derivations += 1;
-                if let Some(out) = build_head_row(head, chunk) {
-                    head_changes.push(out);
-                }
+        let plan = &self.plans[rule_idx];
+        let Some((_, ops)) = plan.pinned.iter().find(|(r, _)| *r == rel) else {
+            return;
+        };
+        let mut exec = std::mem::take(&mut self.scratch.exec);
+        let results = plan::execute(ops, plan.n_slots, Some(row), &mut self.stores, &mut exec);
+        self.stats.derivations += (results.len() / plan.n_slots) as u64;
+        if let Some(groups) = &mut self.state[rule_idx].groups {
+            let sign = if insert { 1 } else { -1 };
+            for chunk in results.chunks(plan.n_slots) {
+                groups.fold(chunk, sign);
             }
+            if !results.is_empty() {
+                self.mark_unsettled(rule_idx);
+            }
+        } else {
+            let mut rows = std::mem::take(&mut self.scratch.ins);
+            rows.extend(
+                results
+                    .chunks(plan.n_slots)
+                    .filter_map(|chunk| build_head_row(&plan.head, chunk)),
+            );
+            for out in rows.drain(..) {
+                self.emit(rule_idx, out, insert);
+            }
+            self.scratch.ins = rows;
         }
-        for out in head_changes {
-            self.emit(rule_idx, out, insert);
-        }
+        self.scratch.exec = exec;
     }
 
-    /// Recompute an aggregate (or repeated-relation) rule from scratch and
-    /// apply the diff against its previous output.
-    fn recompute_rule(&mut self, rule_idx: usize) {
-        self.stats.aggregate_recomputes += 1;
-        let mut results: Vec<IVal> = Vec::new();
-        let n_slots = self.plans[rule_idx].n_slots;
-        {
-            let plans = &self.plans;
-            let stores = &mut self.stores;
-            plan::execute(&plans[rule_idx].full, n_slots, None, stores, &mut results);
-        }
-        let new_output: Vec<IRow> = if self.plans[rule_idx].aggregate {
-            self.aggregate_head(rule_idx, &results, n_slots)
-        } else {
-            let mut out = Vec::new();
-            {
-                let head = &self.plans[rule_idx].head;
-                for chunk in results.chunks(n_slots) {
-                    self.stats.derivations += 1;
-                    if let Some(row) = build_head_row(head, chunk) {
-                        out.push(row);
-                    }
+    /// End-of-drain work of one rule: re-evaluate it in full if that is how
+    /// it is maintained, then emit the head rows that changed — deletions
+    /// first, each list in `cmp_public` order.
+    fn settle_rule(&mut self, rule_idx: usize) {
+        let mut dels = std::mem::take(&mut self.scratch.dels);
+        let mut ins = std::mem::take(&mut self.scratch.ins);
+        let plan = &self.plans[rule_idx];
+        let state = &mut self.state[rule_idx];
+        let strs = &self.interner.strs;
+        state.unsettled = false;
+        if state.full_eval {
+            self.stats.aggregate_recomputes += 1;
+            let mut exec = std::mem::take(&mut self.scratch.exec);
+            let results =
+                plan::execute(&plan.full, plan.n_slots, None, &mut self.stores, &mut exec);
+            self.stats.derivations += (results.len() / plan.n_slots) as u64;
+            if let Some(groups) = &mut state.groups {
+                groups.reset();
+                for chunk in results.chunks(plan.n_slots) {
+                    groups.fold(chunk, 1);
                 }
+                // A seeded table is maintained by delta from here on.
+                state.full_eval = plan.recompute;
+            } else {
+                let mut new_output: Vec<IRow> = results
+                    .chunks(plan.n_slots)
+                    .filter_map(|chunk| build_head_row(&plan.head, chunk))
+                    .collect();
+                new_output.sort_by(|a, b| a.cmp_public(b, strs));
+                new_output.dedup();
+                diff_sorted(&state.prev_output, &new_output, strs, &mut dels, &mut ins);
+                state.prev_output = new_output;
             }
-            out.sort_by(|a, b| a.cmp_public(b, &self.interner.strs));
-            out.dedup();
-            out
-        };
-        // Both the previous and the new output are sorted (and deduplicated)
-        // under `cmp_public`, so the diff is a single merge walk — no hash
-        // sets, no per-row rehashing.
-        let mut deletions: Vec<IRow> = Vec::new();
-        let mut insertions: Vec<IRow> = Vec::new();
-        {
-            let prev = self
-                .prev_output
-                .get(&rule_idx)
-                .map_or(&[][..], Vec::as_slice);
-            let strs = &self.interner.strs;
-            let (mut i, mut j) = (0, 0);
-            while i < prev.len() && j < new_output.len() {
-                match prev[i].cmp_public(&new_output[j], strs) {
-                    std::cmp::Ordering::Less => {
-                        deletions.push(prev[i].clone());
-                        i += 1;
-                    }
-                    std::cmp::Ordering::Greater => {
-                        insertions.push(new_output[j].clone());
-                        j += 1;
-                    }
-                    std::cmp::Ordering::Equal => {
-                        i += 1;
-                        j += 1;
-                    }
-                }
-            }
-            deletions.extend_from_slice(&prev[i..]);
-            insertions.extend_from_slice(&new_output[j..]);
+            self.scratch.exec = exec;
         }
-        self.prev_output.insert(rule_idx, new_output);
-        for t in deletions {
+        if let Some(groups) = &mut state.groups {
+            groups.finalize(strs, &mut dels, &mut ins);
+            dels.sort_by(|a, b| a.cmp_public(b, strs));
+            ins.sort_by(|a, b| a.cmp_public(b, strs));
+        }
+        for t in dels.drain(..) {
             self.emit(rule_idx, t, false);
         }
-        for t in insertions {
+        for t in ins.drain(..) {
             self.emit(rule_idx, t, true);
         }
-    }
-
-    /// Compute the grouped, aggregated head rows of a rule.
-    fn aggregate_head(&mut self, rule_idx: usize, results: &[IVal], n_slots: usize) -> Vec<IRow> {
-        let head = &self.plans[rule_idx].head;
-        let agg_count = head
-            .cols
-            .iter()
-            .filter(|c| matches!(c, HeadCol::Agg(_, _) | HeadCol::AggUnbound))
-            .count();
-        // group key -> per-aggregate collected values
-        let mut groups: HashMap<Vec<IVal>, Vec<Vec<IVal>>> = HashMap::new();
-        for chunk in results.chunks(n_slots) {
-            self.stats.derivations += 1;
-            let mut key = Vec::new();
-            let mut ok = true;
-            let mut collected: Vec<IVal> = Vec::with_capacity(agg_count);
-            for col in &head.cols {
-                match col {
-                    HeadCol::Const(v) => key.push(*v),
-                    HeadCol::Slot(s) => key.push(chunk[*s as usize]),
-                    HeadCol::Agg(_, s) => collected.push(chunk[*s as usize]),
-                    HeadCol::Unbound | HeadCol::AggUnbound => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if !ok {
-                continue;
-            }
-            let entry = groups
-                .entry(key)
-                .or_insert_with(|| vec![Vec::new(); agg_count]);
-            for (slot, v) in entry.iter_mut().zip(collected) {
-                slot.push(v);
-            }
-        }
-        let strs = &self.interner.strs;
-        let mut out = Vec::with_capacity(groups.len());
-        for (key, values_per_agg) in groups {
-            let mut vals = Vec::with_capacity(head.cols.len());
-            let mut key_iter = key.into_iter();
-            let mut agg_iter = values_per_agg.into_iter();
-            for col in &head.cols {
-                match col {
-                    HeadCol::Const(_) | HeadCol::Slot(_) => {
-                        vals.push(key_iter.next().expect("group key arity"))
-                    }
-                    HeadCol::Agg(func, _) => {
-                        let collected: Vec<Value> = agg_iter
-                            .next()
-                            .expect("aggregate arity")
-                            .into_iter()
-                            .map(|v| v.to_value(strs))
-                            .collect();
-                        let result = func.compute(&collected);
-                        vals.push(
-                            IVal::lookup(&result, strs)
-                                .expect("aggregates cannot mint new strings"),
-                        );
-                    }
-                    HeadCol::Unbound | HeadCol::AggUnbound => {
-                        unreachable!("rows with unbound head columns were skipped")
-                    }
-                }
-            }
-            out.push(IRow::from_vals(&vals));
-        }
-        out.sort_by(|a, b| a.cmp_public(b, strs));
-        out
+        self.scratch.dels = dels;
+        self.scratch.ins = ins;
     }
 
     /// Apply a head-row change: local insert/delete, or remote send when
@@ -903,6 +881,38 @@ impl Engine {
     }
 }
 
+/// Rows of `prev` missing from `new` go to `dels`, rows of `new` missing
+/// from `prev` to `ins`. Both inputs are sorted and deduplicated under
+/// `cmp_public`, so the diff is a single merge walk — no hash sets, no
+/// per-row rehashing.
+fn diff_sorted(
+    prev: &[IRow],
+    new: &[IRow],
+    strs: &SymbolTable,
+    dels: &mut Vec<IRow>,
+    ins: &mut Vec<IRow>,
+) {
+    let (mut i, mut j) = (0, 0);
+    while i < prev.len() && j < new.len() {
+        match prev[i].cmp_public(&new[j], strs) {
+            std::cmp::Ordering::Less => {
+                dels.push(prev[i].clone());
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                ins.push(new[j].clone());
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    dels.extend_from_slice(&prev[i..]);
+    ins.extend_from_slice(&new[j..]);
+}
+
 /// Instantiate a simple (non-aggregate) head row; `None` when a head
 /// variable is unbound, matching the reference's failed instantiation.
 fn build_head_row(head: &HeadPlan, chunk: &[IVal]) -> Option<IRow> {
@@ -913,7 +923,7 @@ fn build_head_row(head: &HeadPlan, chunk: &[IVal]) -> Option<IRow> {
             HeadCol::Slot(s) => vals.push(chunk[*s as usize]),
             HeadCol::Unbound => return None,
             HeadCol::Agg(_, _) | HeadCol::AggUnbound => {
-                unreachable!("aggregate heads are handled by recompute_rule")
+                unreachable!("aggregate heads go through their group table")
             }
         }
     }
@@ -925,6 +935,7 @@ mod tests {
     use crate::expr::{Expr, Op, Term};
     use crate::rule::{AggFunc, Atom, Head, HeadArg};
     use crate::schema::SchemaError;
+    use crate::value::Value;
 
     fn int_tuple(vals: &[i64]) -> Tuple {
         vals.iter().map(|&v| Value::Int(v)).collect()
@@ -1014,11 +1025,9 @@ mod tests {
         assert!(e.contains("big", &int_tuple(&[2, 40])));
     }
 
-    #[test]
-    fn aggregate_sum_maintained_incrementally() {
-        // hostCpu(H, SUM<C>) <- assign(V, H, C)
-        let mut e = engine();
-        e.add_rule(Rule::new(
+    /// hostCpu(H, SUM<C>) <- assign(V, H, C)
+    fn host_cpu_rule() -> Rule {
+        Rule::new(
             "d1",
             Head {
                 relation: "hostCpu".into(),
@@ -1032,7 +1041,13 @@ mod tests {
                 "assign",
                 vec![Term::var("V"), Term::var("H"), Term::var("C")],
             ))],
-        ));
+        )
+    }
+
+    #[test]
+    fn aggregate_sum_maintained_incrementally() {
+        let mut e = engine();
+        e.add_rule(host_cpu_rule());
         e.insert("assign", int_tuple(&[1, 10, 30]));
         e.insert("assign", int_tuple(&[2, 10, 20]));
         e.insert("assign", int_tuple(&[3, 11, 40]));
@@ -1045,6 +1060,104 @@ mod tests {
         assert!(e.contains("hostCpu", &int_tuple(&[10, 30])));
         assert!(!e.contains("hostCpu", &int_tuple(&[10, 50])));
         assert_eq!(e.relation_len("hostCpu"), 2);
+    }
+
+    #[test]
+    fn aggregate_delta_costs_its_derivations_not_the_relation() {
+        let mut e = engine();
+        e.add_rule(host_cpu_rule());
+        e.insert_all("assign", (0..10_000).map(|v| int_tuple(&[v, v % 100, 1])));
+        e.run();
+        assert_eq!(e.relation_len("hostCpu"), 100);
+        assert!(e.contains("hostCpu", &int_tuple(&[7, 100])));
+        let before = e.stats().clone();
+        // move one row from host 7 to host 8
+        e.delete("assign", int_tuple(&[7, 7, 1]));
+        e.insert("assign", int_tuple(&[7, 8, 1]));
+        e.run();
+        assert!(e.contains("hostCpu", &int_tuple(&[7, 99])));
+        assert!(e.contains("hostCpu", &int_tuple(&[8, 101])));
+        assert_eq!(e.stats().derivations - before.derivations, 2);
+        assert_eq!(e.stats().aggregate_recomputes, 0);
+    }
+
+    #[test]
+    fn aggregate_ignores_multiplicity_only_changes() {
+        let mut e = engine();
+        e.add_rule(host_cpu_rule());
+        e.insert("assign", int_tuple(&[1, 10, 30]));
+        e.run();
+        e.take_delta_summary();
+        let before = e.stats().clone();
+        // a second copy of a visible row, then its removal
+        e.insert("assign", int_tuple(&[1, 10, 30]));
+        assert_eq!(e.run(), 0);
+        e.delete("assign", int_tuple(&[1, 10, 30]));
+        assert_eq!(e.run(), 0);
+        assert!(e.delta_summary().is_empty());
+        assert_eq!(e.stats().derivations, before.derivations);
+        assert_eq!(e.tuples("hostCpu"), vec![int_tuple(&[10, 30])]);
+    }
+
+    #[test]
+    fn aggregate_back_at_its_old_value_emits_nothing() {
+        let mut e = engine();
+        e.add_rule(host_cpu_rule());
+        e.insert("assign", int_tuple(&[1, 10, 30]));
+        e.insert("assign", int_tuple(&[2, 10, 20]));
+        e.insert("assign", int_tuple(&[3, 11, 40]));
+        e.run();
+        e.take_delta_summary();
+        // host 10 swaps one row for an equal one; host 11 empties and
+        // refills: both sums end the run where they began it
+        e.delete("assign", int_tuple(&[2, 10, 20]));
+        e.insert("assign", int_tuple(&[4, 10, 20]));
+        e.delete("assign", int_tuple(&[3, 11, 40]));
+        e.insert("assign", int_tuple(&[5, 11, 40]));
+        e.run();
+        let delta = e.take_delta_summary();
+        assert_eq!(delta.changes["assign"].total(), 4);
+        assert!(delta.is_clean("hostCpu"));
+        assert_eq!(
+            e.tuples("hostCpu"),
+            vec![int_tuple(&[10, 50]), int_tuple(&[11, 40])]
+        );
+    }
+
+    #[test]
+    fn aggregate_bulk_insert_emits_one_row_per_group() {
+        let mut e = engine();
+        e.add_rule(host_cpu_rule());
+        e.insert_all("assign", (0..500).map(|v| int_tuple(&[v, 10, 2])));
+        e.run();
+        let delta = e.take_delta_summary();
+        assert_eq!(delta.changes["assign"].inserted, 500);
+        assert_eq!(delta.changes["hostCpu"].inserted, 1);
+        assert_eq!(delta.changes["hostCpu"].deleted, 0);
+        assert_eq!(e.tuples("hostCpu"), vec![int_tuple(&[10, 1000])]);
+    }
+
+    #[test]
+    fn aggregate_rule_installed_after_facts_is_seeded_from_them() {
+        let mut e = engine();
+        e.insert("assign", int_tuple(&[1, 10, 30]));
+        e.insert("assign", int_tuple(&[2, 10, 20]));
+        e.run();
+        e.add_rule(host_cpu_rule());
+        // the first change to a body relation evaluates the rule over the
+        // facts that were already there, once
+        e.insert("assign", int_tuple(&[3, 11, 40]));
+        e.run();
+        assert_eq!(
+            e.tuples("hostCpu"),
+            vec![int_tuple(&[10, 50]), int_tuple(&[11, 40])]
+        );
+        assert_eq!(e.stats().aggregate_recomputes, 1);
+        // from then on the groups are kept by delta
+        e.delete("assign", int_tuple(&[1, 10, 30]));
+        e.run();
+        assert!(e.contains("hostCpu", &int_tuple(&[10, 20])));
+        assert_eq!(e.stats().aggregate_recomputes, 1);
     }
 
     #[test]

@@ -29,9 +29,10 @@
 //!   zero all fail, a failed filter drops the row, and a failed assignment
 //!   drops the row (matching the interpreter's `if let Ok` pattern).
 //! * **Pinned firing** — `pinned[rel]` is the plan used by pipelined
-//!   semi-naive delta firing: the atom occurrence of `rel` matches only the
-//!   delta row. Non-recompute rules mention each body relation at most once
-//!   (repeats force recompute-and-diff), so the pin position is unique.
+//!   semi-naive delta firing, for simple and aggregate heads alike: the
+//!   atom occurrence of `rel` matches only the delta row. Rules with pinned
+//!   plans mention each body relation at most once (a repeat forces full
+//!   re-evaluation), so the pin position is unique.
 
 use crate::expr::{Expr, Op, Term};
 use crate::intern::Interner;
@@ -143,7 +144,7 @@ impl PExpr {
 }
 
 /// Canonicalised float value (mirrors `Value::float` + `F64` hashing).
-fn fval(x: f64) -> IVal {
+pub(crate) fn fval(x: f64) -> IVal {
     IVal::Float(crate::value::F64(x).canonical_bits())
 }
 
@@ -228,14 +229,17 @@ pub(crate) struct RulePlan {
     /// Frontier stride (≥ 1 so `chunks` is always valid).
     pub n_slots: usize,
     pub head: HeadPlan,
-    /// Full-evaluation plan (recompute-and-diff, `query`-style joins).
+    /// Full-evaluation plan (re-evaluation of `recompute` rules, seeding of
+    /// a group table installed over existing facts).
     pub full: Vec<PlanOp>,
     /// Per-relation delta plans: `(rel, ops)` with the occurrence of `rel`
-    /// compiled to [`PlanOp::Pinned`].
+    /// compiled to [`PlanOp::Pinned`]. Empty for `recompute` rules.
     pub pinned: Vec<(u32, Vec<PlanOp>)>,
     /// Head carries aggregates.
     pub aggregate: bool,
-    /// Maintained by recompute-and-diff (aggregates or repeated relations).
+    /// The body repeats a relation: one delta row can take part in several
+    /// derivations of one head row, so the rule has no pinned plans and is
+    /// re-evaluated in full whenever a body relation changes.
     pub recompute: bool,
 }
 
@@ -513,8 +517,9 @@ impl PlanOp {
     }
 }
 
-/// Compile a rule. `recompute` mirrors the engine's recompute-and-diff
-/// classification (aggregate head or repeated body relation).
+/// Compile a rule. `recompute` is the engine's full-re-evaluation
+/// classification (the body repeats a relation); every other rule, aggregate
+/// head or not, gets one pinned delta plan per body relation.
 pub(crate) fn compile(rule: &Rule, recompute: bool, interner: &mut Interner) -> RulePlan {
     let slots = slot_map(rule);
     let n_slots = slots.len().max(1);
@@ -587,23 +592,40 @@ pub(crate) fn compile(rule: &Rule, recompute: bool, interner: &mut Interner) -> 
     }
 }
 
+/// Frontier buffers of [`execute`]. The engine owns one and hands it to
+/// every firing, so the delta loop allocates nothing per tuple.
+#[derive(Debug, Default)]
+pub(crate) struct ExecBuf {
+    index_ids: Vec<usize>,
+    cur: Vec<IVal>,
+    next: Vec<IVal>,
+    scratch: Vec<IVal>,
+}
+
 /// Execute a plan: seeds a single all-dummy frontier row, applies every op,
-/// and appends the surviving frontier rows (stride `n_slots`) to `out`.
+/// and returns the surviving frontier rows (stride `n_slots`), which live in
+/// `buf` until its next use.
 ///
 /// `stores` is mutable only to let [`RelStore::ensure_index`] build missing
 /// bound-column indexes before the read-only join pass; the firing itself
 /// never changes relation contents (emissions go through the engine queue).
-pub(crate) fn execute(
+pub(crate) fn execute<'b>(
     ops: &[PlanOp],
     n_slots: usize,
     pinned_row: Option<&IRow>,
     stores: &mut [RelStore],
-    out: &mut Vec<IVal>,
-) {
+    buf: &'b mut ExecBuf,
+) -> &'b [IVal] {
+    let ExecBuf {
+        index_ids,
+        cur,
+        next,
+        scratch,
+    } = buf;
     // Prepare pass: resolve (or build) the index behind every probe.
-    let index_ids: Vec<usize> = ops
-        .iter()
-        .map(|op| match op {
+    index_ids.clear();
+    index_ids.extend(ops.iter().map(|op| {
+        match op {
             PlanOp::Match {
                 rel,
                 arity,
@@ -614,12 +636,13 @@ pub(crate) fn execute(
                 .map(|s| s.ensure_index(*arity, &pk.cols))
                 .unwrap_or(0),
             _ => 0,
-        })
-        .collect();
+        }
+    }));
 
-    let mut cur: Vec<IVal> = vec![IVal::Int(0); n_slots];
-    let mut next: Vec<IVal> = Vec::new();
-    let mut scratch: Vec<IVal> = vec![IVal::Int(0); n_slots];
+    cur.clear();
+    cur.resize(n_slots, IVal::Int(0));
+    scratch.clear();
+    scratch.resize(n_slots, IVal::Int(0));
 
     for (op_idx, op) in ops.iter().enumerate() {
         if cur.is_empty() {
@@ -632,8 +655,8 @@ pub(crate) fn execute(
                     let vals = row.as_slice();
                     if vals.len() == *arity as usize {
                         for chunk in cur.chunks(n_slots) {
-                            if apply_actions(chunk, vals, actions, &mut scratch) {
-                                next.extend_from_slice(&scratch);
+                            if apply_actions(chunk, vals, actions, scratch) {
+                                next.extend_from_slice(scratch);
                             }
                         }
                     }
@@ -662,8 +685,8 @@ pub(crate) fn execute(
                             }));
                             for &row_idx in store.probe(ix, key) {
                                 let vals = store.row(row_idx).as_slice();
-                                if apply_actions(chunk, vals, actions, &mut scratch) {
-                                    next.extend_from_slice(&scratch);
+                                if apply_actions(chunk, vals, actions, scratch) {
+                                    next.extend_from_slice(scratch);
                                 }
                             }
                         }
@@ -678,8 +701,8 @@ pub(crate) fn execute(
                                 if vals.len() != *arity as usize {
                                     continue;
                                 }
-                                if apply_actions(chunk, vals, actions, &mut scratch) {
-                                    next.extend_from_slice(&scratch);
+                                if apply_actions(chunk, vals, actions, scratch) {
+                                    next.extend_from_slice(scratch);
                                 }
                             }
                         }
@@ -698,14 +721,14 @@ pub(crate) fn execute(
                     if let Ok(v) = expr.eval(chunk) {
                         scratch.copy_from_slice(chunk);
                         scratch[*slot as usize] = v;
-                        next.extend_from_slice(&scratch);
+                        next.extend_from_slice(scratch);
                     }
                 }
             }
         }
-        std::mem::swap(&mut cur, &mut next);
+        std::mem::swap(cur, next);
     }
-    out.extend_from_slice(&cur);
+    cur
 }
 
 /// Apply one atom's column actions to a candidate row. On success `scratch`

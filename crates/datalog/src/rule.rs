@@ -28,9 +28,10 @@
 //!   its variables;
 //! * a located head's first argument is the destination address and must be
 //!   bound by the body;
-//! * aggregate heads group by their non-aggregate arguments; such rules
-//!   (and rules whose body mentions the same relation twice) are evaluated
-//!   by recompute-and-diff rather than per-delta counting, because a single
+//! * aggregate heads group by their non-aggregate arguments, and the engine
+//!   keeps per-group state that each signed derivation is folded into;
+//! * a rule whose body mentions the same relation twice is evaluated by
+//!   recompute-and-diff rather than per-delta counting, because a single
 //!   delta can participate in several derivations of the same head tuple.
 
 use crate::expr::{Bindings, EvalError, Expr, Term};

@@ -439,17 +439,17 @@ impl RelStore {
     /// Adjust the count of `row` by `delta`; same contract as
     /// [`Relation::adjust`]. Secondary indexes and the visible count are
     /// maintained on every visibility transition.
-    pub fn adjust(&mut self, row: IRow, delta: i64) -> Option<bool> {
+    pub fn adjust(&mut self, row: &IRow, delta: i64) -> Option<bool> {
         if delta == 0 {
             return None;
         }
         let hash = hash_row(row.as_slice());
-        let i = match self.find(&row, hash) {
+        let i = match self.find(row, hash) {
             Some(i) => i,
             None => {
                 let i = self.rows.len() as u32;
                 self.pubs.push(OnceCell::new());
-                self.rows.push(row);
+                self.rows.push(row.clone());
                 self.counts.push(0);
                 self.hashes.push(hash);
                 self.lookup.entry(hash).or_default().push(i);

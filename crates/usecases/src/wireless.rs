@@ -8,12 +8,13 @@
 //! cross-layer protocol (Fig. 7).
 //!
 //! The ORBIT testbed is physical hardware we do not have; the substitution
-//! (see DESIGN.md) is an interference-model grid simulator: links whose
-//! channels are closer than `F_mindiff` and that are within one/two hops of
-//! each other share capacity, flows are routed over the grid, and aggregate
-//! throughput is the sum of per-flow deliveries. The channel assignments
-//! themselves are still produced by the Colog programs through the Cologne
-//! runtime.
+//! ([`aggregate_throughput`] below, driven by
+//! `cologne-bench --bin fig6_7_wireless`) is an interference-model grid
+//! simulator: links whose channels are closer than `F_mindiff` and that are
+//! within one/two hops of each other share capacity, flows are routed over
+//! the grid, and aggregate throughput is the sum of per-flow deliveries. The
+//! channel assignments themselves are still produced by the Colog programs
+//! through the Cologne runtime.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 

@@ -9,9 +9,11 @@
 //!
 //! The suite drives both engines through identical rule installs and
 //! insert/delete scripts: fixed programs covering recursion, aggregates,
-//! filters/assignments and located heads; randomly generated rule sets; and
-//! the regular rules of every shipped paper program (ACloud, Follow-the-Sun,
-//! wireless channel selection).
+//! filters/assignments and located heads; randomly generated rule sets,
+//! plain and aggregate (all seven functions over every head and body shape
+//! the delta-maintained group tables have to handle); and the regular rules
+//! of every shipped paper program (ACloud, Follow-the-Sun, wireless channel
+//! selection).
 
 use proptest::prelude::*;
 
@@ -134,6 +136,154 @@ fn script_from_seeds(
     script
 }
 
+const AGG_FUNCS: [AggFunc; 7] = [
+    AggFunc::Sum,
+    AggFunc::Count,
+    AggFunc::Min,
+    AggFunc::Max,
+    AggFunc::SumAbs,
+    AggFunc::Unique,
+    AggFunc::Stdev,
+];
+
+/// Base relations of the aggregate suite: `e(K, X)` and `p(@D, X)` carry
+/// the aggregated column, `f(K, W)` is joined in, and `sa(K, X)`/`sb(K, Y)`
+/// feed STDEV alone.
+const AGG_RELS: [&str; 5] = ["e", "f", "p", "sa", "sb"];
+
+/// An aggregated value: negative and positive ints, floats that are
+/// multiples of 0.25 (every float sum is exact, so it does not depend on
+/// the order either engine adds in), a bool and a string.
+fn agg_value(b: i64) -> Value {
+    match b.rem_euclid(13) {
+        b @ 0..=5 => Value::Int(b - 3),
+        b @ 6..=10 => Value::float((b - 8) as f64 * 0.75),
+        11 => Value::Bool(true),
+        _ => Value::Str("s".into()),
+    }
+}
+
+/// A row of `rel` from two sampled numbers, over domains small enough that
+/// scripts hit the same row and the same group again and again.
+fn agg_row(rel: &str, a: i64, b: i64) -> Tuple {
+    let key = Value::Int(a.rem_euclid(3));
+    match rel {
+        "e" => vec![key, agg_value(b)],
+        "f" => vec![key, Value::Int(b.rem_euclid(3) - 1)],
+        "p" => vec![Value::Addr(NodeId(a.rem_euclid(3) as u32)), agg_value(b)],
+        // Two values of mixed kind per key...
+        "sa" if b % 2 == 0 => vec![key, Value::float(-1.5)],
+        "sa" => vec![key, Value::Int(2)],
+        // ...times two rows per key: a STDEV group holds 1, 2 or 4
+        // derivations, so its mean and squared deviations are exact too.
+        _ => vec![key, Value::Int(b.rem_euclid(2))],
+    }
+}
+
+/// Two inserts for every delete, over all of [`AGG_RELS`].
+fn agg_script(seeds: &[(u8, i64, i64, bool)]) -> Vec<ScriptOp> {
+    let mut script = Vec::with_capacity(seeds.len() * 2);
+    for &(sel, a, b, run_after) in seeds {
+        let rel = AGG_RELS[sel as usize % AGG_RELS.len()];
+        let row = agg_row(rel, a, b);
+        script.push(if sel as usize / AGG_RELS.len() % 3 == 0 {
+            ScriptOp::Delete(rel, row)
+        } else {
+            ScriptOp::Insert(rel, row)
+        });
+        if run_after {
+            script.push(ScriptOp::Run);
+        }
+    }
+    script
+}
+
+/// The aggregate rule `h{i}` of the given function and shape, plus (for the
+/// two-column heads) a filter rule reading its output.
+fn agg_rules(i: usize, func: AggFunc, shape: u8) -> Vec<Rule> {
+    let var = Term::var;
+    let atom = |rel: &str, a: &str, b: &str| BodyItem::Atom(Atom::new(rel, vec![var(a), var(b)]));
+    let positive = |v: &str| BodyItem::Filter(Expr::bin(Op::Gt, Expr::var(v), Expr::int(0)));
+    let agg = |f: AggFunc, v: &str| HeadArg::Agg(f, v.into());
+    let key = || HeadArg::Term(var("K"));
+    let name = format!("h{i}");
+    let (args, located, body) = if func == AggFunc::Stdev {
+        (
+            vec![key(), agg(func, "X")],
+            false,
+            vec![atom("sa", "K", "X"), atom("sb", "K", "Y")],
+        )
+    } else {
+        match shape % 7 {
+            0 => (
+                vec![key(), agg(func, "X")],
+                false,
+                vec![atom("e", "K", "X")],
+            ),
+            1 => (
+                vec![key(), agg(func, "X")],
+                false,
+                vec![atom("e", "K", "X"), atom("f", "K", "W"), positive("W")],
+            ),
+            2 => (
+                vec![key(), agg(func, "A")],
+                false,
+                vec![
+                    atom("e", "K", "X"),
+                    atom("f", "K", "W"),
+                    BodyItem::Assign(
+                        "A".into(),
+                        Expr::bin(Op::Add, Expr::var("X"), Expr::var("W")),
+                    ),
+                ],
+            ),
+            // located head: groups addressed to other nodes go to the outbox
+            3 => (
+                vec![HeadArg::Term(var("D")), agg(func, "X")],
+                true,
+                vec![atom("p", "D", "X")],
+            ),
+            // global aggregate: one group with the empty key
+            4 => (vec![agg(func, "X")], false, vec![atom("e", "K", "X")]),
+            // repeated body relation: full re-evaluation into the same table
+            5 => (
+                vec![key(), agg(func, "X")],
+                false,
+                vec![atom("e", "K", "X"), atom("e", "J", "X")],
+            ),
+            _ => (
+                vec![
+                    key(),
+                    agg(func, "X"),
+                    agg(AggFunc::Max, "W"),
+                    agg(AggFunc::Count, "W"),
+                ],
+                false,
+                vec![atom("e", "K", "X"), atom("f", "K", "W")],
+            ),
+        }
+    };
+    let two_columns = args.len() == 2 && !located;
+    let mut rules = vec![Rule::new(
+        &name,
+        Head {
+            relation: name.clone(),
+            args,
+            located,
+        },
+        body,
+    )];
+    if two_columns {
+        let big = format!("big{i}");
+        rules.push(Rule::new(
+            &big,
+            Head::simple(&big, vec![var("K")]),
+            vec![atom(&name, "K", "S"), positive("S")],
+        ));
+    }
+    rules
+}
+
 /// path(X,Y) <- link(X,Y);  path(X,Z) <- link(X,Y), path(Y,Z)
 fn transitive_closure_rules() -> Vec<Rule> {
     vec![
@@ -220,6 +370,24 @@ proptest! {
             vec![Value::Int(a), Value::Int(b)]
         });
         apply_script(&mut fast, &mut refe, &script)?;
+    }
+
+    /// Aggregate rules drawn over all seven functions and every shape of
+    /// [`agg_rules`], under scripts that insert, insert again, delete and
+    /// re-insert over small domains: groups fill, empty and come back, the
+    /// current MIN/MAX is retracted, sums change kind between int and float.
+    #[test]
+    fn aggregate_rules_equivalence(
+        rule_seeds in prop::collection::vec((0usize..7, 0u8..7), 1..5),
+        op_seeds in prop::collection::vec((0u8..15, 0i64..3, 0i64..13, prop::bool::ANY), 1..50),
+    ) {
+        let rules: Vec<Rule> = rule_seeds
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &(f, shape))| agg_rules(i, AGG_FUNCS[f], shape))
+            .collect();
+        let (mut fast, mut refe) = both(&rules);
+        apply_script(&mut fast, &mut refe, &agg_script(&op_seeds))?;
     }
 
     /// Filters, assignments and string constants in rule bodies.
@@ -359,6 +527,59 @@ proptest! {
             vec![Value::Int(a), Value::Int(b)]
         });
         apply_script(&mut fast, &mut refe, &script)?;
+    }
+}
+
+/// Every function over every shape at once, through one scripted life of a
+/// group: filled, fed a duplicate row, robbed of its current minimum and
+/// maximum, emptied, and filled again — compared after every `run()`.
+#[test]
+fn aggregate_group_lifecycle_pins() {
+    let rules: Vec<Rule> = AGG_FUNCS
+        .iter()
+        .flat_map(|&f| (0..7u8).map(move |shape| (f, shape)))
+        .filter(|&(f, shape)| f != AggFunc::Stdev || shape == 0)
+        .enumerate()
+        .flat_map(|(i, (f, shape))| agg_rules(i, f, shape))
+        .collect();
+    let (mut fast, mut refe) = both(&rules);
+    let all_rows = |op: fn(&'static str, Tuple) -> ScriptOp| -> Vec<ScriptOp> {
+        let mut ops = Vec::new();
+        for rel in AGG_RELS {
+            for a in 0..3 {
+                for b in 0..13 {
+                    ops.push(op(rel, agg_row(rel, a, b)));
+                }
+            }
+        }
+        ops.push(ScriptOp::Run);
+        ops
+    };
+    let mut script = all_rows(ScriptOp::Insert);
+    // a second copy of one row per relation: multiplicity only
+    for rel in AGG_RELS {
+        script.push(ScriptOp::Insert(rel, agg_row(rel, 1, 4)));
+    }
+    script.push(ScriptOp::Run);
+    // retract the extremes of every `e`/`p` group: Int(-3) is the least
+    // value, the string the greatest
+    for rel in ["e", "p"] {
+        for a in 0..3 {
+            script.push(ScriptOp::Delete(rel, agg_row(rel, a, 0)));
+            script.push(ScriptOp::Delete(rel, agg_row(rel, a, 12)));
+        }
+    }
+    script.push(ScriptOp::Run);
+    // empty every group (the duplicated rows need two deletes), then refill
+    script.extend(all_rows(ScriptOp::Delete));
+    for rel in AGG_RELS {
+        script.push(ScriptOp::Delete(rel, agg_row(rel, 1, 4)));
+    }
+    script.push(ScriptOp::Run);
+    script.extend(all_rows(ScriptOp::Insert));
+    apply_script(&mut fast, &mut refe, &script).expect("engines agree");
+    for i in 0..3 {
+        assert!(fast.relation_len(&format!("h{i}")) > 0, "h{i} is empty");
     }
 }
 
