@@ -8,12 +8,9 @@ use std::hint::black_box;
 
 use cologne::datalog::{NodeId, Value};
 use cologne::solver::{
-    compute_root_bound, BoundMode, LnsConfig, Objective, SearchConfig, SolverMode,
+    compute_root_bound, BoundMode, Branching, LnsConfig, Objective, SearchConfig, SolverMode,
 };
-use cologne::{
-    CologneInstance, GroundedCop, ProgramParams, SolverBranching, SolverMode as ParamsSolverMode,
-    VarDomain,
-};
+use cologne::{CologneInstance, GroundedCop, ProgramParams, VarDomain};
 use cologne_usecases::programs::ACLOUD_CENTRALIZED;
 use cologne_usecases::{large_acloud_instance, LargeAcloudConfig};
 
@@ -37,7 +34,7 @@ const VMS: [(i64, i64, i64); 12] = [
 fn grounded_acloud(n_vms: usize) -> (GroundedCop, SearchConfig) {
     let params = ProgramParams::new()
         .with_var_domain("assign", VarDomain::BOOL)
-        .with_solver_branching(SolverBranching::FirstFail)
+        .with_solver_branching(Branching::SmallestDomain)
         .with_solver_max_time(None)
         .with_solver_node_limit(Some(200_000));
     let mut inst = CologneInstance::new(NodeId(0), ACLOUD_CENTRALIZED, params).unwrap();
@@ -57,9 +54,7 @@ fn grounded_acloud(n_vms: usize) -> (GroundedCop, SearchConfig) {
             .insert(vec![Value::Int(hid), Value::Int(32)])
             .unwrap();
     }
-    let mut config = inst.search_config().clone();
-    config.time_limit = None;
-    config.node_limit = inst.params().solver_node_limit;
+    let config = inst.search_config().clone();
     let cop = inst.ground_only().unwrap();
     (cop, config)
 }
@@ -122,7 +117,7 @@ fn bench_gap_termination(c: &mut Criterion) {
 /// large ACloud scenario the LNS mode exists for.
 fn bench_root_certificate_large(c: &mut Criterion) {
     let config = LargeAcloudConfig::default();
-    let mut inst = large_acloud_instance(&config, ParamsSolverMode::Lns(config.lns_params()));
+    let mut inst = large_acloud_instance(&config, SolverMode::Lns(config.lns_params()));
     let search = inst.search_config().clone();
     let cop = inst.ground_only().unwrap();
     let (_, obj) = cop.objective.expect("ACloud minimizes");

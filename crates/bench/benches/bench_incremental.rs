@@ -15,7 +15,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use cologne::datalog::{NodeId, Value};
-use cologne::{CologneInstance, LnsParams, ProgramParams, SolverMode, VarDomain};
+use cologne::solver::LnsConfig;
+use cologne::{CologneInstance, ProgramParams, SolverMode, VarDomain};
 use cologne_usecases::programs::ACLOUD_CENTRALIZED;
 use cologne_usecases::{run_churn, ChurnConfig};
 
@@ -31,7 +32,7 @@ fn churn_config(incremental: bool, budget: u64) -> ChurnConfig {
         departures_per_tick: 1,
         capacity_drift_gb: 2,
         solver_node_limit: Some(budget),
-        solver_mode: SolverMode::Lns(LnsParams {
+        solver_mode: SolverMode::Lns(LnsConfig {
             dive_node_limit: (budget / 8).max(500),
             ..Default::default()
         }),

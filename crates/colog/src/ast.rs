@@ -79,7 +79,7 @@ pub enum Literal {
     Str(String),
     /// A named program parameter (lowercase identifier such as
     /// `max_migrates`, `F_mindiff`, `cost_thres`); resolved at compile time
-    /// from the [`crate::ProgramParams`].
+    /// from the runtime's `ProgramParams`.
     Param(String),
 }
 

@@ -42,7 +42,6 @@ pub mod ast;
 pub mod codegen;
 pub mod lexer;
 pub mod localize;
-pub mod params;
 pub mod parser;
 pub mod schema;
 
@@ -54,8 +53,5 @@ pub use ast::{
 pub use codegen::{count_loc, generate_cpp, GeneratedCode};
 pub use lexer::{tokenize, LexError, Token};
 pub use localize::{localize_rule, localize_rules, LocalizeError};
-pub use params::{
-    LnsParams, ProgramParams, SolverBoundMode, SolverBranching, SolverMode, VarDomain,
-};
 pub use parser::{parse_program, ParseError};
 pub use schema::{RelationSchema, SchemaCatalog};

@@ -1,16 +1,10 @@
-//! The unified deployment surface: [`SolverSettings`], [`DeploymentBuilder`]
-//! and [`Deployment`].
+//! The unified deployment surface: [`DeploymentBuilder`] and [`Deployment`].
 //!
-//! Historically, standing up a Cologne system meant three different dances:
-//! `CologneInstance::new` for a single node, per-node constructor plumbing
-//! for a simulated network, and a `params_mut`-then-invalidate backdoor pair
-//! for solver tuning split across two structures. The
-//! [`DeploymentBuilder`] subsumes all of them: one builder takes the program
-//! source, the base [`ProgramParams`], a [`Topology`] (defaulting to
-//! [`Topology::single`]), optional per-node parameter overrides and one
-//! validated [`SolverSettings`] view — and produces a [`Deployment`] that
-//! owns the single-node and distributed cases behind the same
-//! `tick`/`invoke`/`handle` API.
+//! One builder takes the program source, the base [`ProgramParams`] (every
+//! solver knob included), a [`Topology`] (defaulting to
+//! [`Topology::single`]) and optional per-node parameter overrides — and
+//! produces a [`Deployment`] that owns the single-node and distributed cases
+//! behind the same `tick`/`invoke`/`handle` API.
 //!
 //! Solves go through the typed [`SolveRequest`] → [`SolveResponse`] entry
 //! point ([`Deployment::solve`] / [`Deployment::solve_streaming`]), the same
@@ -24,156 +18,19 @@
 //! README migration table.)
 
 use std::collections::BTreeMap;
-use std::time::Duration;
 
-use cologne_colog::{ProgramParams, SolverBoundMode, SolverBranching, SolverMode};
 use cologne_datalog::{NodeId, Tuple};
 use cologne_net::{NodeTraffic, SimTime, Topology};
-use cologne_solver::ValueChoice;
 
 use crate::distributed::{CrashEvent, DeliveryStats, DistributedCologne, TimerOutcome};
 use crate::error::CologneError;
 use crate::handle::RelationHandle;
 use crate::instance::{CologneInstance, SolveReport};
+use crate::params::ProgramParams;
 use crate::solve_api::{
     BufferSink, EventOptions, EventSink, SinkObserver, SolveRequest, SolveResponse, SolveTarget,
 };
 use crate::stats::{NodeStats, StatsSnapshot};
-
-/// The merged, validated solver-configuration view.
-///
-/// [`ProgramParams`] carries the compiler-facing solver knobs (limits,
-/// branching, mode, re-optimization toggles) while the search *shape*
-/// (value choice, split threshold) historically hid behind the
-/// `search_config_mut` backdoor. This view holds both halves; apply it with
-/// [`DeploymentBuilder::solver`] or
-/// [`CologneInstance::apply_solver_settings`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SolverSettings {
-    /// Wall-clock budget per COP execution (the paper's `SOLVER_MAX_TIME`).
-    pub max_time: Option<Duration>,
-    /// Node budget per COP execution (the deterministic alternative).
-    pub node_limit: Option<u64>,
-    /// Variable-selection heuristic.
-    pub branching: SolverBranching,
-    /// Value-selection heuristic.
-    pub value_choice: ValueChoice,
-    /// Domain size above which value enumeration switches to bisection
-    /// (`None` = never bisect implicitly).
-    pub split_threshold: Option<u64>,
-    /// Exact branch-and-bound or LNS.
-    pub mode: SolverMode,
-    /// Worker threads per COP search (`None` = sequential). Parallel runs
-    /// return the same result as the sequential engines — see the solver's
-    /// `parallel` module for the determinism contract.
-    pub workers: Option<std::num::NonZeroUsize>,
-    /// Dual-bound engine for COP searches (`Off` = no bound, the default).
-    pub bound_mode: SolverBoundMode,
-    /// Relative optimality-gap threshold for early termination (`None` =
-    /// never stop on the gap). Must be finite and non-negative.
-    pub gap_limit: Option<f64>,
-    /// Carry the previous best assignment into the next solve.
-    pub warm_start: bool,
-    /// Consult the engine's delta summary when grounding.
-    pub delta_grounding: bool,
-}
-
-impl Default for SolverSettings {
-    fn default() -> Self {
-        let params = ProgramParams::default();
-        let search = cologne_solver::SearchConfig::default();
-        SolverSettings {
-            max_time: params.solver_max_time,
-            node_limit: params.solver_node_limit,
-            branching: params.solver_branching,
-            value_choice: search.value_choice,
-            split_threshold: search.split_threshold,
-            mode: params.solver_mode,
-            workers: params.solver_workers,
-            bound_mode: params.solver_bound_mode,
-            gap_limit: params.solver_gap_limit,
-            warm_start: params.warm_start,
-            delta_grounding: params.delta_grounding,
-        }
-    }
-}
-
-impl SolverSettings {
-    /// The settings currently in effect on an instance (params + search
-    /// config merged back into one view).
-    pub(crate) fn of_instance(
-        params: &ProgramParams,
-        search: &cologne_solver::SearchConfig,
-    ) -> SolverSettings {
-        SolverSettings {
-            max_time: params.solver_max_time,
-            node_limit: params.solver_node_limit,
-            branching: params.solver_branching,
-            value_choice: search.value_choice,
-            split_threshold: search.split_threshold,
-            mode: params.solver_mode.clone(),
-            workers: params.solver_workers,
-            bound_mode: params.solver_bound_mode,
-            gap_limit: params.solver_gap_limit,
-            warm_start: params.warm_start,
-            delta_grounding: params.delta_grounding,
-        }
-    }
-
-    /// Check the settings for values that would misbehave at solve time.
-    pub fn validate(&self) -> Result<(), CologneError> {
-        if let Some(t) = self.split_threshold {
-            if t < 2 {
-                return Err(CologneError::InvalidConfig(format!(
-                    "split_threshold must be at least 2, got {t}"
-                )));
-            }
-        }
-        if let SolverMode::Lns(lns) = &self.mode {
-            if !(lns.destroy_fraction.is_finite()
-                && lns.destroy_fraction > 0.0
-                && lns.destroy_fraction <= 1.0)
-            {
-                return Err(CologneError::InvalidConfig(format!(
-                    "LNS destroy_fraction must be in (0, 1], got {}",
-                    lns.destroy_fraction
-                )));
-            }
-            if !(lns.repair_growth.is_finite() && lns.repair_growth >= 1.0) {
-                return Err(CologneError::InvalidConfig(format!(
-                    "LNS repair_growth must be >= 1, got {}",
-                    lns.repair_growth
-                )));
-            }
-            if lns.dive_node_limit == 0 {
-                return Err(CologneError::InvalidConfig(
-                    "LNS dive_node_limit must be positive".into(),
-                ));
-            }
-        }
-        if let Some(gap) = self.gap_limit {
-            if !(gap.is_finite() && gap >= 0.0) {
-                return Err(CologneError::InvalidConfig(format!(
-                    "gap_limit must be finite and non-negative, got {gap}"
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// Write the params-backed half of the view into `params`.
-    pub(crate) fn apply_to_params(&self, params: &mut ProgramParams) {
-        params.solver_max_time = self.max_time;
-        params.solver_node_limit = self.node_limit;
-        params.solver_branching = self.branching;
-        params.solver_mode = self.mode.clone();
-        params.solver_workers = self.workers;
-        params.solver_bound_mode = self.bound_mode;
-        params.solver_gap_limit = self.gap_limit;
-        params.warm_start = self.warm_start;
-        params.delta_grounding = self.delta_grounding;
-    }
-}
 
 /// Builder for a [`Deployment`] — the one way to stand up Cologne, single
 /// node or distributed.
@@ -183,7 +40,6 @@ pub struct DeploymentBuilder {
     params: ProgramParams,
     topology: Option<Topology>,
     node_params: BTreeMap<NodeId, ProgramParams>,
-    solver: Option<SolverSettings>,
     faults: Option<cologne_net::FaultPlan>,
 }
 
@@ -195,7 +51,6 @@ impl DeploymentBuilder {
             params: ProgramParams::new(),
             topology: None,
             node_params: BTreeMap::new(),
-            solver: None,
             faults: None,
         }
     }
@@ -215,17 +70,9 @@ impl DeploymentBuilder {
     }
 
     /// Replace the parameters of one node (the base parameters apply to
-    /// every node without an override; [`DeploymentBuilder::solver`]
-    /// settings apply on top of either).
+    /// every node without an override).
     pub fn node_params(mut self, node: NodeId, params: ProgramParams) -> Self {
         self.node_params.insert(node, params);
-        self
-    }
-
-    /// The merged solver-configuration view, validated at build time and
-    /// applied to every node.
-    pub fn solver(mut self, settings: SolverSettings) -> Self {
-        self.solver = Some(settings);
         self
     }
 
@@ -249,9 +96,6 @@ impl DeploymentBuilder {
                 "topology has no nodes; a deployment needs at least one".into(),
             ));
         }
-        if let Some(settings) = &self.solver {
-            settings.validate()?;
-        }
         for node in self.node_params.keys() {
             if !topology.nodes().contains(&node.0) {
                 return Err(CologneError::InvalidConfig(format!(
@@ -262,19 +106,12 @@ impl DeploymentBuilder {
         let mut instances = Vec::with_capacity(topology.num_nodes());
         for n in topology.nodes() {
             let node = NodeId(n);
-            let mut params = self
+            let params = self
                 .node_params
                 .get(&node)
                 .cloned()
                 .unwrap_or_else(|| self.params.clone());
-            if let Some(settings) = &self.solver {
-                settings.apply_to_params(&mut params);
-            }
-            let mut inst = CologneInstance::new(node, &self.source, params)?;
-            if let Some(settings) = &self.solver {
-                inst.set_search_shape(settings.value_choice, settings.split_threshold);
-            }
-            instances.push(inst);
+            instances.push(CologneInstance::new(node, &self.source, params)?);
         }
         let mut inner = DistributedCologne::assemble(topology, instances);
         if let Some(plan) = self.faults {
@@ -685,9 +522,10 @@ impl Deployment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cologne_colog::{LnsParams, VarDomain};
+    use crate::params::VarDomain;
     use cologne_datalog::Value;
     use cologne_net::LinkProps;
+    use cologne_solver::{Branching, ValueChoice};
 
     const ACLOUD: &str = r#"
         goal minimize C in hostStdevCpu(C).
@@ -754,85 +592,58 @@ mod tests {
     }
 
     #[test]
-    fn builder_validates_settings_and_topology() {
-        let err = DeploymentBuilder::new(ACLOUD)
-            .solver(SolverSettings {
-                split_threshold: Some(1),
-                ..Default::default()
-            })
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, CologneError::InvalidConfig(_)));
-
-        let err = DeploymentBuilder::new(ACLOUD)
-            .solver(SolverSettings {
-                mode: SolverMode::Lns(LnsParams {
-                    destroy_fraction: 1.5,
-                    ..Default::default()
-                }),
-                ..Default::default()
-            })
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, CologneError::InvalidConfig(_)));
-
-        let err = DeploymentBuilder::new(ACLOUD)
-            .topology(Topology::new())
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, CologneError::InvalidConfig(_)));
-
-        let err = DeploymentBuilder::new(ACLOUD)
-            .node_params(NodeId(7), ProgramParams::new())
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, CologneError::InvalidConfig(_)));
-
-        // a broken program fails at build
-        assert!(DeploymentBuilder::new("goal bogus").build().is_err());
-    }
-
-    #[test]
-    fn solver_settings_apply_to_every_node() {
-        let settings = SolverSettings {
-            node_limit: Some(1234),
-            max_time: None,
-            branching: SolverBranching::FirstFail,
-            value_choice: ValueChoice::Max,
-            split_threshold: None,
-            workers: std::num::NonZeroUsize::new(2),
-            ..Default::default()
-        };
-        let d = DeploymentBuilder::new(ACLOUD)
-            .topology(Topology::line(2, LinkProps::default()))
-            .solver(settings.clone())
-            .build()
-            .unwrap();
-        for node in d.nodes() {
-            let inst = d.instance(node).unwrap();
-            assert_eq!(inst.params().solver_node_limit, Some(1234));
-            assert_eq!(inst.params().solver_max_time, None);
-            assert_eq!(inst.solver_settings(), settings);
-        }
-    }
-
-    #[test]
     fn per_node_params_override_base() {
-        let base = ProgramParams::new().with_var_domain("assign", VarDomain::BOOL);
-        let special = base.clone().with_constant("tag", 7);
+        let base = ProgramParams::new()
+            .with_var_domain("assign", VarDomain::BOOL)
+            .with_solver_node_limit(Some(1234))
+            .with_solver_max_time(None)
+            .with_solver_branching(Branching::SmallestDomain)
+            .with_solver_value_choice(ValueChoice::Max)
+            .with_solver_split_threshold(None)
+            .with_solver_workers(std::num::NonZeroUsize::new(2));
+        let special = base
+            .clone()
+            .with_constant("tag", 7)
+            .with_solver_node_limit(Some(99));
         let d = DeploymentBuilder::new(ACLOUD)
-            .topology(Topology::line(2, LinkProps::default()))
-            .params(base)
-            .node_params(NodeId(1), special)
+            .topology(Topology::line(3, LinkProps::default()))
+            .params(base.clone())
+            .node_params(NodeId(1), special.clone())
             .build()
             .unwrap();
-        assert_eq!(
-            d.instance(NodeId(0)).unwrap().params().constant("tag"),
-            None
-        );
-        assert_eq!(
-            d.instance(NodeId(1)).unwrap().params().constant("tag"),
-            Some(7)
-        );
+        // nodes without an override run the base parameters — and the search
+        // configuration derived from them — unchanged
+        for node in [NodeId(0), NodeId(2)] {
+            let inst = d.instance(node).unwrap();
+            assert_eq!(inst.params(), &base);
+            assert_eq!(inst.params().constant("tag"), None);
+            let search = inst.search_config();
+            assert_eq!(search.node_limit, Some(1234));
+            assert_eq!(search.time_limit, None);
+            assert_eq!(search.branching, Branching::SmallestDomain);
+            assert_eq!(search.value_choice, ValueChoice::Max);
+            assert_eq!(search.split_threshold, None);
+            assert_eq!(search.workers, std::num::NonZeroUsize::new(2));
+        }
+        // the override replaces them on its node only
+        let inst = d.instance(NodeId(1)).unwrap();
+        assert_eq!(inst.params(), &special);
+        assert_eq!(inst.params().constant("tag"), Some(7));
+        assert_eq!(inst.search_config().node_limit, Some(99));
+        assert_eq!(inst.search_config().value_choice, ValueChoice::Max);
+
+        // validation happens at build: bad solver knobs in the base or in an
+        // override, an empty topology, an override for an absent node, a
+        // program that does not compile
+        let invalid = |builder: DeploymentBuilder| {
+            let err = builder.build().unwrap_err();
+            assert!(matches!(err, CologneError::InvalidConfig(_)), "{err:?}");
+        };
+        let bad = ProgramParams::new().with_solver_split_threshold(Some(1));
+        invalid(DeploymentBuilder::new(ACLOUD).params(bad.clone()));
+        invalid(DeploymentBuilder::new(ACLOUD).node_params(NodeId(0), bad));
+        invalid(DeploymentBuilder::new(ACLOUD).topology(Topology::new()));
+        invalid(DeploymentBuilder::new(ACLOUD).node_params(NodeId(7), ProgramParams::new()));
+        assert!(DeploymentBuilder::new("goal bogus").build().is_err());
     }
 }

@@ -751,7 +751,7 @@ impl DistributedCologne {
 mod tests {
     use super::*;
     use crate::deploy::{Deployment, DeploymentBuilder};
-    use cologne_colog::ProgramParams;
+    use crate::params::ProgramParams;
     use cologne_datalog::Value;
     use cologne_net::LinkFaults;
 

@@ -12,7 +12,7 @@ pub enum CologneError {
     /// A distributed rule could not be localized.
     Localize(LocalizeError),
     /// A named parameter used by the program has no value in
-    /// [`cologne_colog::ProgramParams`].
+    /// [`crate::ProgramParams`].
     MissingParameter(String),
     /// A rule referenced a variable that is not bound at the point of use.
     UnboundVariable { rule: String, variable: String },
@@ -41,8 +41,8 @@ pub enum CologneError {
         /// Human-readable description of the violation.
         detail: String,
     },
-    /// A configuration value failed validation (e.g. an out-of-range LNS
-    /// destroy fraction in [`crate::SolverSettings`]).
+    /// A configuration value failed validation (see
+    /// [`crate::ProgramParams::validate`]).
     InvalidConfig(String),
 }
 

@@ -72,13 +72,13 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::rc::Rc;
 
 use cologne_colog::{
-    Analysis, Arg, BodyElem, CExpr, COp, GoalKind, Predicate, Program, ProgramParams, RuleClass,
-    RuleDecl, VarDomain,
+    Analysis, Arg, BodyElem, CExpr, COp, GoalKind, Predicate, Program, RuleClass, RuleDecl,
 };
 use cologne_datalog::{AggFunc, Bindings, DeltaSummary, Engine, SymId, Tuple, Value};
 use cologne_solver::{LinExpr, Model, SearchConfig, SearchOutcome, SearchSpace, VarId};
 
 use crate::error::CologneError;
+use crate::params::{ProgramParams, VarDomain};
 
 /// The result of grounding one COP invocation.
 pub struct GroundedCop {
@@ -1357,7 +1357,7 @@ fn match_predicate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cologne_colog::{analyze, parse_program, VarDomain};
+    use cologne_colog::{analyze, parse_program};
     use cologne_datalog::NodeId;
     use cologne_solver::SearchConfig;
 

@@ -117,7 +117,7 @@ impl<'a> RelationHandle<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cologne_colog::ProgramParams;
+    use crate::params::ProgramParams;
     use cologne_datalog::{NodeId, Value};
 
     const PROGRAM: &str = r#"

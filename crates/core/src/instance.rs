@@ -13,16 +13,15 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use cologne_colog::{
-    analyze, localize_rules, parse_program, Analysis, Program, ProgramParams, RuleClass,
-    SchemaCatalog,
+    analyze, localize_rules, parse_program, Analysis, Program, RuleClass, SchemaCatalog,
 };
 use cologne_datalog::{Engine, NodeId, RemoteTuple, Tuple};
 use cologne_solver::{BoundCertificate, SearchStats, SolveObserver};
 
-use crate::deploy::SolverSettings;
 use crate::error::CologneError;
 use crate::ground::GroundedCop;
 use crate::handle::RelationHandle;
+use crate::params::ProgramParams;
 use crate::pipeline::{PipelineStats, SolvePipeline};
 use crate::translate::rule_to_datalog;
 
@@ -108,8 +107,10 @@ impl CologneInstance {
     /// Distributed rules are localized (Sec. 5.5), regular rules (including
     /// the shipping rules produced by localization) are installed on the
     /// incremental engine, and solver rules are kept for per-invocation
-    /// grounding.
+    /// grounding. Parameters that fail [`ProgramParams::validate`] are
+    /// rejected with [`CologneError::InvalidConfig`].
     pub fn new(node: NodeId, source: &str, params: ProgramParams) -> Result<Self, CologneError> {
+        params.validate()?;
         let parsed = parse_program(source)?;
         let localized_rules = localize_rules(&parsed.rules)?;
         let program = Program {
@@ -163,10 +164,11 @@ impl CologneInstance {
         &self.params
     }
 
-    /// Mutable access to the parameters (e.g. to change thresholds between
-    /// solver invocations when exploring policy variants). Invalidates the
-    /// cached [`crate::GroundingPlan`], which is rebuilt on the next solver
-    /// invocation.
+    /// Mutable access to the parameters (e.g. to change thresholds or
+    /// solver knobs between invocations when exploring policy variants).
+    /// Invalidates the cached [`crate::GroundingPlan`]; the next solver
+    /// invocation re-validates the parameters and rebuilds the plan and the
+    /// search configuration from them.
     pub fn params_mut(&mut self) -> &mut ProgramParams {
         self.pipeline.invalidate();
         self.last_report = None;
@@ -206,48 +208,10 @@ impl CologneInstance {
         self.solver_invocations
     }
 
-    /// The search configuration (branching/value heuristics) used for COP
-    /// solving. Time and node limits are taken from
-    /// [`CologneInstance::params`] at each invocation, not from here.
+    /// The search configuration COP solving runs under, derived from
+    /// [`CologneInstance::params`] when the grounding plan was last built.
     pub fn search_config(&self) -> &cologne_solver::SearchConfig {
         self.pipeline.search_config()
-    }
-
-    /// The merged solver-configuration view: the solver knobs of
-    /// [`CologneInstance::params`] (limits, branching, mode, warm start,
-    /// delta grounding) plus the search-shape knobs historically reachable
-    /// only through the `search_config_mut` backdoor (value choice, split
-    /// threshold) in one coherent structure.
-    pub fn solver_settings(&self) -> SolverSettings {
-        SolverSettings::of_instance(&self.params, self.pipeline.search_config())
-    }
-
-    /// Validate and apply a [`SolverSettings`] view: equivalent to the old
-    /// `params_mut`-then-`search_config_mut` dance, with eager validation
-    /// and a single invalidation. Like [`CologneInstance::params_mut`], this
-    /// invalidates the cached grounding plan and every cross-invocation
-    /// cache; the next invocation is a full rebuild.
-    pub fn apply_solver_settings(&mut self, settings: &SolverSettings) -> Result<(), CologneError> {
-        settings.validate()?;
-        self.pipeline.invalidate();
-        self.last_report = None;
-        settings.apply_to_params(&mut self.params);
-        let search = self.pipeline.search_config_mut();
-        search.value_choice = settings.value_choice;
-        search.split_threshold = settings.split_threshold;
-        Ok(())
-    }
-
-    /// Set the search-shape knobs without invalidating the pipeline (used by
-    /// the deployment builder before the first grounding exists).
-    pub(crate) fn set_search_shape(
-        &mut self,
-        value_choice: cologne_solver::ValueChoice,
-        split_threshold: Option<u64>,
-    ) {
-        let search = self.pipeline.search_config_mut();
-        search.value_choice = value_choice;
-        search.split_threshold = split_threshold;
     }
 
     /// Statistics of the underlying Datalog engine.
@@ -601,7 +565,7 @@ impl CologneInstance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cologne_colog::VarDomain;
+    use crate::params::VarDomain;
     use cologne_datalog::Value;
 
     const ACLOUD: &str = r#"

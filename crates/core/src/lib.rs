@@ -82,12 +82,13 @@ pub mod error;
 pub mod ground;
 pub mod handle;
 pub mod instance;
+pub mod params;
 pub mod pipeline;
 pub mod solve_api;
 pub mod stats;
 pub mod translate;
 
-pub use deploy::{Deployment, DeploymentBuilder, SolverSettings};
+pub use deploy::{Deployment, DeploymentBuilder};
 pub use distributed::{
     CrashEvent, DeliveryStats, DistributedCologne, TimerOutcome, RETX_TIMER_TAG,
 };
@@ -95,18 +96,21 @@ pub use error::CologneError;
 pub use ground::{ground, GroundedCop, GroundingPlan, GroundingScratch};
 pub use handle::RelationHandle;
 pub use instance::{CologneInstance, SolveReport};
+pub use params::{ProgramParams, VarDomain};
 pub use pipeline::{PipelineStats, SolvePipeline};
 pub use solve_api::{EventOptions, EventSink, SolveRequest, SolveResponse, SolveTarget};
 pub use stats::{NodeStats, StatsSnapshot};
 
 // Re-export the compiler-facing types users need to drive the runtime.
-pub use cologne_colog::{
-    GoalKind, LnsParams, Program, ProgramParams, RelationSchema, RuleClass, SchemaCatalog,
-    SolverBoundMode, SolverBranching, SolverMode, VarDomain,
-};
+pub use cologne_colog::{GoalKind, Program, RelationSchema, RuleClass, SchemaCatalog};
 // Re-export the observer surface so streaming consumers need only `cologne`,
-// plus the bound-certificate types `SolveReport` embeds.
-pub use cologne_solver::{BoundCertificate, EventLog, SolveEvent, SolveObserver};
+// plus the bound-certificate types `SolveReport` embeds and the search mode
+// `ProgramParams` selects (its other knob types live under `solver`).
+pub use cologne_solver::{BoundCertificate, EventLog, SolveEvent, SolveObserver, SolverMode};
+
+/// The solver's [`solver::BoundMode`], under the name of the parameter that
+/// carries it ([`ProgramParams::solver_bound_mode`]).
+pub use cologne_solver::BoundMode as SolverBoundMode;
 
 /// Re-export of the Datalog substrate (values, tuples, engine).
 pub mod datalog {

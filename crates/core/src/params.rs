@@ -10,6 +10,12 @@ use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
 use std::time::Duration;
 
+use cologne_solver::{
+    BoundMode, Branching, SearchConfig, SolverMode, ValueChoice, DEFAULT_SPLIT_THRESHOLD,
+};
+
+use crate::error::CologneError;
+
 /// Domain `[lo, hi]` for the solver variables of one `var`-declared table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VarDomain {
@@ -36,100 +42,12 @@ impl Default for VarDomain {
     }
 }
 
-/// Variable-selection heuristic for the branch-and-bound search of a COP
-/// invocation.
-///
-/// This is the compiler-facing mirror of the solver's `Branching` enum (the
-/// compiler crate does not depend on the solver); the runtime maps it onto
-/// the solver's search configuration when an instance is built.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverBranching {
-    /// Branch on variables in creation order (the paper's setup).
-    #[default]
-    InputOrder,
-    /// Branch on the unfixed variable with the smallest domain first
-    /// (first-fail). The default for the ACloud and wireless use cases,
-    /// whose 0/1 assignment and channel variables benefit from failing
-    /// early on tightly-constrained rows.
-    FirstFail,
-    /// Branch on the unfixed variable with the largest domain first.
-    LargestDomain,
-}
-
-/// Incomplete-search (large neighborhood search) parameters.
-///
-/// Compiler-facing mirror of the solver's `LnsConfig` (the compiler crate
-/// does not depend on the solver); the runtime maps it onto the solver's
-/// search configuration when an instance is built. See the solver's `lns`
-/// module for the semantics of each knob.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LnsParams {
-    /// Seed of the neighborhood-selection RNG (fixed seed = reproducible run).
-    pub seed: u64,
-    /// Fraction of the decision variables destroyed per iteration.
-    pub destroy_fraction: f64,
-    /// Prefer destroying variables whose frozen assignment conflicted with
-    /// the improving bound (`true`), or pick purely at random (`false`).
-    pub conflict_guided: bool,
-    /// Node budget of the initial exact incumbent dive.
-    pub dive_node_limit: u64,
-    /// Base fail budget of one repair search.
-    pub repair_fail_base: u64,
-    /// Geometric growth factor for stalled repair budgets and neighborhoods.
-    pub repair_growth: f64,
-    /// Hard cap on destroy/repair iterations.
-    pub max_iterations: Option<u64>,
-}
-
-impl Default for LnsParams {
-    fn default() -> Self {
-        LnsParams {
-            seed: 0xC010_93E5,
-            destroy_fraction: 0.25,
-            conflict_guided: true,
-            dive_node_limit: 2_000,
-            repair_fail_base: 64,
-            repair_growth: 1.5,
-            max_iterations: None,
-        }
-    }
-}
-
-/// Dual-bound engine selection for COP invocations.
-///
-/// Compiler-facing mirror of the solver's `BoundMode` (the compiler crate
-/// does not depend on the solver); the runtime maps it onto the solver's
-/// search configuration when an instance is built. See the solver's
-/// `bounds` module for the engine semantics and soundness contract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverBoundMode {
-    /// No dual bound: every run stays byte-identical to a build without the
-    /// bounds subsystem (the default).
-    #[default]
-    Off,
-    /// Linear/packing relaxation over the grounded COP's exactly-one groups.
-    Linear,
-    /// Relaxed decision-diagram bound (merge-based, width-limited).
-    Relaxed,
-    /// Run both engines and keep the tighter bound.
-    Auto,
-}
-
-/// How COP invocations explore the search space: exact branch-and-bound (the
-/// paper's mode) or incomplete large neighborhood search for instances exact
-/// search cannot close within its budget.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub enum SolverMode {
-    /// Exact branch-and-bound with an optimality proof.
-    #[default]
-    Exact,
-    /// Destroy/repair large neighborhood search (best incumbent under the
-    /// configured budgets; optimization goals only — `satisfy` programs run
-    /// exact regardless).
-    Lns(LnsParams),
-}
-
-/// Compile/run-time parameters for a Colog program.
+/// Compile/run-time parameters for a Colog program — the single source of
+/// truth for every solver knob ([`ProgramParams::validate`] lists the
+/// accepted ranges). The solve pipeline derives its [`SearchConfig`] from
+/// these fields whenever it (re)builds its grounding plan, so a change made
+/// through `CologneInstance::params_mut` reaches the next solve like any
+/// other parameter change.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProgramParams {
     /// Values for named constants appearing in the program.
@@ -143,13 +61,15 @@ pub struct ProgramParams {
     /// deterministic alternative to the wall-clock limit, useful in tests
     /// and benchmarks).
     pub solver_node_limit: Option<u64>,
-    /// Variable-selection heuristic for the COP search. Seeds the search
-    /// configuration of the runtime's solve pipeline at instance
-    /// construction.
-    pub solver_branching: SolverBranching,
-    /// Search mode for COP invocations (exact branch-and-bound or LNS).
-    /// Like the branching heuristic, it seeds the pipeline's search
-    /// configuration and follows parameter updates.
+    /// Variable-selection heuristic for the COP search.
+    pub solver_branching: Branching,
+    /// Value-selection heuristic for the COP search.
+    pub solver_value_choice: ValueChoice,
+    /// Domain size above which value enumeration switches to bisection
+    /// (`None` = never bisect implicitly). Must be at least 2.
+    pub solver_split_threshold: Option<u64>,
+    /// Search mode for COP invocations: exact branch-and-bound (the paper's
+    /// mode) or large neighborhood search with its [`cologne_solver::LnsConfig`].
     pub solver_mode: SolverMode,
     /// Worker threads for each COP search (`None` = sequential, the paper's
     /// setup). With `Some(n)`, exact goals run the spine-splitting parallel
@@ -158,18 +78,18 @@ pub struct ProgramParams {
     /// `parallel` module for the determinism contract).
     pub solver_workers: Option<NonZeroUsize>,
     /// Dual-bound engine for COP invocations. Anything but
-    /// [`SolverBoundMode::Off`] computes a certified dual bound at the
-    /// frozen root of every solve and reports the optimality gap in the
-    /// solve statistics. Off by default — the default keeps every run
+    /// [`BoundMode::Off`] computes a certified dual bound at the frozen root
+    /// of every solve and reports the optimality gap in the solve
+    /// statistics. Off by default — the default keeps every run
     /// byte-identical to a build without the bounds subsystem.
-    pub solver_bound_mode: SolverBoundMode,
+    pub solver_bound_mode: BoundMode,
     /// Relative optimality-gap threshold for early termination. With
     /// `Some(eps)` (and a bound mode that is not `Off`), a COP search stops
     /// as soon as its certified gap drops strictly below `eps`; the solve is
     /// then reported as budget-limited rather than proved optimal.
     /// `Some(0.0)` never stops early (the gap is never negative), so it
     /// reproduces the full search byte-for-byte. `None` (the default)
-    /// disables gap-driven termination.
+    /// disables gap-driven termination. Must be finite and non-negative.
     pub solver_gap_limit: Option<f64>,
     /// Carry the previous invocation's best assignment into the next solve
     /// (the warm-start half of incremental re-optimization): persisting rows
@@ -195,10 +115,12 @@ impl Default for ProgramParams {
             // Sec. 6.2: "we limit each solver's COP execution time to 10 seconds".
             solver_max_time: Some(Duration::from_secs(10)),
             solver_node_limit: None,
-            solver_branching: SolverBranching::default(),
+            solver_branching: Branching::default(),
+            solver_value_choice: ValueChoice::default(),
+            solver_split_threshold: Some(DEFAULT_SPLIT_THRESHOLD),
             solver_mode: SolverMode::default(),
             solver_workers: None,
-            solver_bound_mode: SolverBoundMode::default(),
+            solver_bound_mode: BoundMode::default(),
             solver_gap_limit: None,
             warm_start: true,
             delta_grounding: true,
@@ -237,8 +159,21 @@ impl ProgramParams {
     }
 
     /// Set the branch-and-bound variable-selection heuristic (builder style).
-    pub fn with_solver_branching(mut self, branching: SolverBranching) -> Self {
+    pub fn with_solver_branching(mut self, branching: Branching) -> Self {
         self.solver_branching = branching;
+        self
+    }
+
+    /// Set the value-selection heuristic (builder style).
+    pub fn with_solver_value_choice(mut self, value_choice: ValueChoice) -> Self {
+        self.solver_value_choice = value_choice;
+        self
+    }
+
+    /// Set the domain size above which value enumeration bisects (builder
+    /// style). `None` never bisects implicitly.
+    pub fn with_solver_split_threshold(mut self, threshold: Option<u64>) -> Self {
+        self.solver_split_threshold = threshold;
         self
     }
 
@@ -257,7 +192,7 @@ impl ProgramParams {
     }
 
     /// Set the dual-bound engine for COP invocations (builder style).
-    pub fn with_solver_bound_mode(mut self, mode: SolverBoundMode) -> Self {
+    pub fn with_solver_bound_mode(mut self, mode: BoundMode) -> Self {
         self.solver_bound_mode = mode;
         self
     }
@@ -285,14 +220,79 @@ impl ProgramParams {
     /// limit (resp. time limit) becomes the minimum of the configured limit
     /// and the cap, and an unlimited budget becomes the cap itself. A
     /// serving layer applies this once per session so no tenant can buy
-    /// more search than its quota, whatever its program or solver settings
-    /// ask for. `None` caps leave the corresponding budget untouched.
+    /// more search than its quota, whatever its program asks for. `None`
+    /// caps leave the corresponding budget untouched.
     pub fn clamp_solver_budget(&mut self, node_cap: Option<u64>, time_cap: Option<Duration>) {
         if let Some(cap) = node_cap {
             self.solver_node_limit = Some(self.solver_node_limit.map_or(cap, |l| l.min(cap)));
         }
         if let Some(cap) = time_cap {
             self.solver_max_time = Some(self.solver_max_time.map_or(cap, |l| l.min(cap)));
+        }
+    }
+
+    /// Check the solver knobs for values that would misbehave at solve time.
+    /// Every construction path (`CologneInstance::new`, and through it the
+    /// deployment builder and the server) runs this and surfaces a failure
+    /// as [`CologneError::InvalidConfig`].
+    pub fn validate(&self) -> Result<(), CologneError> {
+        if let Some(t) = self.solver_split_threshold {
+            if t < 2 {
+                return Err(CologneError::InvalidConfig(format!(
+                    "solver_split_threshold must be at least 2, got {t}"
+                )));
+            }
+        }
+        if let SolverMode::Lns(lns) = &self.solver_mode {
+            if !(lns.destroy_fraction.is_finite()
+                && lns.destroy_fraction > 0.0
+                && lns.destroy_fraction <= 1.0)
+            {
+                return Err(CologneError::InvalidConfig(format!(
+                    "LNS destroy_fraction must be in (0, 1], got {}",
+                    lns.destroy_fraction
+                )));
+            }
+            if !(lns.repair_growth.is_finite() && lns.repair_growth >= 1.0) {
+                return Err(CologneError::InvalidConfig(format!(
+                    "LNS repair_growth must be >= 1, got {}",
+                    lns.repair_growth
+                )));
+            }
+            if lns.dive_node_limit == 0 {
+                return Err(CologneError::InvalidConfig(
+                    "LNS dive_node_limit must be positive".into(),
+                ));
+            }
+        }
+        if let Some(gap) = self.solver_gap_limit {
+            if !(gap.is_finite() && gap >= 0.0) {
+                return Err(CologneError::InvalidConfig(format!(
+                    "solver_gap_limit must be finite and non-negative, got {gap}"
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// The [`SearchConfig`] these parameters describe — the only place in
+    /// the workspace where parameters become a search configuration. The
+    /// per-solve `warm_start` assignment is filled in by the pipeline;
+    /// `fail_limit` and `max_solutions` have no parameter and stay unset.
+    pub(crate) fn search_config(&self) -> SearchConfig {
+        SearchConfig {
+            mode: self.solver_mode.clone(),
+            branching: self.solver_branching,
+            value_choice: self.solver_value_choice,
+            split_threshold: self.solver_split_threshold,
+            time_limit: self.solver_max_time,
+            fail_limit: None,
+            max_solutions: None,
+            node_limit: self.solver_node_limit,
+            warm_start: None,
+            workers: self.solver_workers,
+            gap_limit: self.solver_gap_limit,
+            bound_mode: self.solver_bound_mode,
         }
     }
 
@@ -315,6 +315,7 @@ impl ProgramParams {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cologne_solver::LnsConfig;
 
     #[test]
     fn defaults_match_paper() {
@@ -322,20 +323,21 @@ mod tests {
         assert_eq!(p.solver_max_time, Some(Duration::from_secs(10)));
         assert_eq!(p.var_domain("assign"), VarDomain::BOOL);
         assert_eq!(p.constant("max_migrates"), None);
-        assert_eq!(p.solver_branching, SolverBranching::InputOrder);
+        assert_eq!(p.solver_branching, Branching::InputOrder);
         assert_eq!(p.solver_workers, None);
-        assert_eq!(p.solver_bound_mode, SolverBoundMode::Off);
+        assert_eq!(p.solver_bound_mode, BoundMode::Off);
         assert_eq!(p.solver_gap_limit, None);
         assert!(p.warm_start);
         assert!(p.delta_grounding);
+        assert_eq!(p.validate(), Ok(()));
     }
 
     #[test]
     fn bound_builders_set_engine_and_gap() {
         let p = ProgramParams::new()
-            .with_solver_bound_mode(SolverBoundMode::Auto)
+            .with_solver_bound_mode(BoundMode::Auto)
             .with_solver_gap_limit(Some(0.05));
-        assert_eq!(p.solver_bound_mode, SolverBoundMode::Auto);
+        assert_eq!(p.solver_bound_mode, BoundMode::Auto);
         assert_eq!(p.solver_gap_limit, Some(0.05));
         let p = p.with_solver_gap_limit(None);
         assert_eq!(p.solver_gap_limit, None);
@@ -352,15 +354,15 @@ mod tests {
 
     #[test]
     fn branching_builder_sets_heuristic() {
-        let p = ProgramParams::new().with_solver_branching(SolverBranching::FirstFail);
-        assert_eq!(p.solver_branching, SolverBranching::FirstFail);
+        let p = ProgramParams::new().with_solver_branching(Branching::SmallestDomain);
+        assert_eq!(p.solver_branching, Branching::SmallestDomain);
     }
 
     #[test]
     fn solver_mode_defaults_to_exact_and_builder_selects_lns() {
         let p = ProgramParams::new();
         assert_eq!(p.solver_mode, SolverMode::Exact);
-        let lns = LnsParams {
+        let lns = LnsConfig {
             seed: 99,
             max_iterations: Some(10),
             ..Default::default()
@@ -419,5 +421,70 @@ mod tests {
         p.clamp_solver_budget(None, None);
         assert_eq!(p.solver_max_time, Some(Duration::from_secs(2)));
         assert_eq!(p.solver_node_limit, None);
+    }
+
+    /// Every solver field of the parameters reaches the derived
+    /// [`SearchConfig`]. The exhaustive destructuring makes a field added to
+    /// [`ProgramParams`] a compile error here until it is either mapped or
+    /// listed as deliberately not a search knob.
+    #[test]
+    fn search_config_reflects_every_solver_field() {
+        let lns = LnsConfig {
+            seed: 7,
+            ..Default::default()
+        };
+        let params = ProgramParams::new()
+            .with_solver_max_time(Some(Duration::from_millis(1234)))
+            .with_solver_node_limit(Some(4321))
+            .with_solver_branching(Branching::LargestDomain)
+            .with_solver_value_choice(ValueChoice::ClosestToZero)
+            .with_solver_split_threshold(Some(5))
+            .with_solver_mode(SolverMode::Lns(lns))
+            .with_solver_workers(NonZeroUsize::new(3))
+            .with_solver_bound_mode(BoundMode::Relaxed)
+            .with_solver_gap_limit(Some(0.125));
+        let config = params.search_config();
+        let ProgramParams {
+            // not search knobs: grounding inputs and pipeline toggles
+            constants: _,
+            var_domains: _,
+            warm_start: _,
+            delta_grounding: _,
+            solver_max_time,
+            solver_node_limit,
+            solver_branching,
+            solver_value_choice,
+            solver_split_threshold,
+            solver_mode,
+            solver_workers,
+            solver_bound_mode,
+            solver_gap_limit,
+        } = params;
+        assert_eq!(config.time_limit, solver_max_time);
+        assert_eq!(config.node_limit, solver_node_limit);
+        assert_eq!(config.branching, solver_branching);
+        assert_eq!(config.value_choice, solver_value_choice);
+        assert_eq!(config.split_threshold, solver_split_threshold);
+        assert_eq!(config.mode, solver_mode);
+        assert_eq!(config.workers, solver_workers);
+        assert_eq!(config.bound_mode, solver_bound_mode);
+        assert_eq!(config.gap_limit, solver_gap_limit);
+
+        // every value above differs from the default, so each assertion
+        // would fail had its field not been carried over
+        let default = ProgramParams::default().search_config();
+        assert_ne!(config.time_limit, default.time_limit);
+        assert_ne!(config.node_limit, default.node_limit);
+        assert_ne!(config.branching, default.branching);
+        assert_ne!(config.value_choice, default.value_choice);
+        assert_ne!(config.split_threshold, default.split_threshold);
+        assert_ne!(config.mode, default.mode);
+        assert_ne!(config.workers, default.workers);
+        assert_ne!(config.bound_mode, default.bound_mode);
+        assert_ne!(config.gap_limit, default.gap_limit);
+        // the parameterless limits stay unset, the warm start is per solve
+        assert_eq!(config.fail_limit, None);
+        assert_eq!(config.max_solutions, None);
+        assert_eq!(config.warm_start, None);
     }
 }

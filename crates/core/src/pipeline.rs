@@ -46,28 +46,21 @@
 //!   exact branch-and-bound, the initial incumbent for LNS. Disabled via
 //!   [`ProgramParams::warm_start`].
 //!
-//! The pipeline is also the [`SearchConfig`] surface for COP solving: the
-//! branching/value heuristics are seeded from
-//! [`ProgramParams::solver_branching`] at construction and adjustable live
-//! through [`SolvePipeline::search_config_mut`]; the time/node limits are
-//! read from the current [`ProgramParams`] at every [`SolvePipeline::solve`]
-//! so that parameter updates (e.g. dropping the wall-clock limit for
-//! deterministic tests) take effect immediately.
+//! The [`SearchConfig`] every solve runs under is derived from the
+//! [`ProgramParams`] together with the plan: at construction, and again when
+//! an invalidated plan is rebuilt.
 
 use std::collections::BTreeMap;
 
-use cologne_colog::{
-    Analysis, GoalKind, Program, ProgramParams, SolverBoundMode, SolverBranching,
-    SolverMode as ParamsSolverMode,
-};
+use cologne_colog::{Analysis, GoalKind, Program};
 use cologne_datalog::{DeltaSummary, Engine, Value};
 use cologne_solver::{
-    complete_hints, BoundMode, Branching, DestroyStrategy, LnsConfig, Objective, SearchConfig,
-    SearchOutcome, SolveObserver, SolverMode, VarId,
+    complete_hints, Objective, SearchConfig, SearchOutcome, SolveObserver, VarId,
 };
 
 use crate::error::CologneError;
 use crate::ground::{GroundedCop, GroundingPlan, GroundingScratch};
+use crate::params::ProgramParams;
 
 /// Warm memory: for each (`var`-declaration index, solver-attribute
 /// position), the remembered value per concrete row key (the row's
@@ -124,60 +117,16 @@ pub struct SolvePipeline {
     warm: WarmMemory,
 }
 
-/// Map the compiler-facing branching knob onto the solver heuristic.
-fn branching_of(params: &ProgramParams) -> Branching {
-    match params.solver_branching {
-        SolverBranching::InputOrder => Branching::InputOrder,
-        SolverBranching::FirstFail => Branching::SmallestDomain,
-        SolverBranching::LargestDomain => Branching::LargestDomain,
-    }
-}
-
-/// Map the compiler-facing dual-bound knob onto the solver's bound mode.
-fn bound_mode_of(params: &ProgramParams) -> BoundMode {
-    match params.solver_bound_mode {
-        SolverBoundMode::Off => BoundMode::Off,
-        SolverBoundMode::Linear => BoundMode::Linear,
-        SolverBoundMode::Relaxed => BoundMode::Relaxed,
-        SolverBoundMode::Auto => BoundMode::Auto,
-    }
-}
-
-/// Map the compiler-facing solver mode onto the solver's search mode.
-fn mode_of(params: &ProgramParams) -> SolverMode {
-    match &params.solver_mode {
-        ParamsSolverMode::Exact => SolverMode::Exact,
-        ParamsSolverMode::Lns(p) => SolverMode::Lns(LnsConfig {
-            seed: p.seed,
-            destroy_fraction: p.destroy_fraction,
-            destroy_strategy: if p.conflict_guided {
-                DestroyStrategy::ConflictGuided
-            } else {
-                DestroyStrategy::Random
-            },
-            dive_node_limit: p.dive_node_limit,
-            repair_fail_base: p.repair_fail_base,
-            repair_growth: p.repair_growth,
-            max_iterations: p.max_iterations,
-        }),
-    }
-}
-
 impl SolvePipeline {
-    /// Build the pipeline (and its first plan) for a compiled program. The
-    /// search configuration is seeded from the parameters' branching
-    /// heuristic.
+    /// Build the pipeline (its first plan and search configuration) for a
+    /// compiled program.
     pub fn new(program: &Program, analysis: &Analysis, params: &ProgramParams) -> Self {
         SolvePipeline {
             plan: GroundingPlan::build(program, analysis, params),
             scratch: GroundingScratch::default(),
             plan_builds: 1,
             dirty: false,
-            search: SearchConfig {
-                branching: branching_of(params),
-                mode: mode_of(params),
-                ..Default::default()
-            },
+            search: params.search_config(),
             retained: None,
             grounded_before: false,
             last_was_reuse: false,
@@ -240,18 +189,10 @@ impl SolvePipeline {
         &self.plan
     }
 
-    /// The search configuration used by [`SolvePipeline::solve`]. Its
-    /// time/node limits, worker count and dual-bound knobs are overridden
-    /// from the live [`ProgramParams`] at each solve; the heuristics
-    /// (branching, value choice, split threshold) are authoritative here.
+    /// The search configuration [`SolvePipeline::solve`] runs under, as
+    /// derived from the parameters of the current plan.
     pub fn search_config(&self) -> &SearchConfig {
         &self.search
-    }
-
-    /// Mutable access to the search configuration (e.g. to switch branching
-    /// heuristics between invocations).
-    pub fn search_config_mut(&mut self) -> &mut SearchConfig {
-        &mut self.search
     }
 
     /// Run the grounding stage against the current engine state, rebuilding
@@ -274,14 +215,9 @@ impl SolvePipeline {
         delta: Option<&DeltaSummary>,
     ) -> Result<GroundedCop, CologneError> {
         if self.dirty {
+            params.validate()?;
             self.plan = GroundingPlan::build(program, analysis, params);
-            // Parameters are the source of truth for the branching heuristic
-            // and the solver mode: a params_mut() change to either must take
-            // effect like every other parameter change. (Manual
-            // search_config_mut edits persist only until the next
-            // invalidation.)
-            self.search.branching = branching_of(params);
-            self.search.mode = mode_of(params);
+            self.search = params.search_config();
             self.plan_builds += 1;
             self.dirty = false;
         }
@@ -329,10 +265,9 @@ impl SolvePipeline {
         result
     }
 
-    /// Solve a grounded COP with the pipeline's search configuration (limits
-    /// taken live from `params`), reusing the scratch's
-    /// [`cologne_solver::SearchSpace`] so repeated invocations share one
-    /// trail/store/queue allocation.
+    /// Solve a grounded COP with the pipeline's search configuration,
+    /// reusing the scratch's [`cologne_solver::SearchSpace`] so repeated
+    /// invocations share one trail/store/queue allocation.
     ///
     /// When [`ProgramParams::warm_start`] is on and a previous solution is
     /// remembered, the remembered values are mapped onto the COP's decision
@@ -354,11 +289,6 @@ impl SolvePipeline {
         observer: Option<&mut dyn SolveObserver>,
     ) -> SearchOutcome {
         let mut config = self.search.clone();
-        config.time_limit = params.solver_max_time;
-        config.node_limit = params.solver_node_limit;
-        config.workers = params.solver_workers;
-        config.bound_mode = bound_mode_of(params);
-        config.gap_limit = params.solver_gap_limit;
         if params.warm_start {
             if let Some(objective) = cop_objective(cop) {
                 let hints = self.warm_hints(cop);

@@ -6,10 +6,11 @@
 //! *not* lowered here — they are grounded per COP invocation by
 //! [`crate::ground`](mod@crate::ground).
 
-use cologne_colog::{Arg, BodyElem, CExpr, COp, Literal, Predicate, ProgramParams, RuleDecl};
+use cologne_colog::{Arg, BodyElem, CExpr, COp, Literal, Predicate, RuleDecl};
 use cologne_datalog::{Atom, BodyItem, Expr, Head, HeadArg, Op, Rule, Term, Value};
 
 use crate::error::CologneError;
+use crate::params::ProgramParams;
 
 /// Convert a Colog literal to a runtime value, resolving named parameters.
 pub fn literal_to_value(lit: &Literal, params: &ProgramParams) -> Result<Value, CologneError> {

@@ -60,6 +60,6 @@ pub fn demo_config() -> ServerConfig {
     // wire (no gap limit, so search behavior is unchanged).
     cfg.params = cologne::ProgramParams::new()
         .with_var_domain("assign", cologne::VarDomain::BOOL)
-        .with_solver_bound_mode(cologne::SolverBoundMode::Auto);
+        .with_solver_bound_mode(cologne::solver::BoundMode::Auto);
     cfg
 }

@@ -33,12 +33,11 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use cologne::colog::ProgramParams;
 use cologne::datalog::NodeId;
 use cologne::net::Topology;
 use cologne::{
-    CologneError, Deployment, DeploymentBuilder, EventOptions, EventSink, SolveEvent, SolveRequest,
-    SolveResponse, SolverSettings,
+    CologneError, Deployment, DeploymentBuilder, EventOptions, EventSink, ProgramParams,
+    SolveEvent, SolveRequest, SolveResponse,
 };
 
 use crate::wire::{
@@ -55,8 +54,6 @@ pub struct ServerConfig {
     pub params: ProgramParams,
     /// Topology per session (`None` = single node).
     pub topology: Option<Topology>,
-    /// Merged solver settings per session.
-    pub solver: Option<SolverSettings>,
     /// Admission control: maximum concurrent sessions.
     pub max_sessions: usize,
     /// Solve worker threads.
@@ -79,7 +76,6 @@ impl ServerConfig {
             program: program.to_string(),
             params: ProgramParams::new(),
             topology: None,
-            solver: None,
             max_sessions: 1536,
             workers: std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -301,16 +297,6 @@ fn build_deployment(cfg: &ServerConfig) -> Result<Deployment, CologneError> {
     let mut builder = DeploymentBuilder::new(&cfg.program).params(params);
     if let Some(topology) = &cfg.topology {
         builder = builder.topology(topology.clone());
-    }
-    if let Some(solver) = &cfg.solver {
-        let mut solver = solver.clone();
-        if let Some(cap) = cfg.budget.max_nodes {
-            solver.node_limit = Some(solver.node_limit.map_or(cap.get(), |l| l.min(cap.get())));
-        }
-        if let Some(cap) = cfg.budget.max_solve_time {
-            solver.max_time = Some(solver.max_time.map_or(cap, |l| l.min(cap)));
-        }
-        builder = builder.solver(solver);
     }
     builder.build()
 }

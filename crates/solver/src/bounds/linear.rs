@@ -137,11 +137,13 @@ impl DualBound for LinearRelaxation {
     }
 }
 
+/// Propagator index, terms and constant of a linear `==`.
+type LinearEquality<'a> = (usize, &'a [(i64, VarId)], i64);
+
 /// Find the equality that defines the objective variable: a linear `==`
 /// whose terms mention `z` exactly once, with coefficient `+1` (the shape
-/// `Model::linear_var` posts). Returns the propagator index, its terms and
-/// its constant.
-fn objective_equality(model: &Model, z: VarId) -> Option<(usize, &[(i64, VarId)], i64)> {
+/// `Model::linear_var` posts).
+fn objective_equality(model: &Model, z: VarId) -> Option<LinearEquality<'_>> {
     for (idx, p) in model.propagators().iter().enumerate() {
         if let Some(LinearView::Eq { terms, bound }) = p.linear_view() {
             let mentions = terms.iter().filter(|&&(_, v)| v == z).count();

@@ -175,13 +175,15 @@ pub struct SearchConfig {
     /// Number of worker threads for the parallel engines of
     /// [`crate::parallel`]. `None` (the default) or `Some(1)` runs the
     /// sequential searchers, bit-identical to previous releases. With two or
-    /// more workers, exact searches split the top decision levels into
-    /// independent subtrees drained by scoped worker threads sharing an
-    /// incumbent bound, and LNS runs a multi-seed portfolio sharing
-    /// incumbents at round boundaries. The reported result (objective, best
-    /// assignment, incumbent sequence) stays identical to the sequential
-    /// search; see the module docs of [`crate::parallel`] for the exact
-    /// determinism contract and its node-count caveat.
+    /// more workers, exact searches split the tree along its leftmost
+    /// feasible spine into cells that scoped worker threads solve
+    /// speculatively; the coordinator commits them in sequential order and
+    /// redoes any cell whose entry bound turned out stale. LNS runs a
+    /// multi-seed portfolio sharing incumbents at round boundaries. The
+    /// reported result (objective, best assignment, incumbent sequence)
+    /// stays identical to the sequential search; see the module docs of
+    /// [`crate::parallel`] for the exact determinism contract and its
+    /// node-count caveat.
     pub workers: Option<NonZeroUsize>,
     /// Stop as soon as the certified optimality gap drops *strictly below*
     /// this threshold (requires [`SearchConfig::bound_mode`] ≠

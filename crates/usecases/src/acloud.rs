@@ -19,9 +19,8 @@
 use std::collections::BTreeMap;
 
 use cologne::datalog::{NodeId, Value};
-use cologne::{
-    CologneInstance, LnsParams, ProgramParams, SolveReport, SolverBranching, SolverMode, VarDomain,
-};
+use cologne::solver::{Branching, LnsConfig};
+use cologne::{CologneInstance, ProgramParams, SolveReport, SolverMode, VarDomain};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -343,7 +342,7 @@ impl AcloudController {
         // infeasible placements are abandoned high in the tree.
         let mut params = ProgramParams::new()
             .with_var_domain("assign", VarDomain::BOOL)
-            .with_solver_branching(SolverBranching::FirstFail)
+            .with_solver_branching(Branching::SmallestDomain)
             .with_solver_node_limit(Some(config.solver_node_limit))
             .with_solver_max_time(Some(std::time::Duration::from_secs(10)));
         if limited {
@@ -485,8 +484,8 @@ impl LargeAcloudConfig {
     /// The LNS configuration the scenario is evaluated with: a small dive
     /// budget (the bulk of the node budget goes to repairs) and the default
     /// conflict-guided destroy policy.
-    pub fn lns_params(&self) -> LnsParams {
-        LnsParams {
+    pub fn lns_params(&self) -> LnsConfig {
+        LnsConfig {
             seed: self.seed ^ 0x1A75,
             dive_node_limit: (self.node_limit / 8).max(500),
             ..Default::default()
@@ -500,7 +499,7 @@ impl LargeAcloudConfig {
 pub fn large_acloud_instance(config: &LargeAcloudConfig, mode: SolverMode) -> CologneInstance {
     let params = ProgramParams::new()
         .with_var_domain("assign", VarDomain::BOOL)
-        .with_solver_branching(SolverBranching::FirstFail)
+        .with_solver_branching(Branching::SmallestDomain)
         .with_solver_node_limit(Some(config.node_limit))
         .with_solver_max_time(None)
         .with_solver_workers(config.workers)

@@ -22,9 +22,8 @@ use std::collections::BTreeMap;
 
 use cologne::datalog::{NodeId, Tuple, Value};
 use cologne::net::{LinkProps, SimTime, Topology};
-use cologne::{
-    DeploymentBuilder, ProgramParams, SolverBranching, SolverMode, TimerOutcome, VarDomain,
-};
+use cologne::solver::Branching;
+use cologne::{DeploymentBuilder, ProgramParams, SolverMode, TimerOutcome, VarDomain};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -260,7 +259,7 @@ fn churn_host_id(config: &ChurnConfig, dc: usize, host: usize) -> i64 {
 pub fn run_churn(config: &ChurnConfig) -> ChurnOutcome {
     let params = ProgramParams::new()
         .with_var_domain("assign", VarDomain::BOOL)
-        .with_solver_branching(SolverBranching::FirstFail)
+        .with_solver_branching(Branching::SmallestDomain)
         .with_solver_max_time(None)
         .with_solver_node_limit(config.solver_node_limit)
         .with_solver_mode(config.solver_mode.clone())
@@ -412,14 +411,14 @@ mod tests {
         // incumbent, so at a third of the cold budget it still reaches
         // equal-or-better placements on every tick — the accumulated search
         // effort is what the cold path throws away.
-        use cologne::{LnsParams, SolverMode};
+        use cologne::solver::LnsConfig;
         let lns = |budget: u64, incremental: bool| ChurnConfig {
             data_centers: 1,
             hosts_per_dc: 5,
             initial_vms_per_dc: 24,
             ticks: 5,
             solver_node_limit: Some(budget),
-            solver_mode: SolverMode::Lns(LnsParams {
+            solver_mode: SolverMode::Lns(LnsConfig {
                 dive_node_limit: (budget / 8).max(200),
                 ..Default::default()
             }),

@@ -21,9 +21,7 @@ use cologne::net::{FaultPlan, LinkProps, SimTime, Topology};
 
 use crate::hostile::hostile_barrier;
 use cologne::solver::{SearchStats, ValueChoice};
-use cologne::{
-    Deployment, DeploymentBuilder, DistributedCologne, ProgramParams, SolverSettings, VarDomain,
-};
+use cologne::{Deployment, DeploymentBuilder, DistributedCologne, ProgramParams, VarDomain};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -321,13 +319,6 @@ pub fn build_followsun_deployment(
         Some(_) => None,
         None => Some(std::time::Duration::from_secs(10)),
     };
-    let mut params = ProgramParams::new()
-        .with_var_domain("migVm", VarDomain::new(-config.capacity, config.capacity))
-        .with_solver_node_limit(Some(config.solver_node_limit))
-        .with_solver_max_time(max_time);
-    if let Some(limit) = config.migration_limit {
-        params = params.with_constant("max_migrates", limit);
-    }
     // The COP cost is a SUMABS over the migration variables, so `migVm = 0`
     // (ship nothing) is both feasible and cheap: branching toward zero first
     // hands branch-and-bound a near-optimal incumbent right away, and the
@@ -335,22 +326,23 @@ pub fn build_followsun_deployment(
     // Bisection (`split_threshold: 2`) pairs with that: once the incumbent is
     // tight, the half of a domain far from zero is refuted in a single
     // conflict instead of one failed propagation per candidate value.
-    let solver = SolverSettings {
-        max_time,
-        node_limit: Some(config.solver_node_limit),
-        value_choice: ValueChoice::ClosestToZero,
-        split_threshold: Some(2),
-        workers: config.solver_workers,
+    let mut params = ProgramParams::new()
+        .with_var_domain("migVm", VarDomain::new(-config.capacity, config.capacity))
+        .with_solver_node_limit(Some(config.solver_node_limit))
+        .with_solver_max_time(max_time)
+        .with_solver_value_choice(ValueChoice::ClosestToZero)
+        .with_solver_split_threshold(Some(2))
+        .with_solver_workers(config.solver_workers)
         // A crashed node re-solves from a cold pipeline; under a fault plan
         // warm incumbents are disabled everywhere so quiet and hostile runs
         // tie-break identically.
-        warm_start: config.fault_plan.is_none(),
-        ..SolverSettings::default()
-    };
+        .with_warm_start(config.fault_plan.is_none());
+    if let Some(limit) = config.migration_limit {
+        params = params.with_constant("max_migrates", limit);
+    }
 
     let mut builder = DeploymentBuilder::new(&source)
         .params(params)
-        .solver(solver)
         .topology(workload.topology.clone());
     if let Some(plan) = &config.fault_plan {
         builder = builder.faults(plan.clone());

@@ -20,9 +20,10 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use cologne::datalog::{NodeId, Value};
 use cologne::net::{FaultPlan, LinkProps, NodeTraffic, SimTime, Topology};
+use cologne::solver::Branching;
 use cologne::{
     CologneInstance, CrashEvent, DeliveryStats, Deployment, DeploymentBuilder, ProgramParams,
-    SolverBranching, VarDomain,
+    VarDomain,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -409,7 +410,7 @@ fn centralized_params(config: &WirelessConfig, channels: &[i64]) -> ProgramParam
         .with_constant("F_mindiff", config.f_mindiff)
         // First-fail branching: channel variables squeezed by primary users
         // and the interface (UNIQUE) constraint are decided first.
-        .with_solver_branching(SolverBranching::FirstFail)
+        .with_solver_branching(Branching::SmallestDomain)
         .with_solver_node_limit(Some(config.solver_node_limit))
         .with_solver_max_time(Some(std::time::Duration::from_secs(10)))
 }
@@ -423,7 +424,7 @@ fn centralized_params(config: &WirelessConfig, channels: &[i64]) -> ProgramParam
 /// negotiation therefore pins input-order branching while the centralized
 /// solver keeps first-fail.
 fn distributed_params(config: &WirelessConfig, channels: &[i64]) -> ProgramParams {
-    centralized_params(config, channels).with_solver_branching(SolverBranching::InputOrder)
+    centralized_params(config, channels).with_solver_branching(Branching::InputOrder)
 }
 
 /// Centralized channel selection: one Cologne instance solves the whole mesh

@@ -12,10 +12,8 @@
 //! Run with: `cargo run --release --example certified_gap`
 
 use cologne::datalog::{NodeId, Value};
-use cologne::{
-    CologneInstance, EventLog, ProgramParams, SolveEvent, SolverBoundMode, SolverBranching,
-    SolverMode, VarDomain,
-};
+use cologne::solver::{BoundMode, Branching};
+use cologne::{CologneInstance, EventLog, ProgramParams, SolveEvent, SolverMode, VarDomain};
 use cologne_usecases::programs::ACLOUD_CENTRALIZED;
 use cologne_usecases::{large_acloud_instance, LargeAcloudConfig};
 
@@ -27,7 +25,7 @@ fn main() {
         config.vms, config.hosts, config.node_limit
     );
     let mut instance = large_acloud_instance(&config, SolverMode::Lns(config.lns_params()));
-    instance.params_mut().solver_bound_mode = SolverBoundMode::Auto;
+    instance.params_mut().solver_bound_mode = BoundMode::Auto;
 
     let mut log = EventLog::bounded(65536);
     let report = instance
@@ -68,13 +66,13 @@ fn main() {
     let nodes_of = |gap_limit: Option<f64>| {
         let params = ProgramParams::new()
             .with_var_domain("assign", VarDomain::BOOL)
-            .with_solver_branching(SolverBranching::FirstFail)
+            .with_solver_branching(Branching::SmallestDomain)
             .with_solver_max_time(None)
             .with_solver_node_limit(Some(200_000))
             .with_solver_bound_mode(if gap_limit.is_some() {
-                SolverBoundMode::Auto
+                BoundMode::Auto
             } else {
-                SolverBoundMode::Off
+                BoundMode::Off
             })
             .with_solver_gap_limit(gap_limit);
         let mut inst =

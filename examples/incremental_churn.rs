@@ -10,7 +10,8 @@
 
 use std::time::Instant;
 
-use cologne::{LnsParams, SolverMode};
+use cologne::solver::LnsConfig;
+use cologne::SolverMode;
 use cologne_usecases::{run_churn, ChurnConfig};
 
 fn config(incremental: bool, budget: u64) -> ChurnConfig {
@@ -23,7 +24,7 @@ fn config(incremental: bool, budget: u64) -> ChurnConfig {
         departures_per_tick: 1,
         capacity_drift_gb: 2,
         solver_node_limit: Some(budget),
-        solver_mode: SolverMode::Lns(LnsParams {
+        solver_mode: SolverMode::Lns(LnsConfig {
             dive_node_limit: (budget / 8).max(500),
             ..Default::default()
         }),

@@ -9,9 +9,9 @@ use std::collections::BTreeMap;
 
 use cologne::datalog::{NodeId, RemoteTuple, Value};
 use cologne::net::{FaultPlan, LinkFaults, NodeTraffic, SimTime, Topology};
+use cologne::solver::{Branching, LnsConfig};
 use cologne::{
-    CologneInstance, DeploymentBuilder, DistributedCologne, LnsParams, ProgramParams,
-    SolverBranching, SolverMode, VarDomain,
+    CologneInstance, DeploymentBuilder, DistributedCologne, ProgramParams, SolverMode, VarDomain,
 };
 use cologne_usecases::programs::ACLOUD_CENTRALIZED;
 use cologne_usecases::{build_followsun_deployment, FollowSunConfig, FollowSunWorkload};
@@ -255,10 +255,10 @@ proptest! {
 fn run_lns_deployment(lns_seed: u64) -> Fingerprint {
     let params = ProgramParams::new()
         .with_var_domain("assign", VarDomain::BOOL)
-        .with_solver_branching(SolverBranching::FirstFail)
+        .with_solver_branching(Branching::SmallestDomain)
         .with_solver_node_limit(Some(2_000))
         .with_solver_max_time(None)
-        .with_solver_mode(SolverMode::Lns(LnsParams {
+        .with_solver_mode(SolverMode::Lns(LnsConfig {
             seed: lns_seed,
             dive_node_limit: 200,
             repair_fail_base: 16,

@@ -10,12 +10,10 @@ use proptest::prelude::*;
 
 use cologne::datalog::{NodeId, Value};
 use cologne::solver::{
-    solve_reference, BoundMode, DualBound, LinearRelaxation, Model, Objective, RelaxedMerge,
-    SearchConfig,
+    solve_reference, BoundMode, Branching, DualBound, LinearRelaxation, Model, Objective,
+    RelaxedMerge, SearchConfig,
 };
-use cologne::{
-    CologneInstance, ProgramParams, SolveReport, SolverBoundMode, SolverBranching, VarDomain,
-};
+use cologne::{CologneInstance, ProgramParams, SolveReport, VarDomain};
 use cologne_usecases::programs::{ACLOUD_CENTRALIZED, WIRELESS_CENTRALIZED};
 use cologne_usecases::{build_followsun_deployment, FollowSunConfig, FollowSunWorkload};
 
@@ -108,7 +106,7 @@ proptest! {
 fn acloud_params() -> ProgramParams {
     ProgramParams::new()
         .with_var_domain("assign", VarDomain::BOOL)
-        .with_solver_branching(SolverBranching::FirstFail)
+        .with_solver_branching(Branching::SmallestDomain)
         .with_solver_max_time(None)
         .with_solver_node_limit(Some(200_000))
 }
@@ -184,7 +182,7 @@ fn default_run_carries_no_bound_artifacts() {
 fn explicit_off_is_identical_to_default() {
     let mut default_inst = acloud_instance(acloud_params(), &SMALL_VMS, &[10, 11]);
     let off_params = acloud_params()
-        .with_solver_bound_mode(SolverBoundMode::Off)
+        .with_solver_bound_mode(BoundMode::Off)
         .with_solver_gap_limit(None);
     let mut off_inst = acloud_instance(off_params, &SMALL_VMS, &[10, 11]);
     let mut a = default_inst.invoke_solver().unwrap();
@@ -199,7 +197,7 @@ fn explicit_off_is_identical_to_default() {
 fn acloud_gap_zero_reproduces_the_full_search() {
     let mut off = acloud_instance(acloud_params(), &SMALL_VMS, &[10, 11]);
     let gapped_params = acloud_params()
-        .with_solver_bound_mode(SolverBoundMode::Auto)
+        .with_solver_bound_mode(BoundMode::Auto)
         .with_solver_gap_limit(Some(0.0));
     let mut gapped = acloud_instance(gapped_params, &SMALL_VMS, &[10, 11]);
 
@@ -248,12 +246,12 @@ fn wireless_gap_zero_reproduces_the_full_search() {
     let base = ProgramParams::new()
         .with_var_domain("assign", VarDomain::new(1, 11))
         .with_constant("F_mindiff", 3)
-        .with_solver_branching(SolverBranching::FirstFail)
+        .with_solver_branching(Branching::SmallestDomain)
         .with_solver_max_time(None)
         .with_solver_node_limit(Some(50_000));
     let mut off = make(base.clone());
     let mut gapped = make(
-        base.with_solver_bound_mode(SolverBoundMode::Relaxed)
+        base.with_solver_bound_mode(BoundMode::Relaxed)
             .with_solver_gap_limit(Some(0.0)),
     );
     let full = off.invoke_solver().unwrap();
@@ -327,7 +325,7 @@ fn followsun_bound_is_sound_on_the_grounded_negotiation_cop() {
 fn acloud_gap_limit_stops_the_exact_proof_early_with_a_certificate() {
     let mut off = acloud_instance(acloud_params(), &LARGE_VMS, &[10, 11, 12]);
     let gapped_params = acloud_params()
-        .with_solver_bound_mode(SolverBoundMode::Auto)
+        .with_solver_bound_mode(BoundMode::Auto)
         .with_solver_gap_limit(Some(0.05));
     let mut gapped = acloud_instance(gapped_params, &LARGE_VMS, &[10, 11, 12]);
 

@@ -18,7 +18,8 @@
 use proptest::prelude::*;
 
 use cologne::translate::rule_to_datalog;
-use cologne_colog::{analyze, parse_program, ProgramParams, RuleClass, SchemaCatalog};
+use cologne::ProgramParams;
+use cologne_colog::{analyze, parse_program, RuleClass, SchemaCatalog};
 use cologne_datalog::{
     AggFunc, Atom, BodyItem, DeltaSummary, Engine, Expr, Head, HeadArg, NodeId, Op,
     ReferenceEngine, RemoteTuple, Rule, Term, Tuple, Value, ValueKind,

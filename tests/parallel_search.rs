@@ -15,9 +15,7 @@ use proptest::prelude::*;
 
 use cologne::datalog::{NodeId, Value};
 use cologne::solver::{Branching, Model, SearchConfig, SearchOutcome, ValueChoice};
-use cologne::{
-    CologneInstance, ProgramParams, SolveReport, SolverBranching, SolverMode, VarDomain,
-};
+use cologne::{CologneInstance, ProgramParams, SolveReport, SolverMode, VarDomain};
 use cologne_usecases::programs::{ACLOUD_CENTRALIZED, WIRELESS_CENTRALIZED};
 use cologne_usecases::{
     build_followsun_deployment, solve_large_acloud, FollowSunConfig, FollowSunWorkload,
@@ -181,7 +179,7 @@ fn assert_instance_parallel_matches_sequential(
 fn acloud_instance(workers: Option<NonZeroUsize>) -> CologneInstance {
     let params = ProgramParams::new()
         .with_var_domain("assign", VarDomain::BOOL)
-        .with_solver_branching(SolverBranching::FirstFail)
+        .with_solver_branching(Branching::SmallestDomain)
         .with_solver_max_time(None)
         .with_solver_node_limit(Some(50_000))
         .with_solver_workers(workers);
@@ -215,7 +213,7 @@ fn wireless_instance(workers: Option<NonZeroUsize>) -> CologneInstance {
     let params = ProgramParams::new()
         .with_var_domain("assign", VarDomain::new(1, 11))
         .with_constant("F_mindiff", 3)
-        .with_solver_branching(SolverBranching::FirstFail)
+        .with_solver_branching(Branching::SmallestDomain)
         .with_solver_max_time(None)
         .with_solver_node_limit(Some(50_000))
         .with_solver_workers(workers);
@@ -244,7 +242,7 @@ fn wireless_cop_parallel_matches_sequential() {
 }
 
 /// The Follow-the-Sun link-negotiation COP solved on a full deployment: the
-/// initiator's solve with `solver_workers` threaded through `SolverSettings`
+/// initiator's solve with `solver_workers` threaded through `ProgramParams`
 /// must reproduce the sequential outcome.
 #[test]
 fn followsun_cop_parallel_matches_sequential() {

@@ -6,7 +6,8 @@
 //! are intentionally exempt: exploring fewer nodes is the point.
 
 use cologne::datalog::{NodeId, Tuple, Value};
-use cologne::{CologneInstance, ProgramParams, SolveReport, SolverBranching, VarDomain};
+use cologne::solver::Branching;
+use cologne::{CologneInstance, ProgramParams, SolveReport, VarDomain};
 use cologne_usecases::programs::{ACLOUD_CENTRALIZED, WIRELESS_CENTRALIZED};
 
 fn ints(vals: &[i64]) -> Tuple {
@@ -170,7 +171,7 @@ fn acloud_first_fail_single_vm_arrival_matches_cold_solve() {
     check_single_tuple_delta(
         "acloud first-fail insert",
         ACLOUD_CENTRALIZED,
-        &acloud_params().with_solver_branching(SolverBranching::FirstFail),
+        &acloud_params().with_solver_branching(Branching::SmallestDomain),
         &acloud_base_facts(),
         ("vm", ints(&[4, 50, 4])),
     );
@@ -181,7 +182,7 @@ fn wireless_first_fail_single_link_arrival_matches_cold_solve() {
     check_single_tuple_delta(
         "wireless first-fail insert",
         WIRELESS_CENTRALIZED,
-        &wireless_params().with_solver_branching(SolverBranching::FirstFail),
+        &wireless_params().with_solver_branching(Branching::SmallestDomain),
         &wireless_base_facts(),
         ("link", ints(&[3, 4])),
     );

@@ -7,19 +7,20 @@
 //! distributed path is covered by `regression_pipeline.rs`.)
 
 use cologne::datalog::{NodeId, Value};
-use cologne::solver::{solve_reference, Objective, SearchConfig, SearchOutcome};
-use cologne::{CologneInstance, GoalKind, GroundedCop, ProgramParams, SolverBranching, VarDomain};
+use cologne::solver::{
+    solve_reference, Branching, Objective, SearchConfig, SearchOutcome, ValueChoice,
+};
+use cologne::{CologneError, CologneInstance, GoalKind, GroundedCop, ProgramParams, VarDomain};
 use cologne_usecases::programs::{ACLOUD_CENTRALIZED, WIRELESS_CENTRALIZED};
 use cologne_usecases::{build_followsun_deployment, FollowSunConfig, FollowSunWorkload};
 
-/// Effective search configuration of an instance, as the pipeline assembles
-/// it per invocation (heuristics from the pipeline surface, limits from the
-/// parameters) — with the wall clock disabled so runs are deterministic.
+/// The search configuration the instance's pipeline solves under, with the
+/// wall clock disabled so runs are deterministic.
 fn effective_config(inst: &CologneInstance) -> SearchConfig {
-    let mut config = inst.search_config().clone();
-    config.time_limit = None;
-    config.node_limit = inst.params().solver_node_limit;
-    config
+    SearchConfig {
+        time_limit: None,
+        ..inst.search_config().clone()
+    }
 }
 
 /// Solve `cop` with both searchers and assert they match observable-for-
@@ -69,7 +70,7 @@ fn assert_searchers_agree(cop: &GroundedCop, config: &SearchConfig, context: &st
 fn acloud_instance() -> CologneInstance {
     let params = ProgramParams::new()
         .with_var_domain("assign", VarDomain::BOOL)
-        .with_solver_branching(SolverBranching::FirstFail)
+        .with_solver_branching(Branching::SmallestDomain)
         .with_solver_max_time(None)
         .with_solver_node_limit(Some(50_000));
     let mut inst = CologneInstance::new(NodeId(0), ACLOUD_CENTRALIZED, params).unwrap();
@@ -121,22 +122,22 @@ fn acloud_repeated_invocations_are_deterministic() {
 
 #[test]
 fn branching_param_change_applies_on_next_invocation() {
-    use cologne::solver::Branching;
     let mut inst = acloud_instance();
     assert_eq!(inst.search_config().branching, Branching::SmallestDomain);
     // params_mut() invalidates the pipeline; the branching change must be
     // picked up on the next invocation together with the plan rebuild.
-    inst.params_mut().solver_branching = SolverBranching::InputOrder;
+    inst.params_mut().solver_branching = Branching::InputOrder;
     inst.invoke_solver().unwrap();
     assert_eq!(inst.search_config().branching, Branching::InputOrder);
-    // The merged settings view applies heuristics through one validated
-    // entry point; like a params change, it invalidates the pipeline.
-    let mut settings = inst.solver_settings();
-    assert_eq!(settings.branching, SolverBranching::InputOrder);
-    settings.branching = SolverBranching::LargestDomain;
-    inst.apply_solver_settings(&settings).unwrap();
+    // Every solver knob takes the same path, and the rebuild re-validates.
+    inst.params_mut().solver_value_choice = ValueChoice::Max;
     inst.invoke_solver().unwrap();
-    assert_eq!(inst.search_config().branching, Branching::LargestDomain);
+    assert_eq!(inst.search_config().value_choice, ValueChoice::Max);
+    inst.params_mut().solver_split_threshold = Some(1);
+    assert!(matches!(
+        inst.invoke_solver(),
+        Err(CologneError::InvalidConfig(_))
+    ));
 }
 
 fn wireless_instance() -> CologneInstance {
@@ -144,7 +145,7 @@ fn wireless_instance() -> CologneInstance {
     let params = ProgramParams::new()
         .with_var_domain("assign", VarDomain::new(1, 11))
         .with_constant("F_mindiff", 3)
-        .with_solver_branching(SolverBranching::FirstFail)
+        .with_solver_branching(Branching::SmallestDomain)
         .with_solver_max_time(None)
         .with_solver_node_limit(Some(50_000));
     let mut inst = CologneInstance::new(NodeId(0), WIRELESS_CENTRALIZED, params).unwrap();

@@ -9,9 +9,13 @@ use std::sync::mpsc;
 use std::thread;
 
 use cologne::datalog::{NodeId, Value};
-use cologne::{DeploymentBuilder, ProgramParams, SolveRequest, SolveResponse, VarDomain};
+use cologne::solver::LnsConfig;
+use cologne::{
+    CologneError, CologneInstance, DeploymentBuilder, ProgramParams, SolveRequest, SolveResponse,
+    SolverMode, VarDomain,
+};
 use cologne_serve::{
-    Client, ClientError, ErrorCode, Server, ServerConfig, TenantBudget, ACLOUD_DEMO,
+    Client, ClientError, ErrorCode, ServeError, Server, ServerConfig, TenantBudget, ACLOUD_DEMO,
 };
 
 /// Deterministic parameters for the demo program: node-limit-bounded, no
@@ -289,4 +293,66 @@ fn schema_errors_surface_as_typed_frames_and_session_survives() {
     assert!(response.single().expect("one node").feasible);
     client.bye().expect("clean close");
     server.shutdown();
+}
+
+/// Solver knobs that would misbehave at solve time are rejected as
+/// `InvalidConfig` wherever parameters enter: a bare instance, the
+/// deployment builder and the server's bind-time check.
+#[test]
+fn invalid_solver_params_are_rejected_on_every_construction_path() {
+    let lns = |tweak: fn(&mut LnsConfig)| {
+        let mut config = LnsConfig::default();
+        tweak(&mut config);
+        det_params().with_solver_mode(SolverMode::Lns(config))
+    };
+    let cases = [
+        ("destroy_fraction 0", lns(|c| c.destroy_fraction = 0.0)),
+        (
+            "destroy_fraction NaN",
+            lns(|c| c.destroy_fraction = f64::NAN),
+        ),
+        ("repair_growth < 1", lns(|c| c.repair_growth = 0.5)),
+        ("dive_node_limit 0", lns(|c| c.dive_node_limit = 0)),
+        (
+            "gap_limit NaN",
+            det_params().with_solver_gap_limit(Some(f64::NAN)),
+        ),
+        (
+            "gap_limit < 0",
+            det_params().with_solver_gap_limit(Some(-0.1)),
+        ),
+        (
+            "split_threshold < 2",
+            det_params().with_solver_split_threshold(Some(1)),
+        ),
+    ];
+    for (what, params) in cases {
+        assert!(
+            matches!(
+                CologneInstance::new(NodeId(0), ACLOUD_DEMO, params.clone()),
+                Err(CologneError::InvalidConfig(_))
+            ),
+            "{what}: CologneInstance::new"
+        );
+        assert!(
+            matches!(
+                DeploymentBuilder::new(ACLOUD_DEMO)
+                    .params(params.clone())
+                    .build(),
+                Err(CologneError::InvalidConfig(_))
+            ),
+            "{what}: DeploymentBuilder::build"
+        );
+        let mut cfg = ServerConfig::new(ACLOUD_DEMO);
+        cfg.params = params;
+        assert!(
+            matches!(
+                Server::bind("127.0.0.1:0", cfg),
+                Err(ServeError::Config(CologneError::InvalidConfig(_)))
+            ),
+            "{what}: Server::bind"
+        );
+    }
+    // the same parameters without a bad knob are accepted
+    assert!(CologneInstance::new(NodeId(0), ACLOUD_DEMO, det_params()).is_ok());
 }
