@@ -1,8 +1,9 @@
 //! # cologne-bench
 //!
-//! Experiment harnesses and Criterion benchmarks that regenerate every table
-//! and figure of the Cologne paper's evaluation (Sec. 6). Each experiment has
-//! a binary that prints the same rows/series the paper reports:
+//! Experiment harnesses that regenerate every table and figure of the
+//! Cologne paper's evaluation (Sec. 6). Each experiment has a binary that
+//! prints the same rows/series the paper reports (the three figure binaries
+//! take `--quick` for a reduced run):
 //!
 //! | Paper artifact | Binary |
 //! |---|---|
@@ -11,14 +12,10 @@
 //! | Fig. 4 / Fig. 5 (Follow-the-Sun) | `cargo run --release -p cologne-bench --bin fig4_5_followsun` |
 //! | Fig. 6 / Fig. 7 (wireless) | `cargo run --release -p cologne-bench --bin fig6_7_wireless` |
 //!
-//! The Criterion benchmarks (`cargo bench -p cologne-bench`) measure the
-//! building blocks the paper discusses in its overhead paragraphs:
-//! compilation time, per-COP solving time, incremental Datalog maintenance,
-//! and per-use-case end-to-end optimization rounds.
+//! Timing lives elsewhere: the repository benchmark (`benchmark/`,
+//! `BENCHMARK.json`) is the one place anything here is measured.
 
 use std::fmt::Write as _;
-
-pub mod regress;
 
 /// Format a data series as an aligned two-column table for harness output.
 pub fn format_series(x_label: &str, y_label: &str, points: &[(f64, f64)]) -> String {

@@ -51,7 +51,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use cologne_datalog::{NodeId, RemoteTuple, Tuple};
-use cologne_net::{Event, FaultPlan, LinkProps, NodeTraffic, SimTime, Simulator, Topology};
+use cologne_net::{Event, FaultPlan, NodeTraffic, SimTime, Simulator, Topology};
 
 use crate::error::CologneError;
 use crate::instance::{CologneInstance, SolveReport};
@@ -740,11 +740,6 @@ impl DistributedCologne {
             self.ship(from, tuples);
         }
     }
-
-    /// Default link profile used by convenience constructors in tests.
-    pub fn default_link() -> LinkProps {
-        LinkProps::default()
-    }
 }
 
 #[cfg(test)]
@@ -753,7 +748,7 @@ mod tests {
     use crate::deploy::{Deployment, DeploymentBuilder};
     use crate::params::ProgramParams;
     use cologne_datalog::Value;
-    use cologne_net::LinkFaults;
+    use cologne_net::{LinkFaults, LinkProps};
 
     /// A two-rule ping/pong program: every `ping` received at a node derives a
     /// `pong` back at the sender.

@@ -53,7 +53,7 @@ pub const ACLOUD_DEMO: &str = r#"
 "#;
 
 /// [`ServerConfig`] for [`ACLOUD_DEMO`] with the boolean `assign` domain
-/// it needs — the one-liner used by the binary, example and benches.
+/// it needs — the one-liner used by the binary and the example.
 pub fn demo_config() -> ServerConfig {
     let mut cfg = ServerConfig::new(ACLOUD_DEMO);
     // Bounds on: demo reports carry a certified optimality gap over the

@@ -487,29 +487,9 @@ impl Model {
         search::solve(self, Objective::Minimize(obj), config)
     }
 
-    /// [`Model::minimize`] with a caller-provided reusable [`SearchSpace`].
-    pub fn minimize_in(
-        &self,
-        obj: VarId,
-        config: &SearchConfig,
-        space: &mut SearchSpace,
-    ) -> SearchOutcome {
-        self.solve_in(Objective::Minimize(obj), config, space)
-    }
-
     /// Maximize the variable `obj` under the model's constraints.
     pub fn maximize(&self, obj: VarId, config: &SearchConfig) -> SearchOutcome {
         search::solve(self, Objective::Maximize(obj), config)
-    }
-
-    /// [`Model::maximize`] with a caller-provided reusable [`SearchSpace`].
-    pub fn maximize_in(
-        &self,
-        obj: VarId,
-        config: &SearchConfig,
-        space: &mut SearchSpace,
-    ) -> SearchOutcome {
-        self.solve_in(Objective::Maximize(obj), config, space)
     }
 
     /// Find one solution satisfying the constraints (the `goal satisfy` form).

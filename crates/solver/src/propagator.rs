@@ -283,7 +283,7 @@ mod tests {
 
     #[test]
     fn prop_queue_is_clean_across_search_space_reuse() {
-        use crate::{Model, SearchConfig, SearchSpace};
+        use crate::{Model, Objective, SearchConfig, SearchSpace};
         // First search ends in heavy conflict traffic (infeasible model):
         // every propagation aborts through the queue's clear path.
         let mut space = SearchSpace::new();
@@ -304,7 +304,11 @@ mod tests {
         let b = m.new_var(0, 9);
         m.linear_eq(&[(1, a), (1, b)], 9);
         let obj = m.linear_var(&[(3, a), (1, b)], 0);
-        let reused = m.minimize_in(obj, &SearchConfig::default(), &mut space);
+        let reused = m.solve_in(
+            Objective::Minimize(obj),
+            &SearchConfig::default(),
+            &mut space,
+        );
         let fresh = m.minimize(obj, &SearchConfig::default());
         assert_eq!(reused.best_objective, fresh.best_objective);
         assert_eq!(reused.stats.propagations, fresh.stats.propagations);

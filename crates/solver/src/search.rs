@@ -1418,15 +1418,16 @@ mod tests {
     fn search_space_is_reusable_across_solves() {
         let mut space = SearchSpace::new();
         let (m, _, _, obj) = sum_model();
-        let first = m.minimize_in(obj, &SearchConfig::default(), &mut space);
-        let second = m.minimize_in(obj, &SearchConfig::default(), &mut space);
+        let minimize = Objective::Minimize(obj);
+        let first = m.solve_in(minimize, &SearchConfig::default(), &mut space);
+        let second = m.solve_in(minimize, &SearchConfig::default(), &mut space);
         assert_eq!(first.best_objective, second.best_objective);
         assert_eq!(first.stats.nodes, second.stats.nodes);
         assert_eq!(first.stats.fails, second.stats.fails);
         // and across different models / objectives
         let mut m2 = Model::new();
         let z = m2.new_var(0, 4);
-        let out = m2.maximize_in(z, &SearchConfig::default(), &mut space);
+        let out = m2.solve_in(Objective::Maximize(z), &SearchConfig::default(), &mut space);
         assert_eq!(out.best_objective, Some(4));
     }
 

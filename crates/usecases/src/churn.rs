@@ -14,9 +14,8 @@
 //! solving of the `cologne` runtime target: with
 //! [`ChurnConfig::incremental`] on (the default), every re-solve after the
 //! first takes the incremental path; with it off, every tick re-grounds the
-//! whole COP and cold-starts the search. The `bench_incremental` group of
-//! `cologne-bench` measures the two against each other; the tests in this
-//! module pin that both produce the same optimization outcomes.
+//! whole COP and cold-starts the search. The tests in this module pin that
+//! both produce the same optimization outcomes.
 
 use std::collections::BTreeMap;
 
@@ -58,8 +57,7 @@ pub struct ChurnConfig {
     /// optimality proof per tick.
     pub solver_mode: SolverMode,
     /// Run with delta-aware grounding + warm-started solving (the default)
-    /// or force every tick onto the cold full-rebuild path (the baseline
-    /// the `bench_incremental` group compares against).
+    /// or force every tick onto the cold full-rebuild path.
     pub incremental: bool,
     /// Worker threads per COP search (`None` = sequential). The per-tick
     /// results are identical either way; see the solver's `parallel` module.
@@ -406,7 +404,7 @@ mod tests {
 
     #[test]
     fn warm_low_budget_beats_cold_high_budget() {
-        // The bench_incremental claim in miniature: with LNS under a node
+        // The incremental-path claim in miniature: with LNS under a node
         // budget, the warm path re-solves each tick from the previous
         // incumbent, so at a third of the cold budget it still reaches
         // equal-or-better placements on every tick — the accumulated search

@@ -219,17 +219,6 @@ impl MeshNetwork {
         self.topology.links()
     }
 
-    /// Channels available at a node (all channels minus primary-user ones).
-    pub fn available_channels(&self, node: u32) -> Vec<i64> {
-        let banned = self.primary_users.get(&node).cloned().unwrap_or_default();
-        self.config
-            .channels
-            .iter()
-            .copied()
-            .filter(|c| !banned.contains(c))
-            .collect()
-    }
-
     /// Shortest path between two nodes (BFS over the grid).
     pub fn shortest_path(&self, src: u32, dst: u32) -> Vec<u32> {
         let mut prev: BTreeMap<u32, u32> = BTreeMap::new();
@@ -417,12 +406,12 @@ fn centralized_params(config: &WirelessConfig, channels: &[i64]) -> ProgramParam
 
 /// Parameters for the *distributed* per-link negotiation. Branching is
 /// explicitly per use case: the big first-fail win is on the centralized
-/// whole-mesh COP (96% on the 4x4 bench), but on the tiny per-link COPs it
-/// reorders which channel each best-response move lands on, which makes the
-/// renegotiation fixpoint wander for extra passes — the 3x3/4x4 distributed
-/// regression introduced when first-fail became the wireless default. The
-/// negotiation therefore pins input-order branching while the centralized
-/// solver keeps first-fail.
+/// whole-mesh COP (96% less time on the 4x4 grid), but on the tiny per-link
+/// COPs it reorders which channel each best-response move lands on, which
+/// makes the renegotiation fixpoint wander for extra passes — the 3x3/4x4
+/// distributed regression introduced when first-fail became the wireless
+/// default. The negotiation therefore pins input-order branching while the
+/// centralized solver keeps first-fail.
 fn distributed_params(config: &WirelessConfig, channels: &[i64]) -> ProgramParams {
     centralized_params(config, channels).with_solver_branching(Branching::InputOrder)
 }

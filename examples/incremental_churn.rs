@@ -5,8 +5,7 @@
 //!
 //! The warm path re-solves each tick starting from the previous tick's
 //! incumbent (like a continuous LNS run that absorbs deltas), so it reaches
-//! equal-or-better placements while exploring a fraction of the nodes — the
-//! re-solve latency gap `bench_incremental` measures.
+//! equal-or-better placements while exploring a fraction of the nodes.
 
 use std::time::Instant;
 

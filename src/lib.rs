@@ -12,6 +12,6 @@
 //! * `cologne-solver` — the finite-domain constraint solver;
 //! * `cologne-net` — the discrete-event network simulator;
 //! * `cologne-usecases` — the paper's three evaluation use cases;
-//! * `cologne-bench` — experiment harnesses and benchmarks.
+//! * `cologne-bench` — experiment harnesses for the paper's tables and figures.
 
 pub use cologne;

@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 
 use cologne::datalog::{NodeId, RemoteTuple, Value};
-use cologne::net::{FaultPlan, LinkFaults, NodeTraffic, SimTime, Topology};
+use cologne::net::{FaultPlan, LinkFaults, LinkProps, NodeTraffic, SimTime, Topology};
 use cologne::solver::{Branching, LnsConfig};
 use cologne::{
     CologneInstance, DeploymentBuilder, DistributedCologne, ProgramParams, SolverMode, VarDomain,
@@ -134,7 +134,7 @@ fn run_hostile_pings(
     Vec<cologne::CrashEvent>,
 ) {
     let mut driver = DeploymentBuilder::new(PING)
-        .topology(Topology::full_mesh(3, DistributedCologne::default_link()))
+        .topology(Topology::full_mesh(3, LinkProps::default()))
         .faults(plan.clone())
         .build()
         .unwrap();
@@ -264,7 +264,7 @@ fn run_lns_deployment(lns_seed: u64) -> Fingerprint {
             repair_fail_base: 16,
             ..Default::default()
         }));
-    let topology = Topology::line(2, DistributedCologne::default_link());
+    let topology = Topology::line(2, LinkProps::default());
     let mut driver = DeploymentBuilder::new(ACLOUD_CENTRALIZED)
         .params(params)
         .topology(topology)

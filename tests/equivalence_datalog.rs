@@ -21,8 +21,9 @@ use cologne::translate::rule_to_datalog;
 use cologne::ProgramParams;
 use cologne_colog::{analyze, parse_program, RuleClass, SchemaCatalog};
 use cologne_datalog::{
-    AggFunc, Atom, BodyItem, DeltaSummary, Engine, Expr, Head, HeadArg, NodeId, Op,
-    ReferenceEngine, RemoteTuple, Rule, Term, Tuple, Value, ValueKind,
+    AggFunc, Atom, BodyItem, DeltaSummary, Engine, Expr, Head, HeadArg, IngestError, NodeId, Op,
+    ReferenceEngine, RemoteTuple, Rule, SchemaError, SchemaSet, Term, Tuple, TupleSchema, Value,
+    ValueKind,
 };
 use cologne_usecases::programs::table2_programs;
 
@@ -773,4 +774,126 @@ fn remote_tuples_reintern_across_engines() {
     }
     r.run();
     assert_eq!(r.tuples("inventory"), at_a);
+}
+
+/// Two-hop then four-hop reachability: `hop2(X,Z) <- edge(X,Y), edge(Y,Z)`
+/// and `hop4(X,Z) <- hop2(X,Y), hop2(Y,Z)`. Over a chain of n edges the
+/// outputs stay linear: n−1 and n−3 tuples.
+fn chain_hop_rules() -> Vec<Rule> {
+    let hop = |name: &str, head: &str, body: &str| {
+        Rule::new(
+            name,
+            Head::simple(head, vec![Term::var("X"), Term::var("Z")]),
+            vec![
+                BodyItem::Atom(Atom::new(body, vec![Term::var("X"), Term::var("Y")])),
+                BodyItem::Atom(Atom::new(body, vec![Term::var("Y"), Term::var("Z")])),
+            ],
+        )
+    };
+    vec![hop("h2", "hop2", "edge"), hop("h4", "hop4", "hop2")]
+}
+
+fn edge_schema() -> SchemaSet {
+    let mut schemas = SchemaSet::new();
+    schemas.insert(TupleSchema::new(
+        "edge",
+        vec![ValueKind::Int, ValueKind::Int],
+    ));
+    schemas
+}
+
+/// The validated bulk path (`try_insert_all`: one relation lookup and one
+/// schema lookup per batch) must load exactly what the per-row validated
+/// path loads, with the same amount of rule work. The reference engine's
+/// nested-loop join is quadratic in the chain length, so it referees the
+/// short chain and the closed form (`hop2 = (i, i+2)`, `hop4 = (i, i+4)`)
+/// referees both.
+#[test]
+fn bulk_ingest_matches_row_ingest_and_reference() {
+    for (n, with_reference) in [(1_000usize, true), (20_000, false)] {
+        let edges: Vec<Tuple> = (0..n as i64)
+            .map(|i| vec![Value::Int(i), Value::Int(i + 1)])
+            .collect();
+        let (mut bulk, mut refe) = both(&chain_hop_rules());
+        let mut rows = Engine::new(NodeId(0));
+        rows.add_rules(chain_hop_rules());
+        bulk.set_schemas(edge_schema());
+        rows.set_schemas(edge_schema());
+
+        assert_eq!(bulk.try_insert_all("edge", edges.clone()), Ok(n));
+        for edge in &edges {
+            rows.try_insert("edge", edge.clone())
+                .expect("edge row is valid");
+            if with_reference {
+                refe.insert("edge", edge.clone());
+            }
+        }
+        bulk.run();
+        rows.run();
+        refe.run();
+
+        for (rel, hops) in [("edge", 1), ("hop2", 2), ("hop4", 4)] {
+            let expected: Vec<Tuple> = (0..=(n - hops) as i64)
+                .map(|i| vec![Value::Int(i), Value::Int(i + hops as i64)])
+                .collect();
+            assert_eq!(bulk.relation_len(rel), n + 1 - hops);
+            assert!(bulk.tuples(rel) == expected, "bulk '{rel}' diverged");
+            assert!(rows.tuples(rel) == expected, "row-by-row '{rel}' diverged");
+            if with_reference {
+                assert!(refe.tuples(rel) == expected, "reference '{rel}' diverged");
+            }
+        }
+        assert_eq!(bulk.stats(), rows.stats());
+        if with_reference {
+            assert_eq!(bulk.stats().derivations, refe.stats().derivations);
+        }
+    }
+}
+
+/// `try_insert_all` is all-or-nothing: a batch with one bad row, or for a
+/// relation nobody declared, returns the typed error and queues nothing,
+/// and the next valid batch loads as if the bad ones had never been sent.
+#[test]
+fn bulk_ingest_rejects_a_bad_batch_whole() {
+    let mut e = Engine::new(NodeId(0));
+    e.add_rules(chain_hop_rules());
+    e.set_schemas(edge_schema());
+    let edge = |i: i64| vec![Value::Int(i), Value::Int(i + 1)];
+    let lens = |e: &Engine| ["edge", "hop2", "hop4"].map(|rel| e.relation_len(rel));
+    assert_eq!(
+        e.try_insert_all("edge", (0..10).map(edge).collect()),
+        Ok(10)
+    );
+    e.run();
+    let settled = e.stats().clone();
+
+    let mut batch: Vec<Tuple> = (10..20).map(edge).collect();
+    batch[7] = vec![Value::Int(17), Value::Str("eighteen".into())];
+    assert_eq!(
+        e.try_insert_all("edge", batch),
+        Err(IngestError::Schema(SchemaError::Kind {
+            relation: "edge".into(),
+            position: 1,
+            expected: ValueKind::Int,
+            found: ValueKind::Str,
+        }))
+    );
+    assert_eq!(
+        e.try_insert_all("egde", (10..20).map(edge).collect()),
+        Err(IngestError::UnknownRelation {
+            relation: "egde".into(),
+            suggestion: Some("edge".into()),
+        })
+    );
+    e.run();
+    assert_eq!(e.stats(), &settled, "a refused batch queues nothing");
+    assert_eq!(lens(&e), [10, 9, 7]);
+    assert!(!e.known_relation("egde"));
+
+    assert_eq!(
+        e.try_insert_all("edge", (10..20).map(edge).collect()),
+        Ok(10)
+    );
+    e.run();
+    assert_eq!(lens(&e), [20, 19, 17]);
 }

@@ -97,16 +97,16 @@ fn fig7_policy_restrictions_cost_throughput() {
 /// while the centralized solver keeps first-fail — and the total search
 /// effort of a full negotiation (all passes, all nodes) is pinned under a
 /// ceiling, so a future heuristic change that makes the renegotiation
-/// fixpoint wander again fails loudly instead of only showing up in the
-/// benches. The Fig. 7 restricted-vs-full ordering (already asserted above)
-/// is re-checked here on the 3x3 and 4x4 grids the regression was observed
-/// on.
+/// fixpoint wander again fails loudly instead of only showing up as a
+/// slower Fig. 6/7 run. The Fig. 7 restricted-vs-full ordering (already
+/// asserted above) is re-checked here on the 3x3 and 4x4 grids the
+/// regression was observed on.
 #[test]
 fn distributed_negotiation_effort_stays_bounded() {
     // Input-order negotiation explores ~340 / ~860 nodes on these grids; the
     // ceilings leave ~6x headroom, far below what a wandering fixpoint costs.
     for (rows, cols, ceiling) in [(3u32, 3u32, 2_000u64), (4, 4, 5_000)] {
-        // The full default channel set (the benches' setup), only the grid
+        // The full default channel set (the Fig. 6/7 setup), only the grid
         // size varies; `tiny()`'s reduced channel set changes the Fig. 7
         // economics and is not what the regression was observed on.
         let config = WirelessConfig {
