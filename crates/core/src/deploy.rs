@@ -1,34 +1,31 @@
-//! The unified deployment surface: [`DeploymentBuilder`] and [`Deployment`].
+//! The deployment surface: [`DeploymentBuilder`] and [`Deployment`].
 //!
 //! One builder takes the program source, the base [`ProgramParams`] (every
 //! solver knob included), a [`Topology`] (defaulting to
-//! [`Topology::single`]) and optional per-node parameter overrides — and
-//! produces a [`Deployment`] that owns the single-node and distributed cases
-//! behind the same `tick`/`invoke`/`handle` API.
+//! [`Topology::single`]), optional per-node parameter overrides and an
+//! optional fault plan — and produces a [`Deployment`]: one
+//! [`CologneInstance`] per topology node over the simulated network, the
+//! single-node case being a one-node topology.
 //!
-//! Solves go through the typed [`SolveRequest`] → [`SolveResponse`] entry
-//! point ([`Deployment::solve`] / [`Deployment::solve_streaming`]), the same
-//! request shape the `cologne-serve` wire protocol carries. Every
-//! simulation-surface method a deployment needs is an explicit named
-//! forwarder (`run_until`, `ship`, `delivery_stats`, ...), and anything more
-//! exotic goes through [`Deployment::network`] /
-//! [`Deployment::network_mut`] so the dependency is visible at the call
-//! site. (The historical `Deref<Target = DistributedCologne>` escape hatch
-//! and the `invoke_*_with_observer` spellings have been removed; see the
-//! README migration table.)
+//! This module holds the builder, the relation handles and the one solve
+//! entry point, [`Deployment::solve`] / [`Deployment::solve_streaming`],
+//! which takes the same [`SolveRequest`] the `cologne-serve` wire protocol
+//! carries. The network side of the same type — shipping, the event loop,
+//! timers, the delivery layer, crash and rejoin — is the second
+//! `impl Deployment` block, in [`crate::distributed`].
 
 use std::collections::BTreeMap;
 
 use cologne_datalog::{NodeId, Tuple};
-use cologne_net::{NodeTraffic, SimTime, Topology};
+use cologne_net::{Simulator, Topology};
 
-use crate::distributed::{CrashEvent, DeliveryStats, DistributedCologne, TimerOutcome};
+use crate::distributed::{CrashEvent, ReliableDelivery, Wire};
 use crate::error::CologneError;
 use crate::handle::RelationHandle;
 use crate::instance::{CologneInstance, SolveReport};
 use crate::params::ProgramParams;
 use crate::solve_api::{
-    BufferSink, EventOptions, EventSink, SinkObserver, SolveRequest, SolveResponse, SolveTarget,
+    BufferSink, EventSink, SinkObserver, SolveRequest, SolveResponse, SolveTarget,
 };
 use crate::stats::{NodeStats, StatsSnapshot};
 
@@ -79,8 +76,9 @@ impl DeploymentBuilder {
     /// Install a seeded fault plan on the simulated network (loss,
     /// duplication, jitter, partitions, crash/rejoin — see
     /// `cologne_net::fault`). This also switches shipping to the
-    /// at-least-once delivery layer, as
-    /// [`DistributedCologne::set_fault_plan`] does.
+    /// at-least-once delivery layer (see [`crate::distributed`]); the quiet
+    /// default plan injects nothing but still runs the full ack/retransmit
+    /// machinery, so quiet and hostile runs of a workload compare directly.
     pub fn faults(mut self, plan: cologne_net::FaultPlan) -> Self {
         self.faults = Some(plan);
         self
@@ -103,54 +101,55 @@ impl DeploymentBuilder {
                 )));
             }
         }
-        let mut instances = Vec::with_capacity(topology.num_nodes());
+        let mut instances = BTreeMap::new();
         for n in topology.nodes() {
             let node = NodeId(n);
-            let params = self
-                .node_params
-                .get(&node)
-                .cloned()
-                .unwrap_or_else(|| self.params.clone());
-            instances.push(CologneInstance::new(node, &self.source, params)?);
+            let params = self.node_params.get(&node).unwrap_or(&self.params);
+            instances.insert(
+                node,
+                CologneInstance::new(node, &self.source, params.clone())?,
+            );
         }
-        let mut inner = DistributedCologne::assemble(topology, instances);
-        if let Some(plan) = self.faults {
-            inner.set_fault_plan(plan);
-        }
-        Ok(Deployment { inner })
+        let mut sim = Simulator::new(topology);
+        let reliable = self.faults.map(|plan| {
+            sim.set_fault_plan(plan);
+            ReliableDelivery::default()
+        });
+        Ok(Deployment {
+            instances,
+            sim,
+            reliable,
+            rejected_remote_tuples: 0,
+            crash_log: Vec::new(),
+        })
     }
 }
 
 /// A built Cologne system: one instance per topology node over the simulated
 /// network, with the single-node case being a one-node topology.
-///
-/// The full simulation surface is exposed through named forwarders
-/// ([`Deployment::run_until`], [`Deployment::ship`],
-/// [`Deployment::delivery_stats`], ...) and, for anything not forwarded,
-/// through [`Deployment::network`] / [`Deployment::network_mut`].
 pub struct Deployment {
-    inner: DistributedCologne,
+    pub(crate) instances: BTreeMap<NodeId, CologneInstance>,
+    pub(crate) sim: Simulator<Wire>,
+    /// The at-least-once delivery layer, present once a fault plan is
+    /// installed.
+    pub(crate) reliable: Option<ReliableDelivery>,
+    pub(crate) rejected_remote_tuples: u64,
+    pub(crate) crash_log: Vec<CrashEvent>,
 }
 
 impl std::fmt::Debug for Deployment {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Deployment")
-            .field("nodes", &self.inner.nodes())
+            .field("nodes", &self.nodes())
             .finish_non_exhaustive()
     }
 }
 
 impl Deployment {
-    /// Start a [`DeploymentBuilder`] for a program.
-    pub fn builder(source: &str) -> DeploymentBuilder {
-        DeploymentBuilder::new(source)
-    }
-
     /// The sole node of a single-node deployment, or `None` when the
     /// deployment is distributed.
     pub fn single_node(&self) -> Option<NodeId> {
-        let nodes = self.inner.nodes();
-        match nodes.as_slice() {
+        match self.nodes().as_slice() {
             [only] => Some(*only),
             _ => None,
         }
@@ -158,7 +157,7 @@ impl Deployment {
 
     /// The instance on `node`, or an error naming the missing node.
     fn instance_checked(&mut self, node: NodeId) -> Result<&mut CologneInstance, CologneError> {
-        self.inner.instance_mut(node).ok_or_else(|| {
+        self.instances.get_mut(&node).ok_or_else(|| {
             CologneError::InvalidConfig(format!("deployment has no instance on {node}"))
         })
     }
@@ -188,10 +187,23 @@ impl Deployment {
     /// remote tuples into the network — the follow-up to a batch of handle
     /// writes.
     pub fn sync(&mut self, node: NodeId) {
-        if let Some(inst) = self.inner.instance_mut(node) {
+        if let Some(inst) = self.instances.get_mut(&node) {
             let outgoing = inst.run_rules();
-            self.inner.ship(node, outgoing);
+            self.ship(node, outgoing);
         }
+    }
+
+    /// Insert one validated fact at a node and immediately
+    /// [`Deployment::sync`] it (run rules, ship remote tuples).
+    pub fn insert(
+        &mut self,
+        node: NodeId,
+        relation: &str,
+        tuple: Tuple,
+    ) -> Result<(), CologneError> {
+        self.handle(node, relation)?.insert(tuple)?;
+        self.sync(node);
+        Ok(())
     }
 
     /// Execute one typed [`SolveRequest`], buffering any requested events
@@ -205,20 +217,14 @@ impl Deployment {
     /// wall-clock) the response is byte-identical across runs once
     /// normalized with [`SolveResponse::normalized`].
     pub fn solve(&mut self, request: &SolveRequest) -> Result<SolveResponse, CologneError> {
-        request.validate()?;
         let mut events = Vec::new();
         let mut dropped = 0u64;
-        let reports = match request.events {
-            None => self.solve_plain(request)?,
-            Some(opts) => {
-                let mut sink = BufferSink {
-                    events: &mut events,
-                    capacity: opts.capacity,
-                    dropped: &mut dropped,
-                };
-                self.solve_observed(request, opts, &mut sink)?
-            }
+        let mut sink = BufferSink {
+            events: &mut events,
+            capacity: request.events.map_or(0, |opts| opts.capacity),
+            dropped: &mut dropped,
         };
+        let reports = self.solve_streaming(request, &mut sink)?.reports;
         Ok(SolveResponse {
             reports,
             events,
@@ -232,16 +238,77 @@ impl Deployment {
     /// this is how the server cancels a solve whose client disconnected.
     /// Requests without event options run unobserved, exactly like
     /// [`Deployment::solve`].
+    ///
+    /// If a node fails, the first error in node order is returned and
+    /// nothing is shipped; local materializations that already happened on
+    /// other nodes are kept.
     pub fn solve_streaming(
         &mut self,
         request: &SolveRequest,
         sink: &mut dyn EventSink,
     ) -> Result<SolveResponse, CologneError> {
         request.validate()?;
-        let reports = match request.events {
-            None => self.solve_plain(request)?,
-            Some(opts) => self.solve_observed(request, opts, sink)?,
+        let target = request.target;
+        if let SolveTarget::Node(node) = target {
+            self.instance_checked(node)?;
+        }
+        let targeted = self
+            .instances
+            .iter_mut()
+            .filter(|(node, _)| target == SolveTarget::All || target == SolveTarget::Node(**node));
+        let results: Vec<(NodeId, Result<SolveReport, CologneError>)> = match request.events {
+            // Observed searches run one after another in node order, so the
+            // merged event stream is deterministic under deterministic
+            // limits. The incumbent counter and cancel flag are shared:
+            // `cancel_after_incumbents` counts globally and a cancellation
+            // keeps cancelling later nodes.
+            Some(opts) => {
+                let (mut incumbents, mut cancelled) = (0, false);
+                targeted
+                    .map(|(&node, inst)| {
+                        let mut observer = SinkObserver {
+                            node,
+                            sink: &mut *sink,
+                            incumbents: &mut incumbents,
+                            cancel_after: opts.cancel_after_incumbents,
+                            cancelled: &mut cancelled,
+                        };
+                        (node, inst.invoke_solver_with_observer(&mut observer))
+                    })
+                    .collect()
+            }
+            // One scoped thread per node: the per-node COPs are independent,
+            // and outputs still ship after every node finished, in node
+            // order — the sequential schedule, so reports and tables are
+            // bit-identical to it under deterministic limits.
+            None if request.parallel => std::thread::scope(|scope| {
+                let handles: Vec<_> = targeted
+                    .map(|(&node, inst)| (node, scope.spawn(move || inst.invoke_solver())))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|(node, handle)| {
+                        (
+                            node,
+                            handle.join().expect("per-node solver thread panicked"),
+                        )
+                    })
+                    .collect()
+            }),
+            None => targeted
+                .map(|(&node, inst)| (node, inst.invoke_solver()))
+                .collect(),
         };
+        let mut reports = BTreeMap::new();
+        for (node, result) in results {
+            reports.insert(node, result?);
+        }
+        if target == SolveTarget::All {
+            for (node, report) in reports.iter_mut() {
+                let outgoing = std::mem::take(&mut report.outgoing);
+                self.ship(*node, outgoing);
+            }
+        }
         Ok(SolveResponse {
             reports,
             events: Vec::new(),
@@ -249,273 +316,28 @@ impl Deployment {
         })
     }
 
-    /// The unobserved dispatch: plain sequential, parallel, or single-node.
-    fn solve_plain(
-        &mut self,
-        request: &SolveRequest,
-    ) -> Result<BTreeMap<NodeId, SolveReport>, CologneError> {
-        match request.target {
-            SolveTarget::All if request.parallel => self.inner.invoke_solvers_parallel(),
-            SolveTarget::All => self.inner.invoke_solvers(),
-            SolveTarget::Node(node) => {
-                let report = self.instance_checked(node)?.invoke_solver()?;
-                Ok(BTreeMap::from([(node, report)]))
-            }
-        }
-    }
-
-    /// The observed dispatch: thread a per-node [`SinkObserver`] through
-    /// every targeted search, sharing the incumbent counter and cancel flag
-    /// so `cancel_after_incumbents` counts globally and a cancellation keeps
-    /// cancelling later nodes — then finish exactly like the unobserved
-    /// paths (first error in node order aborts shipping, otherwise outgoing
-    /// tuples ship in ascending node order).
-    fn solve_observed(
-        &mut self,
-        request: &SolveRequest,
-        opts: EventOptions,
-        sink: &mut dyn EventSink,
-    ) -> Result<BTreeMap<NodeId, SolveReport>, CologneError> {
-        let mut incumbents = 0u64;
-        let mut cancelled = false;
-        match request.target {
-            SolveTarget::Node(node) => {
-                let mut observer = SinkObserver {
-                    node,
-                    sink,
-                    incumbents: &mut incumbents,
-                    cancel_after: opts.cancel_after_incumbents,
-                    cancelled: &mut cancelled,
-                };
-                let report = self
-                    .instance_checked(node)?
-                    .invoke_solver_with_observer(&mut observer)?;
-                Ok(BTreeMap::from([(node, report)]))
-            }
-            SolveTarget::All => {
-                let mut results = Vec::with_capacity(self.inner.num_instances());
-                for node in self.inner.nodes() {
-                    let mut observer = SinkObserver {
-                        node,
-                        sink,
-                        incumbents: &mut incumbents,
-                        cancel_after: opts.cancel_after_incumbents,
-                        cancelled: &mut cancelled,
-                    };
-                    let inst = self
-                        .inner
-                        .instance_mut(node)
-                        .expect("nodes() lists only existing instances");
-                    results.push((node, inst.invoke_solver_with_observer(&mut observer)));
-                }
-                let mut reports = BTreeMap::new();
-                for (node, result) in results {
-                    reports.insert(node, result?);
-                }
-                for (node, report) in reports.iter_mut() {
-                    let outgoing = std::mem::take(&mut report.outgoing);
-                    self.inner.ship(*node, outgoing);
-                }
-                Ok(reports)
-            }
-        }
-    }
-
     /// Every counter of the deployment in one serializable value: per-node
     /// pipeline/engine/search statistics plus the network-wide delivery
     /// counters. This is the snapshot the `cologne-serve` stats frame ships
     /// per tenant.
     pub fn stats(&self) -> StatsSnapshot {
-        let mut nodes = Vec::with_capacity(self.inner.num_instances());
-        for node in self.inner.nodes() {
-            let inst = self
-                .inner
-                .instance(node)
-                .expect("nodes() lists only existing instances");
-            nodes.push(NodeStats {
+        let nodes = self
+            .instances
+            .iter()
+            .map(|(&node, inst)| NodeStats {
                 node,
                 solver_invocations: inst.solver_invocations(),
                 pipeline: inst.pipeline_stats(),
                 engine: inst.engine_stats().clone(),
                 search_total: inst.cumulative_solver_stats().clone(),
                 last_search: inst.last_solver_stats().cloned(),
-            });
-        }
+            })
+            .collect();
         StatsSnapshot {
             nodes,
-            delivery: self.inner.delivery_stats(),
-            rejected_remote_tuples: self.inner.rejected_remote_tuples(),
+            delivery: self.delivery_stats(),
+            rejected_remote_tuples: self.rejected_remote_tuples,
         }
-    }
-
-    /// Invoke every node's solver in ascending node order and ship the
-    /// outputs — shorthand for [`Deployment::solve`] with
-    /// [`SolveRequest::all`].
-    pub fn invoke(&mut self) -> Result<BTreeMap<NodeId, SolveReport>, CologneError> {
-        self.inner.invoke_solvers()
-    }
-
-    /// [`Deployment::invoke`] with the per-node solves running concurrently
-    /// — shorthand for [`SolveRequest::all`]`.parallel()`.
-    pub fn invoke_parallel(&mut self) -> Result<BTreeMap<NodeId, SolveReport>, CologneError> {
-        self.inner.invoke_solvers_parallel()
-    }
-
-    /// Invoke the solver of one node without shipping its outputs (the
-    /// per-node equivalent of [`CologneInstance::invoke_solver`]; the
-    /// returned report keeps its `outgoing` tuples for the caller to route)
-    /// — shorthand for [`Deployment::solve`] with [`SolveRequest::at`].
-    pub fn invoke_at(&mut self, node: NodeId) -> Result<SolveReport, CologneError> {
-        self.instance_checked(node)?.invoke_solver()
-    }
-
-    /// Advance the simulated network until `limit`, delivering messages
-    /// (alias of [`DistributedCologne::run_messages_until`]).
-    pub fn tick(&mut self, limit: SimTime) -> u64 {
-        self.inner.run_messages_until(limit)
-    }
-
-    /// Convenience: insert one validated fact at a node and immediately
-    /// [`Deployment::sync`] it (run rules, ship remote tuples).
-    pub fn insert(
-        &mut self,
-        node: NodeId,
-        relation: &str,
-        tuple: Tuple,
-    ) -> Result<(), CologneError> {
-        self.handle(node, relation)?.insert(tuple)?;
-        self.sync(node);
-        Ok(())
-    }
-
-    // ----- named simulation-surface forwarders ------------------------------
-    //
-    // Explicit inherent forwarders onto the simulated network, so the
-    // dependency is visible at every call site. Anything not forwarded here
-    // is reachable through `network()` / `network_mut()`.
-
-    /// The underlying simulated network and instance map.
-    pub fn network(&self) -> &DistributedCologne {
-        &self.inner
-    }
-
-    /// Mutable access to the underlying simulated network.
-    pub fn network_mut(&mut self) -> &mut DistributedCologne {
-        &mut self.inner
-    }
-
-    /// Number of instances (one per topology node).
-    pub fn num_instances(&self) -> usize {
-        self.inner.num_instances()
-    }
-
-    /// The instance on `node`, if any.
-    pub fn instance(&self, node: NodeId) -> Option<&CologneInstance> {
-        self.inner.instance(node)
-    }
-
-    /// Mutable access to the instance on `node`, if any.
-    pub fn instance_mut(&mut self, node: NodeId) -> Option<&mut CologneInstance> {
-        self.inner.instance_mut(node)
-    }
-
-    /// Every node, in ascending order.
-    pub fn nodes(&self) -> Vec<NodeId> {
-        self.inner.nodes()
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.inner.now()
-    }
-
-    /// Per-node traffic accounting.
-    pub fn traffic(&self, node: NodeId) -> NodeTraffic {
-        self.inner.traffic(node)
-    }
-
-    /// Mean per-node communication overhead (Fig. 5's metric).
-    pub fn per_node_overhead_kbps(&self) -> f64 {
-        self.inner.per_node_overhead_kbps()
-    }
-
-    /// The network topology.
-    pub fn topology(&self) -> &Topology {
-        self.inner.topology()
-    }
-
-    /// Remote tuples rejected at reception by the destination's schema check.
-    pub fn rejected_remote_tuples(&self) -> u64 {
-        self.inner.rejected_remote_tuples()
-    }
-
-    /// Switch shipping to the at-least-once delivery layer.
-    pub fn enable_reliable_delivery(&mut self) {
-        self.inner.enable_reliable_delivery()
-    }
-
-    /// Install a seeded fault plan (also enables reliable delivery).
-    pub fn set_fault_plan(&mut self, plan: cologne_net::FaultPlan) {
-        self.inner.set_fault_plan(plan)
-    }
-
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&cologne_net::FaultPlan> {
-        self.inner.fault_plan()
-    }
-
-    /// Counters of the reliable-delivery layer.
-    pub fn delivery_stats(&self) -> DeliveryStats {
-        self.inner.delivery_stats()
-    }
-
-    /// Packets currently awaiting acknowledgement.
-    pub fn reliable_in_flight(&self) -> u64 {
-        self.inner.reliable_in_flight()
-    }
-
-    /// True while `node` is crashed under the fault plan.
-    pub fn is_down(&self, node: NodeId) -> bool {
-        self.inner.is_down(node)
-    }
-
-    /// Drain the crash/rejoin event log.
-    pub fn take_crash_log(&mut self) -> Vec<CrashEvent> {
-        self.inner.take_crash_log()
-    }
-
-    /// Run the network until `deadline` or quiescence; true on quiescence.
-    pub fn settle(&mut self, deadline: SimTime) -> bool {
-        self.inner.settle(deadline)
-    }
-
-    /// Wait for a crashed node to rejoin and resync, up to `deadline`.
-    pub fn await_node(&mut self, node: NodeId, deadline: SimTime) -> bool {
-        self.inner.await_node(node, deadline)
-    }
-
-    /// Schedule an application timer on `node`.
-    pub fn schedule_timer(&mut self, node: NodeId, delay: SimTime, tag: u64) {
-        self.inner.schedule_timer(node, delay, tag)
-    }
-
-    /// Ship located tuples from `from` into the network.
-    pub fn ship(&mut self, from: NodeId, tuples: Vec<cologne_datalog::RemoteTuple>) {
-        self.inner.ship(from, tuples)
-    }
-
-    /// Run the event loop until `limit`, delivering messages and invoking
-    /// `on_timer` for timer events; returns the number of events processed.
-    pub fn run_until<F>(&mut self, limit: SimTime, on_timer: F) -> u64
-    where
-        F: FnMut(&mut CologneInstance, u64) -> TimerOutcome,
-    {
-        self.inner.run_until(limit, on_timer)
-    }
-
-    /// Run the event loop until `limit`, delivering messages only.
-    pub fn run_messages_until(&mut self, limit: SimTime) -> u64 {
-        self.inner.run_messages_until(limit)
     }
 }
 
@@ -524,7 +346,7 @@ mod tests {
     use super::*;
     use crate::params::VarDomain;
     use cologne_datalog::Value;
-    use cologne_net::LinkProps;
+    use cologne_net::{LinkProps, SimTime};
     use cologne_solver::{Branching, ValueChoice};
 
     const ACLOUD: &str = r#"
@@ -560,7 +382,8 @@ mod tests {
                 .insert(vec![Value::Int(hid), Value::Int(0), Value::Int(0)])
                 .unwrap();
         }
-        let report = d.invoke_at(node).unwrap();
+        let response = d.solve(&SolveRequest::at(node)).unwrap();
+        let report = response.single().unwrap();
         assert!(report.feasible);
         assert_eq!(report.table("assign").len(), 4);
         // handle() with the explicit node reaches the same relation
@@ -583,7 +406,7 @@ mod tests {
             vec![Value::Addr(NodeId(0)), Value::Addr(NodeId(1))],
         )
         .unwrap();
-        let handled = d.tick(SimTime::from_secs(5));
+        let handled = d.run_messages_until(SimTime::from_secs(5));
         assert_eq!(handled, 1);
         assert!(d.instance(NodeId(1)).unwrap().contains(
             "pong",

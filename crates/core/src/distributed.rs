@@ -1,19 +1,22 @@
-//! Distributed deployment of Cologne instances over the simulated network.
+//! The network side of a [`Deployment`]: Cologne instances over the
+//! simulated network.
 //!
 //! In the paper's distributed mode (Fig. 1), one Cologne instance runs per
 //! node and instances exchange system state and optimization output through
-//! the declarative networking engine over ns-3. [`DistributedCologne`] wires
-//! one [`CologneInstance`] per topology node to the discrete-event simulator
-//! of `cologne-net`: located rule heads and solver outputs addressed to other
+//! the declarative networking engine over ns-3. A [`Deployment`] wires one
+//! [`CologneInstance`] per topology node to the discrete-event simulator of
+//! `cologne-net`: located rule heads and solver outputs addressed to other
 //! nodes become simulated messages with latency, bandwidth and per-node
-//! traffic accounting (the substrate for Fig. 4 and Fig. 5).
+//! traffic accounting (the substrate for Fig. 4 and Fig. 5). This module is
+//! the second `impl Deployment` block; construction and solving live in
+//! [`crate::deploy`].
 //!
 //! # Delivery guarantees
 //!
 //! By default tuples ride the simulated network bare, exactly once and in
 //! order — the network is perfect, so nothing more is needed and every
 //! pre-existing run stays byte-identical. Installing a fault plan
-//! ([`DistributedCologne::set_fault_plan`]) makes the network hostile
+//! ([`crate::DeploymentBuilder::faults`]) makes the network hostile
 //! (loss, duplication, reorder, partitions, crashes — see `cologne_net::fault`)
 //! and switches shipping to an **at-least-once delivery layer**:
 //!
@@ -51,10 +54,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use cologne_datalog::{NodeId, RemoteTuple, Tuple};
-use cologne_net::{Event, FaultPlan, NodeTraffic, SimTime, Simulator, Topology};
+use cologne_net::{Event, FaultPlan, NodeTraffic, SimTime, Topology};
 
-use crate::error::CologneError;
-use crate::instance::{CologneInstance, SolveReport};
+use crate::deploy::Deployment;
+use crate::instance::CologneInstance;
 
 /// Timer tag reserved for the delivery layer's retransmit timers. User
 /// timers must use tags below this value.
@@ -80,9 +83,8 @@ pub struct TimerOutcome {
     pub reschedule: Option<(SimTime, u64)>,
 }
 
-/// Counters of the at-least-once delivery layer, all zero until
-/// [`DistributedCologne::enable_reliable_delivery`] (or a fault plan)
-/// switches it on.
+/// Counters of the at-least-once delivery layer, all zero until a fault plan
+/// ([`crate::DeploymentBuilder::faults`]) switches it on.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeliveryStats {
     /// Sequenced data packets shipped (first transmissions only).
@@ -105,7 +107,7 @@ pub struct DeliveryStats {
     pub resync_tuples: u64,
 }
 
-/// One entry of [`DistributedCologne::take_crash_log`].
+/// One entry of [`Deployment::take_crash_log`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashEvent {
     /// The node that crashed or rejoined.
@@ -118,7 +120,7 @@ pub struct CrashEvent {
 
 /// What actually travels over the simulated network.
 #[derive(Debug, Clone, PartialEq)]
-enum Wire {
+pub(crate) enum Wire {
     /// A bare tuple (reliable delivery off — the default, byte-identical to
     /// the pre-fault-model runtime).
     Raw(RemoteTuple),
@@ -153,10 +155,8 @@ struct RecvChannel {
     buffer: BTreeMap<u64, RemoteTuple>,
 }
 
-#[derive(Debug)]
-struct ReliableDelivery {
-    rto_base: u64,
-    rto_max: u64,
+#[derive(Debug, Default)]
+pub(crate) struct ReliableDelivery {
     /// Sender state per directed channel `(from, to)`.
     send: BTreeMap<(NodeId, NodeId), SendChannel>,
     /// Receiver state per directed channel `(from, to)`.
@@ -173,48 +173,13 @@ struct ReliableDelivery {
 }
 
 impl ReliableDelivery {
-    fn new() -> Self {
-        ReliableDelivery {
-            rto_base: RTO_BASE_US,
-            rto_max: RTO_MAX_US,
-            send: BTreeMap::new(),
-            recv: BTreeMap::new(),
-            retx_armed: BTreeSet::new(),
-            incarnation: BTreeMap::new(),
-            outstanding: BTreeMap::new(),
-            stats: DeliveryStats::default(),
-        }
-    }
-
     fn epoch_of(&self, a: NodeId, b: NodeId) -> u64 {
         self.incarnation.get(&a).copied().unwrap_or(0)
             + self.incarnation.get(&b).copied().unwrap_or(0)
     }
 }
 
-/// A set of Cologne instances connected by a simulated network.
-pub struct DistributedCologne {
-    instances: BTreeMap<NodeId, CologneInstance>,
-    sim: Simulator<Wire>,
-    rejected_remote_tuples: u64,
-    reliable: Option<ReliableDelivery>,
-    crash_log: Vec<CrashEvent>,
-}
-
-impl DistributedCologne {
-    /// Wire explicitly constructed instances to a simulator (the shared tail
-    /// of the [`crate::DeploymentBuilder`] and the legacy constructors).
-    pub(crate) fn assemble(topology: Topology, instances: Vec<CologneInstance>) -> Self {
-        let map = instances.into_iter().map(|i| (i.node(), i)).collect();
-        DistributedCologne {
-            instances: map,
-            sim: Simulator::new(topology),
-            rejected_remote_tuples: 0,
-            reliable: None,
-            crash_log: Vec::new(),
-        }
-    }
-
+impl Deployment {
     /// Number of nodes with an instance.
     pub fn num_instances(&self) -> usize {
         self.instances.len()
@@ -264,25 +229,6 @@ impl DistributedCologne {
 
     // ----- fault model & reliable delivery -----------------------------------
 
-    /// Switch shipping to the at-least-once delivery layer (sequence
-    /// numbers, acks, retransmits, dedup). Implied by
-    /// [`DistributedCologne::set_fault_plan`]; can also be enabled alone to
-    /// measure the protocol overhead on a perfect network.
-    pub fn enable_reliable_delivery(&mut self) {
-        if self.reliable.is_none() {
-            self.reliable = Some(ReliableDelivery::new());
-        }
-    }
-
-    /// Install a fault plan on the simulated network and enable reliable
-    /// delivery to survive it. The quiet default plan injects nothing but
-    /// still exercises the full ack/retransmit machinery, so quiet and
-    /// hostile runs of the same workload are directly comparable.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.enable_reliable_delivery();
-        self.sim.set_fault_plan(plan);
-    }
-
     /// The installed fault plan, if any.
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
         self.sim.fault_plan()
@@ -297,7 +243,7 @@ impl DistributedCologne {
     /// shipped tuple has been delivered and acknowledged — the network is
     /// quiescent (out-of-order buffers are provably empty too: a buffered
     /// packet was acked, so a sequence gap implies an unacked packet).
-    pub fn reliable_in_flight(&self) -> u64 {
+    fn reliable_in_flight(&self) -> u64 {
         self.reliable
             .as_ref()
             .map(|r| r.send.values().map(|ch| ch.unacked.len() as u64).sum())
@@ -317,7 +263,7 @@ impl DistributedCologne {
     /// Run the event loop (messages, retransmits, crash events) until the
     /// network is quiescent — no data packet unacked — or `deadline` is
     /// reached. Returns true when quiescence was reached. With reliable
-    /// delivery disabled this is just [`DistributedCologne::run_messages_until`]
+    /// delivery disabled this is just [`Deployment::run_messages_until`]
     /// (a perfect network is quiescent once its queue drains).
     ///
     /// Unacked packets always have a retransmit timer pending, so this
@@ -345,8 +291,16 @@ impl DistributedCologne {
 
     /// Schedule a timer at a node. Tags must stay below [`RETX_TIMER_TAG`],
     /// which is reserved for the delivery layer.
+    ///
+    /// # Panics
+    ///
+    /// On `tag == RETX_TIMER_TAG`: such a timer would reach the retransmit
+    /// handler instead of the caller's, and be lost.
     pub fn schedule_timer(&mut self, node: NodeId, delay: SimTime, tag: u64) {
-        debug_assert!(tag < RETX_TIMER_TAG, "timer tag reserved for retransmits");
+        assert!(
+            tag < RETX_TIMER_TAG,
+            "timer tag {tag} is RETX_TIMER_TAG, reserved for the delivery layer's retransmits"
+        );
         self.sim.schedule_timer(node.0, delay, tag);
     }
 
@@ -388,7 +342,7 @@ impl DistributedCologne {
         });
         let seq = ch.next_seq;
         ch.next_seq += 1;
-        let next_retx = self.sim.now().plus_us(r.rto_base);
+        let next_retx = self.sim.now().plus_us(RTO_BASE_US);
         ch.unacked.insert(
             seq,
             PendingPacket {
@@ -412,92 +366,8 @@ impl DistributedCologne {
         );
         if r.retx_armed.insert(from) {
             self.sim
-                .schedule_timer(from.0, SimTime(r.rto_base), RETX_TIMER_TAG);
+                .schedule_timer(from.0, SimTime(RTO_BASE_US), RETX_TIMER_TAG);
         }
-    }
-
-    // ----- per-node solver invocation ---------------------------------------
-
-    /// Invoke every instance's solver, one node after another in ascending
-    /// node order. Solver outputs addressed to other nodes are shipped into
-    /// the simulated network (in node order, after all nodes finished) and
-    /// drained from the returned reports.
-    ///
-    /// Returns the per-node [`SolveReport`]s, or the first error in node
-    /// order. On error nothing is shipped; local materializations that
-    /// already happened on other nodes are kept (identical to the parallel
-    /// path).
-    pub fn invoke_solvers(&mut self) -> Result<BTreeMap<NodeId, SolveReport>, CologneError> {
-        let mut results = Vec::with_capacity(self.instances.len());
-        for (node, inst) in self.instances.iter_mut() {
-            results.push((*node, inst.invoke_solver()));
-        }
-        self.finish_invocations(results)
-    }
-
-    /// [`DistributedCologne::invoke_solvers`] with a streaming
-    /// [`cologne_solver::SolveObserver`] threaded through every node's
-    /// search. Nodes run sequentially in ascending node order, so under
-    /// deterministic limits the merged event stream is deterministic too.
-    /// An observer cancellation stops the node being solved (its instance
-    /// forgets its incremental caches) and still cancels every later node's
-    /// search as soon as it starts, since the observer keeps breaking.
-    pub fn invoke_solvers_observed(
-        &mut self,
-        observer: &mut dyn cologne_solver::SolveObserver,
-    ) -> Result<BTreeMap<NodeId, SolveReport>, CologneError> {
-        let mut results = Vec::with_capacity(self.instances.len());
-        for (node, inst) in self.instances.iter_mut() {
-            results.push((*node, inst.invoke_solver_with_observer(observer)));
-        }
-        self.finish_invocations(results)
-    }
-
-    /// [`DistributedCologne::invoke_solvers`], but with the per-node
-    /// grounding and solving running concurrently (one scoped thread per
-    /// node). The per-node COPs of the paper's distributed executions are
-    /// independent, so this is safe parallelism; the discrete-event network
-    /// stays deterministic because solver outputs are shipped only after
-    /// every node finished, in ascending node order — the same schedule as
-    /// the sequential path. Reports (and therefore tables) are bit-identical
-    /// to the sequential path as long as per-node search limits are
-    /// deterministic (node/fail limits rather than wall-clock limits).
-    pub fn invoke_solvers_parallel(
-        &mut self,
-    ) -> Result<BTreeMap<NodeId, SolveReport>, CologneError> {
-        let mut results = Vec::with_capacity(self.instances.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .instances
-                .iter_mut()
-                .map(|(node, inst)| (*node, scope.spawn(move || inst.invoke_solver())))
-                .collect();
-            for (node, handle) in handles {
-                results.push((
-                    node,
-                    handle.join().expect("per-node solver thread panicked"),
-                ));
-            }
-        });
-        self.finish_invocations(results)
-    }
-
-    /// Common tail of the sequential and parallel invocation paths: surface
-    /// the first error in node order, otherwise drain every report's
-    /// outgoing tuples into the network in node order.
-    fn finish_invocations(
-        &mut self,
-        results: Vec<(NodeId, Result<SolveReport, CologneError>)>,
-    ) -> Result<BTreeMap<NodeId, SolveReport>, CologneError> {
-        let mut reports = BTreeMap::new();
-        for (node, result) in results {
-            reports.insert(node, result?);
-        }
-        for (node, report) in reports.iter_mut() {
-            let outgoing = std::mem::take(&mut report.outgoing);
-            self.ship(*node, outgoing);
-        }
-        Ok(reports)
     }
 
     // ----- event loop ---------------------------------------------------------
@@ -656,7 +526,7 @@ impl DistributedCologne {
             for (seq, p) in ch.unacked.iter_mut() {
                 if p.next_retx <= now {
                     p.attempts += 1;
-                    let backoff = (r.rto_base << p.attempts.min(10)).min(r.rto_max);
+                    let backoff = (RTO_BASE_US << p.attempts.min(10)).min(RTO_MAX_US);
                     p.next_retx = now.plus_us(backoff);
                     to_send.push((*to, ch.epoch, *seq, p.tuple.clone()));
                 }
@@ -745,8 +615,7 @@ impl DistributedCologne {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deploy::{Deployment, DeploymentBuilder};
-    use crate::params::ProgramParams;
+    use crate::deploy::DeploymentBuilder;
     use cologne_datalog::Value;
     use cologne_net::{LinkFaults, LinkProps};
 
@@ -756,14 +625,20 @@ mod tests {
         r1 pong(@Y,X) <- ping(@X,Y).
     "#;
 
-    fn two_node_driver() -> Deployment {
-        DeploymentBuilder::new(PING)
-            .topology(Topology::line(2, LinkProps::default()))
-            .build()
-            .unwrap()
+    fn two_node_builder() -> DeploymentBuilder {
+        DeploymentBuilder::new(PING).topology(Topology::line(2, LinkProps::default()))
     }
 
-    fn ship_ping(d: &mut DistributedCologne, n: i64) {
+    fn two_node_driver() -> Deployment {
+        two_node_builder().build().unwrap()
+    }
+
+    /// [`two_node_driver`] over a network running `plan`.
+    fn hostile_two_node(plan: FaultPlan) -> Deployment {
+        two_node_builder().faults(plan).build().unwrap()
+    }
+
+    fn ship_ping(d: &mut Deployment, n: i64) {
         for i in 0..n {
             d.ship(
                 NodeId(0),
@@ -863,16 +738,24 @@ mod tests {
         ));
     }
 
+    /// A user timer must never be able to take the retransmit tag: it would
+    /// reach `on_retx` instead of the caller's handler and be lost.
+    #[test]
+    #[should_panic(expected = "reserved for the delivery layer")]
+    fn user_timers_cannot_take_the_retransmit_tag() {
+        two_node_driver().schedule_timer(NodeId(0), SimTime::from_secs(1), RETX_TIMER_TAG);
+    }
+
     #[test]
     fn sparse_deployments_drop_messages_to_missing_nodes() {
-        // Topology nodes without an instance are allowed; messages addressed
-        // to them are dropped without panicking.
-        let topo = Topology::line(3, LinkProps::default());
-        let instances = vec![
-            CologneInstance::new(NodeId(0), PING, ProgramParams::new()).unwrap(),
-            CologneInstance::new(NodeId(2), PING, ProgramParams::new()).unwrap(),
-        ];
-        let mut d = DistributedCologne::assemble(topo, instances);
+        // Messages addressed to a topology node without an instance are
+        // dropped without panicking. The builder puts an instance on every
+        // topology node, so take one away by hand.
+        let mut d = DeploymentBuilder::new(PING)
+            .topology(Topology::line(3, LinkProps::default()))
+            .build()
+            .unwrap();
+        d.instances.remove(&NodeId(1));
         assert_eq!(d.nodes(), vec![NodeId(0), NodeId(2)]);
         assert!(d.instance(NodeId(1)).is_none());
         assert!(d.instance_mut(NodeId(2)).is_some());
@@ -892,12 +775,11 @@ mod tests {
 
     #[test]
     fn reliable_delivery_survives_heavy_loss() {
-        let mut d = two_node_driver();
-        d.set_fault_plan(FaultPlan::seeded(3).link_faults(LinkFaults {
+        let mut d = hostile_two_node(FaultPlan::seeded(3).link_faults(LinkFaults {
             loss: 0.5,
             ..Default::default()
         }));
-        ship_ping(d.network_mut(), 20);
+        ship_ping(&mut d, 20);
         assert!(d.settle(SimTime::from_secs(60)), "must reach quiescence");
         assert_eq!(d.instance(NodeId(1)).unwrap().scan("ping").count(), 20);
         let stats = d.delivery_stats();
@@ -908,12 +790,11 @@ mod tests {
 
     #[test]
     fn duplicates_are_deduplicated_at_the_receiver() {
-        let mut d = two_node_driver();
-        d.set_fault_plan(FaultPlan::seeded(4).link_faults(LinkFaults {
+        let mut d = hostile_two_node(FaultPlan::seeded(4).link_faults(LinkFaults {
             duplicate: 1.0,
             ..Default::default()
         }));
-        ship_ping(d.network_mut(), 10);
+        ship_ping(&mut d, 10);
         assert!(d.settle(SimTime::from_secs(60)));
         assert_eq!(d.instance(NodeId(1)).unwrap().scan("ping").count(), 10);
         let stats = d.delivery_stats();
@@ -923,12 +804,11 @@ mod tests {
 
     #[test]
     fn jitter_reorder_is_masked_by_in_order_delivery() {
-        let mut d = two_node_driver();
-        d.set_fault_plan(FaultPlan::seeded(7).link_faults(LinkFaults {
+        let mut d = hostile_two_node(FaultPlan::seeded(7).link_faults(LinkFaults {
             jitter_us: 200_000,
             ..Default::default()
         }));
-        ship_ping(d.network_mut(), 30);
+        ship_ping(&mut d, 30);
         assert!(d.settle(SimTime::from_secs(60)));
         assert_eq!(d.instance(NodeId(1)).unwrap().scan("ping").count(), 30);
         assert!(
@@ -939,13 +819,12 @@ mod tests {
 
     #[test]
     fn partition_heals_and_traffic_completes() {
-        let mut d = two_node_driver();
-        d.set_fault_plan(FaultPlan::seeded(8).partition(
+        let mut d = hostile_two_node(FaultPlan::seeded(8).partition(
             vec![0],
             SimTime::ZERO,
             SimTime::from_secs(2),
         ));
-        ship_ping(d.network_mut(), 5);
+        ship_ping(&mut d, 5);
         // cannot settle inside the partition window
         assert!(!d.settle(SimTime::from_secs(1)));
         assert_eq!(d.instance(NodeId(1)).unwrap().scan("ping").count(), 0);
@@ -956,13 +835,12 @@ mod tests {
 
     #[test]
     fn crash_drops_remote_state_and_rejoin_resyncs_it() {
-        let mut d = two_node_driver();
-        d.set_fault_plan(FaultPlan::seeded(9).crash(
+        let mut d = hostile_two_node(FaultPlan::seeded(9).crash(
             1,
             SimTime::from_secs(5),
             SimTime::from_secs(10),
         ));
-        ship_ping(d.network_mut(), 4);
+        ship_ping(&mut d, 4);
         assert!(d.settle(SimTime::from_secs(3)));
         assert_eq!(d.instance(NodeId(1)).unwrap().scan("ping").count(), 4);
 
@@ -1034,8 +912,7 @@ mod tests {
     #[test]
     fn quiet_plan_reliable_run_is_deterministic() {
         let run = || {
-            let mut d = two_node_driver();
-            d.set_fault_plan(
+            let mut d = hostile_two_node(
                 FaultPlan::seeded(12)
                     .link_faults(LinkFaults {
                         loss: 0.3,
@@ -1044,7 +921,7 @@ mod tests {
                     })
                     .crash(1, SimTime::from_secs(2), SimTime::from_secs(4)),
             );
-            ship_ping(d.network_mut(), 25);
+            ship_ping(&mut d, 25);
             let settled = d.settle(SimTime::from_secs(120));
             (
                 settled,

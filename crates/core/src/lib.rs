@@ -17,9 +17,10 @@
 //!   grounds the solver rules into a COP, solves it under the configured
 //!   time budget and materializes the result back into the tables
 //!   (Sec. 5.1–5.4 of the paper).
-//! * [`DistributedCologne`] — several instances connected by the simulated
-//!   network of [`cologne_net`], exchanging located tuples and solver
-//!   outputs (Sec. 5.5, "simulation mode" of Sec. 6).
+//! * [`Deployment`] — one instance per topology node connected by the
+//!   simulated network of [`cologne_net`], exchanging located tuples and
+//!   solver outputs (Sec. 5.5, "simulation mode" of Sec. 6); a centralized
+//!   system is a one-node topology.
 //!
 //! ## Quickstart
 //!
@@ -30,7 +31,7 @@
 //! [`solver::SolveObserver`] events for long solves.
 //!
 //! ```
-//! use cologne::{DeploymentBuilder, ProgramParams, VarDomain};
+//! use cologne::{DeploymentBuilder, ProgramParams, SolveRequest, VarDomain};
 //! use cologne::datalog::Value;
 //!
 //! // The ACloud load-balancing policy from Sec. 4.2, verbatim.
@@ -64,7 +65,8 @@
 //! assert!(node.relation("vmm").is_err()); // did you mean 'vm'?
 //!
 //! let target = node.single_node().unwrap();
-//! let report = node.invoke_at(target).unwrap();
+//! let response = node.solve(&SolveRequest::at(target)).unwrap();
+//! let report = response.single().unwrap();
 //! assert!(report.feasible);
 //! // every VM placed exactly once
 //! for vid in [1i64, 2] {
@@ -89,9 +91,7 @@ pub mod stats;
 pub mod translate;
 
 pub use deploy::{Deployment, DeploymentBuilder};
-pub use distributed::{
-    CrashEvent, DeliveryStats, DistributedCologne, TimerOutcome, RETX_TIMER_TAG,
-};
+pub use distributed::{CrashEvent, DeliveryStats, TimerOutcome, RETX_TIMER_TAG};
 pub use error::CologneError;
 pub use ground::{ground, GroundedCop, GroundingPlan, GroundingScratch};
 pub use handle::RelationHandle;

@@ -1,10 +1,6 @@
 //! The typed solve entry point: [`SolveRequest`] → [`SolveResponse`].
 //!
-//! Historically a deployment exposed an ad-hoc family of solve calls —
-//! `invoke`, `invoke_parallel`, `invoke_at`, plus `*_with_observer` variants
-//! taking a raw [`SolveObserver`] — and remote callers had no way to express
-//! "solve this, stream me the incumbents" as data. This module folds the
-//! family into one request/response pair that is used identically in-process
+//! One request/response pair is used identically in-process
 //! ([`crate::Deployment::solve`]) and over the `cologne-serve` wire protocol:
 //!
 //! * [`SolveRequest`] — which nodes to solve ([`SolveTarget`]), whether the
@@ -38,7 +34,7 @@ pub enum SolveTarget {
     /// other nodes are shipped into the network afterwards (in node order).
     All,
     /// One node only; its outgoing tuples are *kept* in the report for the
-    /// caller to route, matching the historical `invoke_at` contract.
+    /// caller to route, as [`crate::CologneInstance::invoke_solver`] does.
     Node(NodeId),
 }
 

@@ -38,8 +38,8 @@ pub struct StatsSnapshot {
     /// Per-node counters in ascending node order.
     pub nodes: Vec<NodeStats>,
     /// Reliable-delivery counters of the simulated network (all zero until
-    /// [`crate::DistributedCologne::enable_reliable_delivery`] or a fault
-    /// plan switches shipping to the ack/retry layer).
+    /// a fault plan, [`crate::DeploymentBuilder::faults`], switches shipping
+    /// to the ack/retry layer).
     pub delivery: DeliveryStats,
     /// Remote tuples rejected at reception because they failed the
     /// destination node's schema check.

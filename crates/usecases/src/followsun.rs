@@ -21,7 +21,7 @@ use cologne::net::{FaultPlan, LinkProps, SimTime, Topology};
 
 use crate::hostile::hostile_barrier;
 use cologne::solver::{SearchStats, ValueChoice};
-use cologne::{Deployment, DeploymentBuilder, DistributedCologne, ProgramParams, VarDomain};
+use cologne::{Deployment, DeploymentBuilder, ProgramParams, VarDomain};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -276,7 +276,7 @@ fn node_facts(workload: &FollowSunWorkload, node: u32) -> Vec<(&'static str, Vec
 }
 
 /// Refresh the `curVm` table of one node from the workload state.
-fn refresh_curvm(driver: &mut DistributedCologne, workload: &FollowSunWorkload, node: u32) {
+fn refresh_curvm(driver: &mut Deployment, workload: &FollowSunWorkload, node: u32) {
     let n = workload.alloc.len();
     let rows: Vec<Vec<Value>> = (0..n)
         .map(|d| {
@@ -304,7 +304,7 @@ fn refresh_curvm(driver: &mut DistributedCologne, workload: &FollowSunWorkload, 
 ///
 /// `run_followsun` drives the paper's one-link-at-a-time negotiation on top
 /// of this; tests use it to exercise per-node solver invocations directly
-/// (e.g. [`cologne::DistributedCologne::invoke_solvers_parallel`]).
+/// (e.g. [`cologne::Deployment::solve`] with `SolveRequest::all().parallel()`).
 pub fn build_followsun_deployment(
     config: &FollowSunConfig,
     workload: &FollowSunWorkload,
@@ -483,8 +483,8 @@ pub fn run_followsun(config: &FollowSunConfig) -> FollowSunOutcome {
         driver.ship(NodeId(initiator), outgoing);
 
         // Paper rule r3: both endpoints update their allocations.
-        refresh_curvm(driver.network_mut(), &workload, initiator);
-        refresh_curvm(driver.network_mut(), &workload, peer);
+        refresh_curvm(&mut driver, &workload, initiator);
+        refresh_curvm(&mut driver, &workload, peer);
         driver
             .instance_mut(NodeId(initiator))
             .expect("initiator")

@@ -1,5 +1,5 @@
 //! Shared synchronization helper for driving distributed negotiations over
-//! a faulty network (see `cologne::DistributedCologne::set_fault_plan`).
+//! a faulty network (see `cologne::DeploymentBuilder::faults`).
 
 use cologne::datalog::NodeId;
 use cologne::net::SimTime;

@@ -23,7 +23,7 @@ use cologne::net::{FaultPlan, LinkProps, NodeTraffic, SimTime, Topology};
 use cologne::solver::Branching;
 use cologne::{
     CologneInstance, CrashEvent, DeliveryStats, Deployment, DeploymentBuilder, ProgramParams,
-    VarDomain,
+    SolveRequest, VarDomain,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -738,9 +738,10 @@ pub fn networked_distributed_assignment(
             // so the rejoin re-sync has landed too).
             barrier(&mut driver, fault_horizon, [initiator, peer]);
 
-            let channel = driver
-                .invoke_at(NodeId(initiator))
-                .ok()
+            let response = driver.solve(&SolveRequest::at(NodeId(initiator))).ok();
+            let channel = response
+                .as_ref()
+                .and_then(|response| response.single())
                 .filter(|r| r.feasible && !r.trivial)
                 .and_then(|r| {
                     r.table("assign")

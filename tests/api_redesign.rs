@@ -20,7 +20,7 @@ use cologne::datalog::{NodeId, RemoteTuple, Tuple, Value};
 use cologne::net::{LinkProps, SimTime, Topology};
 use cologne::{
     CologneError, CologneInstance, DeploymentBuilder, EventLog, ProgramParams, SolveEvent,
-    SolveReport, SolverMode, VarDomain,
+    SolveReport, SolveRequest, SolverMode, StatsSnapshot, VarDomain,
 };
 use cologne_usecases::programs::{ACLOUD_CENTRALIZED, FOLLOWSUN_DISTRIBUTED, WIRELESS_CENTRALIZED};
 use cologne_usecases::{large_acloud_instance, LargeAcloudConfig};
@@ -176,7 +176,11 @@ fn acloud_builder_matches_direct_instance_byte_for_byte() {
         for (rel, tuple) in &facts {
             d.relation(rel).unwrap().insert(tuple.clone()).unwrap();
         }
-        d.invoke_at(node).unwrap()
+        d.solve(&SolveRequest::at(node))
+            .unwrap()
+            .reports
+            .remove(&node)
+            .unwrap()
     };
 
     assert_eq!(normalized(&direct), normalized(&new), "acloud");
@@ -216,7 +220,11 @@ fn wireless_builder_matches_direct_instance_byte_for_byte() {
         for (rel, tuple) in &facts {
             d.relation(rel).unwrap().insert(tuple.clone()).unwrap();
         }
-        d.invoke_at(node).unwrap()
+        d.solve(&SolveRequest::at(node))
+            .unwrap()
+            .reports
+            .remove(&node)
+            .unwrap()
     };
 
     assert_eq!(normalized(&direct), normalized(&new), "wireless");
@@ -280,8 +288,8 @@ fn followsun_base_params_match_per_node_overrides_byte_for_byte() {
         }
         let (rel, tuple) = set_link(0);
         d.insert(NodeId(1), rel, tuple).unwrap();
-        d.tick(SimTime::from_secs(2));
-        d.invoke().unwrap()
+        d.run_messages_until(SimTime::from_secs(2));
+        d.solve(&SolveRequest::all()).unwrap().reports
     };
 
     let homogeneous = run(DeploymentBuilder::new(FOLLOWSUN_DISTRIBUTED).params(params.clone()));
@@ -306,8 +314,6 @@ fn followsun_base_params_match_per_node_overrides_byte_for_byte() {
 // ---------------------------------------------------------------------------
 // 4. the typed solve entry point vs the raw per-instance observer
 // ---------------------------------------------------------------------------
-
-use cologne::{SolveRequest, StatsSnapshot};
 
 fn acloud_deployment_with_facts() -> cologne::Deployment {
     let mut d = DeploymentBuilder::new(ACLOUD_CENTRALIZED)
@@ -362,10 +368,11 @@ fn solve_request_matches_raw_observer_entry_point() {
 
 #[test]
 fn solve_request_without_events_matches_invoke() {
+    // the raw per-instance entry point...
     let plain = {
         let mut d = acloud_deployment_with_facts();
         let node = d.single_node().unwrap();
-        normalized(&d.invoke_at(node).unwrap())
+        normalized(&d.instance_mut(node).unwrap().invoke_solver().unwrap())
     };
     let typed = {
         let mut d = acloud_deployment_with_facts();

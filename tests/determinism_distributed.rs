@@ -1,5 +1,5 @@
 //! Determinism tests for the distributed layer: the combination of
-//! per-node solving on scoped threads (`invoke_solvers_parallel`), the
+//! per-node solving on scoped threads (`SolveRequest::all().parallel()`), the
 //! discrete-event simulator, and — new in this PR — the LNS solver mode must
 //! be a pure function of (program, workload seed, solver seed). Two
 //! independent runs are compared fingerprint-for-fingerprint: per-node
@@ -11,7 +11,8 @@ use cologne::datalog::{NodeId, RemoteTuple, Value};
 use cologne::net::{FaultPlan, LinkFaults, LinkProps, NodeTraffic, SimTime, Topology};
 use cologne::solver::{Branching, LnsConfig};
 use cologne::{
-    CologneInstance, DeploymentBuilder, DistributedCologne, ProgramParams, SolverMode, VarDomain,
+    CologneInstance, Deployment, DeploymentBuilder, ProgramParams, SolveRequest, SolverMode,
+    VarDomain,
 };
 use cologne_usecases::programs::ACLOUD_CENTRALIZED;
 use cologne_usecases::{build_followsun_deployment, FollowSunConfig, FollowSunWorkload};
@@ -30,7 +31,7 @@ type Fingerprint = BTreeMap<
 >;
 
 fn fingerprint(
-    driver: &DistributedCologne,
+    driver: &Deployment,
     reports: &BTreeMap<NodeId, cologne::SolveReport>,
 ) -> Fingerprint {
     reports
@@ -87,9 +88,12 @@ fn run_followsun_parallel(config: &FollowSunConfig) -> Fingerprint {
             .unwrap();
     }
     driver.run_messages_until(SimTime::from_secs(60));
-    let reports = driver.invoke_parallel().expect("per-node COPs solve");
+    let reports = driver
+        .solve(&SolveRequest::all().parallel())
+        .expect("per-node COPs solve")
+        .reports;
     driver.run_messages_until(SimTime::from_secs(120));
-    fingerprint(driver.network(), &reports)
+    fingerprint(&driver, &reports)
 }
 
 #[test]
@@ -214,7 +218,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// `invoke_solvers_parallel` composed with hostile delivery stays a pure
+    /// Parallel per-node solving composed with hostile delivery stays a pure
     /// function of (workload, fault seed): the whole Follow-the-Sun parallel
     /// negotiation — base-fact shipping through loss/duplication/reorder, an
     /// optional crash/rejoin resync, scoped-thread solving, solver-output
@@ -295,8 +299,11 @@ fn run_lns_deployment(lns_seed: u64) -> Fingerprint {
                 .unwrap();
         }
     }
-    let reports = driver.invoke_parallel().expect("per-node LNS COPs solve");
-    fingerprint(driver.network(), &reports)
+    let reports = driver
+        .solve(&SolveRequest::all().parallel())
+        .expect("per-node LNS COPs solve")
+        .reports;
+    fingerprint(&driver, &reports)
 }
 
 #[test]

@@ -1,10 +1,13 @@
 //! Regression tests for the staged solve pipeline: grounding-plan reuse
 //! across repeated `invokeSolver` executions, deterministic repeat solves,
-//! and the parallel per-node invocation path producing byte-identical state
-//! to the sequential one on the Follow-the-Sun deployment.
+//! and the parallel and observed per-node invocation paths producing
+//! byte-identical state to the sequential one on the Follow-the-Sun
+//! deployment.
 
 use cologne::datalog::{NodeId, Value};
-use cologne::{CologneInstance, Deployment, ProgramParams, SolveReport, VarDomain};
+use cologne::{
+    CologneInstance, Deployment, ProgramParams, SolveReport, SolveRequest, SolveResponse, VarDomain,
+};
 use cologne_usecases::{build_followsun_deployment, FollowSunConfig, FollowSunWorkload};
 
 const ACLOUD: &str = r#"
@@ -187,69 +190,118 @@ fn deployment_with_negotiations() -> Deployment {
 
 #[test]
 fn parallel_solver_invocation_matches_sequential_byte_for_byte() {
-    // Two identical deployments of the Follow-the-Sun program; one invokes
-    // the per-node solvers sequentially, the other concurrently.
-    let mut sequential = deployment_with_negotiations();
-    let mut parallel = deployment_with_negotiations();
-
-    let seq_reports = sequential.invoke().expect("sequential invocation succeeds");
-    let par_reports = parallel
-        .invoke_parallel()
-        .expect("parallel invocation succeeds");
-
-    assert_eq!(seq_reports.len(), 4);
-    assert_eq!(
-        seq_reports.keys().collect::<Vec<_>>(),
-        par_reports.keys().collect::<Vec<_>>(),
-        "same set of nodes"
+    // Three identical deployments of the Follow-the-Sun program solve every
+    // node: sequentially, concurrently, and sequentially with events.
+    let requests = [
+        SolveRequest::all(),
+        SolveRequest::all().parallel(),
+        SolveRequest::all().with_events(1024),
+    ];
+    let runs: Vec<(Deployment, SolveResponse)> = requests
+        .iter()
+        .map(|request| {
+            let mut driver = deployment_with_negotiations();
+            let response = driver.solve(request).expect("invocation succeeds");
+            (driver, response)
+        })
+        .collect();
+    assert!(
+        !runs[2].1.events.is_empty(),
+        "the observed run streams events"
     );
-    let mut solved = 0;
-    for (node, seq) in &seq_reports {
-        let par = &par_reports[node];
-        assert_reports_identical(seq, par, &format!("node {node:?}"));
-        if seq.feasible && !seq.trivial {
-            solved += 1;
-        }
-    }
+    let (sequential, seq_response) = &runs[0];
+    let seq_reports = &seq_response.reports;
+    assert_eq!(seq_reports.len(), 4);
+    let solved = seq_reports
+        .values()
+        .filter(|r| r.feasible && !r.trivial)
+        .count();
     assert!(solved > 0, "at least one node must have solved a real COP");
 
-    // Every table on every node must be byte-identical, including the
-    // materialized solver outputs and anything derived from them.
-    for node in sequential.nodes() {
-        let s = sequential.instance(node).unwrap();
-        let p = parallel.instance(node).unwrap();
+    for (other, response) in &runs[1..] {
         assert_eq!(
-            s.relation_names(),
-            p.relation_names(),
-            "node {node:?}: relation sets"
+            seq_reports.keys().collect::<Vec<_>>(),
+            response.reports.keys().collect::<Vec<_>>(),
+            "same set of nodes"
         );
-        for rel in s.relation_names() {
-            let mut st: Vec<_> = s.scan(rel).cloned().collect();
-            let mut pt: Vec<_> = p.scan(rel).cloned().collect();
-            st.sort();
-            pt.sort();
-            assert_eq!(st, pt, "node {node:?}: relation {rel} diverged");
+        for (node, seq) in seq_reports {
+            assert_reports_identical(seq, &response.reports[node], &format!("node {node:?}"));
+        }
+        let reports_only = |r: &SolveResponse| SolveResponse {
+            events: Vec::new(),
+            ..r.clone()
+        };
+        assert_eq!(
+            reports_only(seq_response).normalized(),
+            reports_only(response).normalized()
+        );
+
+        // Every table on every node must be byte-identical, including the
+        // materialized solver outputs and anything derived from them.
+        for node in sequential.nodes() {
+            let s = sequential.instance(node).unwrap();
+            let o = other.instance(node).unwrap();
+            assert_eq!(
+                s.relation_names(),
+                o.relation_names(),
+                "node {node:?}: relation sets"
+            );
+            for rel in s.relation_names() {
+                let mut st: Vec<_> = s.scan(rel).cloned().collect();
+                let mut ot: Vec<_> = o.scan(rel).cloned().collect();
+                st.sort();
+                ot.sort();
+                assert_eq!(st, ot, "node {node:?}: relation {rel} diverged");
+            }
+        }
+
+        // The deterministic network also stayed in lockstep: same virtual
+        // time, same per-node traffic counters.
+        assert_eq!(sequential.now(), other.now());
+        for node in sequential.nodes() {
+            assert_eq!(
+                sequential.traffic(node),
+                other.traffic(node),
+                "node {node:?}: traffic"
+            );
         }
     }
+}
 
-    // The deterministic network also stayed in lockstep: same virtual time,
-    // same per-node traffic counters.
-    assert_eq!(sequential.now(), parallel.now());
-    for node in sequential.nodes() {
-        let st = sequential.traffic(node);
-        let pt = parallel.traffic(node);
-        assert_eq!(st.bytes_sent, pt.bytes_sent, "node {node:?}: bytes_sent");
-        assert_eq!(
-            st.bytes_received, pt.bytes_received,
-            "node {node:?}: bytes_received"
-        );
+#[test]
+fn single_node_request_keeps_outgoing_and_ships_nothing() {
+    // `SolveRequest::at(n)` is the raw per-instance solve: the report keeps
+    // its `outgoing` tuples for the caller to route, nothing enters the
+    // network.
+    let mut driver = deployment_with_negotiations();
+    let mut twin = deployment_with_negotiations();
+    let network = |d: &Deployment| {
+        let traffic: Vec<_> = d.nodes().into_iter().map(|n| d.traffic(n)).collect();
+        (d.now(), traffic)
+    };
+    for node in driver.nodes() {
+        let before = network(&driver);
+        let response = driver
+            .solve(&SolveRequest::at(node))
+            .expect("invocation succeeds");
+        assert_eq!(before, network(&driver), "solving {node:?} ships nothing");
+        let raw = twin
+            .instance_mut(node)
+            .unwrap()
+            .invoke_solver()
+            .expect("invocation succeeds");
+        // compares `outgoing` too
+        assert_reports_identical(response.single().unwrap(), &raw, &format!("node {node:?}"));
     }
 }
 
 #[test]
 fn parallel_invocation_ships_solver_outputs_once() {
     let mut driver = deployment_with_negotiations();
-    let reports = driver.invoke_parallel().expect("invocation succeeds");
+    let reports = driver
+        .solve(&SolveRequest::all().parallel())
+        .expect("invocation succeeds")
+        .reports;
     // Outgoing tuples are drained into the network by the call itself.
     for report in reports.values() {
         assert!(
