@@ -16,7 +16,7 @@ use cologne_colog::{
     analyze, localize_rules, parse_program, Analysis, Program, RuleClass, SchemaCatalog,
 };
 use cologne_datalog::{Engine, NodeId, RemoteTuple, Tuple};
-use cologne_solver::{BoundCertificate, SearchStats, SolveObserver};
+use cologne_solver::{BoundCertificate, SearchStats, SolveObserver, StopReason};
 
 use crate::error::CologneError;
 use crate::ground::GroundedCop;
@@ -36,8 +36,9 @@ pub struct SolveReport {
     /// `STDEV` goals this is the scaled variance `n·Σx² − (Σx)²`, which has
     /// the same argmin; see `cologne_solver::Model::scaled_variance_var`).
     pub objective: Option<i64>,
-    /// True if the search proved optimality / exhausted the space before any
-    /// limit was reached.
+    /// True if the search stopped with [`StopReason::Complete`]: it proved
+    /// optimality (or infeasibility), or found the requested solutions of a
+    /// `satisfy` goal, before any limit was reached.
     pub proven_optimal: bool,
     /// Search statistics for this invocation.
     pub stats: SearchStats,
@@ -464,7 +465,8 @@ impl CologneInstance {
         }
         let outcome = self.pipeline.solve_observed(&cop, &self.params, observer);
         self.cumulative_stats.merge(&outcome.stats);
-        let cancelled = outcome.stats.cancelled;
+        let cancelled = outcome.stop == StopReason::Cancelled;
+        let proven_optimal = outcome.stop == StopReason::Complete;
         let Some(best) = outcome.best else {
             self.pipeline.recycle(cop);
             if cancelled {
@@ -474,7 +476,7 @@ impl CologneInstance {
                 feasible: false,
                 trivial: false,
                 objective: None,
-                proven_optimal: outcome.complete,
+                proven_optimal,
                 stats: outcome.stats,
                 certificate: outcome.certificate,
                 assignments: BTreeMap::new(),
@@ -512,7 +514,7 @@ impl CologneInstance {
             feasible: true,
             trivial: false,
             objective,
-            proven_optimal: outcome.complete,
+            proven_optimal,
             stats: outcome.stats,
             certificate: outcome.certificate,
             assignments,

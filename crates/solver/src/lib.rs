@@ -33,6 +33,7 @@
 //! ```
 
 pub mod bounds;
+mod budget;
 pub mod domain;
 pub mod expr;
 pub mod lns;
@@ -50,6 +51,7 @@ pub use bounds::{
     compute_root_bound, optimality_gap, BoundCertificate, BoundMode, DualBound, LinearRelaxation,
     RelaxedMerge,
 };
+pub use budget::StopReason;
 pub use domain::Domain;
 pub use expr::LinExpr;
 pub use lns::{DestroyStrategy, LnsConfig, SolverMode};

@@ -41,14 +41,16 @@
 //!
 //! # Termination and optimality
 //!
-//! The driver stops on the caller's limits ([`crate::SearchConfig`] node /
-//! fail / time limits, [`LnsConfig::max_iterations`]). Two situations prove
-//! the incumbent *optimal* and set `complete = true` on the outcome: a
-//! repair with the **full** neighborhood destroyed that exhausts its search
-//! without hitting a budget, and a freeze whose improving bound conflicts at
-//! the root with nothing frozen. Stalled iterations grow both the fail
-//! budget and the neighborhood geometrically, so in the absence of limits
-//! the driver always terminates with a proof.
+//! The driver checks the solve's budget (the [`crate::SearchConfig`] node,
+//! fail, time, gap and solution limits) at every iteration boundary, and
+//! stops at [`LnsConfig::max_iterations`]. Every dive and repair runs on a
+//! child of that budget, so none can spend past it. Two situations prove
+//! the incumbent *optimal* and stop with [`StopReason::Complete`]: a repair
+//! with the **full** neighborhood destroyed that exhausts its search without
+//! hitting a budget, and a freeze whose improving bound conflicts at the root
+//! with nothing frozen. Stalled iterations grow both the fail budget and the
+//! neighborhood geometrically, so in the absence of limits the driver always
+//! terminates with a proof.
 //!
 //! # Determinism
 //!
@@ -61,16 +63,18 @@
 //! schedule-dependent stopping rule; use node limits for reproducible runs).
 
 use std::collections::BTreeSet;
-use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::bounds::{self, BoundCertificate, BoundMode};
+use crate::bounds;
+use crate::budget::{Budget, Slice, StopReason};
 use crate::model::{Model, VarId};
 use crate::observe::{notify, SolveObserver};
 use crate::restart::GeometricRestarts;
-use crate::search::{self, Branching, Objective, SearchConfig, SearchOutcome, SearchSpace};
+use crate::search::{
+    self, solve_exact_in, Branching, Objective, SearchConfig, SearchOutcome, SearchSpace,
+};
 use crate::stats::SearchStats;
 use crate::store::Store;
 use crate::Assignment;
@@ -152,67 +156,24 @@ fn tighten_to_improve(store: &mut Store, objective: Objective, best: i64) -> Res
     }
 }
 
-/// Budget still available under an optional limit.
-fn remaining(limit: Option<u64>, spent: u64) -> Option<u64> {
-    limit.map(|l| l.saturating_sub(spent))
-}
-
-/// The LNS driver. `config` carries the overall limits and heuristics,
-/// `lns` the destroy/repair shape. Called through
-/// [`crate::search::solve_in`] when [`SearchConfig::mode`] is
-/// [`SolverMode::Lns`] and the objective is an optimization.
+/// The LNS driver under `budget`. `config` carries the heuristics, `lns`
+/// the destroy/repair shape. Called through [`crate::search::solve_in`]
+/// when [`SearchConfig::mode`] is [`SolverMode::Lns`] and the objective is
+/// an optimization, and by the portfolio for each worker.
 pub(crate) fn solve_lns(
     model: &Model,
     objective: Objective,
     config: &SearchConfig,
+    mut budget: Budget<'_>,
     lns: &LnsConfig,
     space: &mut SearchSpace,
     observer: &mut Option<&mut dyn SolveObserver>,
 ) -> SearchOutcome {
-    let start = Instant::now();
     let mut stats = SearchStats::default();
     let mut solutions: Vec<Assignment> = Vec::new();
     // Restart events (geometric budget growths) share one counter across the
     // dive and repair phases.
     let mut restarts: u64 = 0;
-
-    let finish = |mut stats: SearchStats,
-                  best: Option<Assignment>,
-                  best_objective: Option<i64>,
-                  solutions: Vec<Assignment>,
-                  complete: bool,
-                  certificate: Option<BoundCertificate>| {
-        stats.elapsed_micros = start.elapsed().as_micros() as u64;
-        stats.limit_reached = !complete;
-        SearchOutcome {
-            best,
-            best_objective,
-            solutions,
-            stats,
-            complete,
-            certificate,
-        }
-    };
-
-    let out_of_time = |stats: &SearchStats| {
-        config.time_limit.is_some_and(|t| start.elapsed() >= t)
-            || remaining(config.node_limit, stats.nodes) == Some(0)
-            || remaining(config.fail_limit, stats.fails) == Some(0)
-    };
-    // Gap-driven termination, checked at iteration boundaries — the same
-    // deterministic points as the budget checks above. Strict comparison:
-    // `gap_limit = Some(0.0)` never stops the driver early.
-    let gap_hit = |stats: &SearchStats| matches!((config.gap_limit, stats.gap), (Some(limit), Some(gap)) if gap < limit);
-    // `max_solutions` keeps its exact-mode meaning for optimization — stop
-    // improving after this many incumbents — counted across the dive and
-    // every repair.
-    let solution_cap_hit =
-        |solutions: &[Assignment]| config.max_solutions.is_some_and(|k| solutions.len() >= k);
-    let remaining_solutions = |solutions: &[Assignment]| {
-        config
-            .max_solutions
-            .map(|k| k.saturating_sub(solutions.len()))
-    };
 
     // ----- phase 1: incumbent dive(s) ---------------------------------------
     //
@@ -223,345 +184,300 @@ pub(crate) fn solve_lns(
     // produces the first incumbent; re-dives with geometrically larger
     // budgets re-explore the same deterministic prefix, which the growth
     // amortizes.
-    let warm = match objective {
-        Objective::Minimize(o) | Objective::Maximize(o) => config
-            .warm_start
-            .as_ref()
-            .filter(|w| search::warm_start_valid(model, w))
-            .map(|w| (w.clone(), w.value(o))),
-        Objective::Satisfy => None,
-    };
+    let warm = search::validated_warm(model, objective, config);
     let mut dive_budgets = GeometricRestarts::new(lns.dive_node_limit, lns.repair_growth);
     let (mut incumbent, mut best) = if let Some((assignment, value)) = warm {
         stats.warm_start = true;
         (assignment, value)
     } else {
         loop {
-            let budget = match remaining(config.node_limit, stats.nodes) {
-                Some(r) => r.min(dive_budgets.budget()),
-                None => dive_budgets.budget(),
+            // The dive keeps the gap limit (and `bound_mode`), so it may
+            // gap-terminate; the first iteration boundary below then stops
+            // the driver at once.
+            let slice = Slice {
+                nodes: Some(dive_budgets.budget()),
+                gap: true,
+                ..Slice::default()
             };
-            let dive_cfg = SearchConfig {
-                mode: SolverMode::Exact,
-                node_limit: Some(budget),
-                time_limit: config.time_limit.map(|t| t.saturating_sub(start.elapsed())),
-                fail_limit: remaining(config.fail_limit, stats.fails),
-                max_solutions: remaining_solutions(&solutions),
-                warm_start: None,
-                ..config.clone()
-            };
-            let dive = search::solve_exact_in(model, objective, &dive_cfg, space, &mut *observer);
+            let child = budget.child(&stats, slice);
+            let mut dive = solve_exact_in(model, objective, config, child, space, &mut *observer);
             stats.merge(&dive.stats);
-            if dive.best.is_some() {
-                solutions.extend(dive.solutions.iter().cloned());
-            }
-            if dive.complete {
-                // The dive already proved optimality (or infeasibility).
-                return finish(
-                    stats,
-                    dive.best,
-                    dive.best_objective,
-                    solutions,
-                    true,
-                    dive.certificate,
-                );
-            }
-            if stats.cancelled {
-                return finish(
-                    stats,
-                    dive.best,
-                    dive.best_objective,
-                    solutions,
-                    false,
-                    dive.certificate,
-                );
-            }
-            if let (Some(assignment), Some(value)) = (dive.best, dive.best_objective) {
-                // The dive itself may have gap-terminated (it inherits
-                // `gap_limit`/`bound_mode`); the loop below re-checks at its
-                // first iteration boundary and stops immediately.
-                if solution_cap_hit(&solutions) {
-                    return finish(
-                        stats,
-                        Some(assignment),
-                        Some(value),
-                        solutions,
-                        false,
-                        dive.certificate,
-                    );
+            solutions.append(&mut dive.solutions);
+            let stop = match dive.stop {
+                // A proof (optimum or infeasibility), a cancellation or the
+                // solution cap ends the solve.
+                stop @ (StopReason::Complete | StopReason::Cancelled | StopReason::Solutions) => {
+                    stop
                 }
-                break (assignment, value);
-            }
-            if out_of_time(&stats) {
-                // Budget exhausted before any incumbent appeared.
-                return finish(stats, None, None, solutions, false, dive.certificate);
-            }
-            dive_budgets.grow();
-            restarts += 1;
-            if notify(&mut *observer, |o| {
-                o.on_restart(restarts, dive_budgets.budget())
-            }) {
-                stats.cancelled = true;
-                return finish(stats, None, None, solutions, false, dive.certificate);
-            }
+                _ => {
+                    if let (Some(assignment), Some(value)) = (dive.best.take(), dive.best_objective)
+                    {
+                        break (assignment, value);
+                    }
+                    // No incumbent yet: stop if the solve's own budget ran
+                    // out, else re-dive with a larger slice.
+                    if let Some(stop) = budget.check(&stats, true) {
+                        stop
+                    } else {
+                        dive_budgets.grow();
+                        restarts += 1;
+                        if !notify(&mut *observer, |o| {
+                            o.on_restart(restarts, dive_budgets.budget())
+                        }) {
+                            continue;
+                        }
+                        StopReason::Cancelled
+                    }
+                }
+            };
+            let outcome = SearchOutcome {
+                best: dive.best,
+                best_objective: dive.best_objective,
+                solutions,
+                stats,
+                stop,
+                certificate: dive.certificate,
+            };
+            return budget.finish(outcome, observer);
         }
     };
 
     // ----- phase 2: destroy / repair from a frozen root ---------------------
-    space.frames.clear();
-    space.values.clear();
-    space.store.reset_from(model.domains());
-    if model
-        .propagate_in(&mut space.store, &mut space.queue, &mut stats, None)
-        .is_err()
-    {
-        // Unreachable in practice (the dive found a solution through this
-        // very fixpoint), but degrade gracefully: keep the incumbent.
-        return finish(stats, Some(incumbent), Some(best), solutions, false, None);
-    }
-
-    // The dual bound of this LNS run, computed against the frozen-root
-    // fixpoint every iteration searches below. Overwrites whatever a dive
-    // recorded (same root, same engines — same bound) and refreshes the gap
-    // against the current incumbent on every improvement below.
-    let certificate = bounds::compute_root_bound(model, objective, config, space.store.domains());
-    if let Some(cert) = &certificate {
-        stats.dual_bound = Some(cert.dual_bound);
-        stats.gap = Some(bounds::optimality_gap(objective, best, cert.dual_bound));
-    }
-
-    // The neighborhood pool: marked decision variables, or every variable
-    // when the model marks none — in both cases restricted to variables the
-    // root fixpoint leaves unfixed (the rest can never move).
-    let candidates: Vec<usize> = if model.decision_vars().is_empty() {
-        (0..model.num_vars())
-            .filter(|&i| !space.store.domain(i).is_fixed())
-            .collect()
-    } else {
-        model
-            .decision_vars()
-            .iter()
-            .map(|v| v.index())
-            .filter(|&i| !space.store.domain(i).is_fixed())
-            .collect()
-    };
-    if candidates.is_empty() {
-        return finish(
-            stats,
-            Some(incumbent),
-            Some(best),
-            solutions,
-            false,
-            certificate,
-        );
-    }
-
-    let mut rng = StdRng::seed_from_u64(lns.seed);
-    let mut repair_budgets = GeometricRestarts::new(lns.repair_fail_base, lns.repair_growth);
-    let base_destroy = ((candidates.len() as f64 * lns.destroy_fraction).ceil() as usize)
-        .clamp(1, candidates.len());
-    let mut destroy_count = base_destroy;
-    let grow_destroy = |count: usize| {
-        let scaled = (count as f64 * lns.repair_growth.max(1.0)).ceil() as usize;
-        scaled.max(count + 1).min(candidates.len())
-    };
-    // Conflict-guided carry-over: variables whose frozen assignment clashed
-    // with the improving bound last iteration.
-    let mut forced: Vec<usize> = Vec::new();
-    let mut complete = false;
-
-    loop {
-        if out_of_time(&stats)
-            || gap_hit(&stats)
-            || solution_cap_hit(&solutions)
-            || lns
-                .max_iterations
-                .is_some_and(|m| stats.lns_iterations >= m)
-        {
-            break;
-        }
-        stats.lns_iterations += 1;
-
-        // --- destroy selection ---
-        let mut destroy: BTreeSet<usize> = BTreeSet::new();
-        if lns.destroy_strategy == DestroyStrategy::ConflictGuided {
-            destroy.extend(forced.iter().copied().take(destroy_count));
-        }
-        forced.clear();
-        while destroy.len() < destroy_count {
-            destroy.insert(candidates[rng.gen_range(0..candidates.len())]);
-        }
-
-        // --- freeze: improving bound + incumbent values on the kept set ---
-        space.store.push_choice();
-        // The store is at the frozen-root fixpoint and the tightening only
-        // touches the objective, so seeding its watchers reaches the same
-        // fixpoint as seeding every propagator (the exact searcher's
-        // bound-seed argument).
-        let mut frozen_ok = match tighten_to_improve(&mut space.store, objective, best) {
-            Err(()) => false,
-            Ok(false) => true,
-            Ok(true) => {
-                let seed = match objective {
-                    Objective::Minimize(o) | Objective::Maximize(o) => {
-                        model.props_watching(o.index())
-                    }
-                    Objective::Satisfy => &[],
-                };
-                model
-                    .propagate_in(&mut space.store, &mut space.queue, &mut stats, Some(seed))
-                    .is_ok()
-            }
-        };
-        if frozen_ok {
-            'freeze: for &i in &candidates {
-                if destroy.contains(&i) {
-                    continue;
-                }
-                let value = incumbent.value(VarId::from_index(i));
-                let applied = space.store.assign(i, value);
-                if applied.is_err() {
-                    forced.push(i);
-                    frozen_ok = false;
-                    break 'freeze;
-                }
-                if applied == Ok(true)
-                    && model
-                        .propagate_in(
-                            &mut space.store,
-                            &mut space.queue,
-                            &mut stats,
-                            Some(model.props_watching(i)),
-                        )
-                        .is_err()
-                {
-                    forced.push(i);
-                    frozen_ok = false;
-                    break 'freeze;
-                }
-            }
-        }
-        if !frozen_ok {
-            space.store.backtrack();
-            if destroy.len() >= candidates.len() {
-                // Nothing was frozen, yet demanding an improvement already
-                // conflicts at the root: the incumbent is optimal.
-                complete = true;
-                break;
-            }
-            destroy_count = grow_destroy(destroy_count);
-            repair_budgets.grow();
-            restarts += 1;
-            let cancel = notify(&mut *observer, |o| {
-                o.on_restart(restarts, repair_budgets.budget())
-            }) || notify(&mut *observer, |o| {
-                o.on_lns_iteration(stats.lns_iterations, false, Some(best))
-            });
-            if cancel {
-                stats.cancelled = true;
-                break;
-            }
-            continue;
-        }
-
-        // --- repair: bounded first-fail re-solve below the freeze level ---
-        let repair_cfg = SearchConfig {
-            mode: SolverMode::Exact,
-            branching: Branching::SmallestDomain,
-            value_choice: config.value_choice,
-            split_threshold: config.split_threshold,
-            time_limit: config.time_limit.map(|t| t.saturating_sub(start.elapsed())),
-            fail_limit: Some(
-                remaining(config.fail_limit, stats.fails)
-                    .map_or(repair_budgets.budget(), |r| r.min(repair_budgets.budget())),
-            ),
-            node_limit: remaining(config.node_limit, stats.nodes),
-            max_solutions: remaining_solutions(&solutions),
-            warm_start: None,
-            workers: None,
-            // Repairs search a frozen subproblem: a bound computed there
-            // would certify the neighborhood, not the COP. The driver owns
-            // the root certificate; repairs carry `None` and the stats merge
-            // keeps the driver's values.
-            gap_limit: None,
-            bound_mode: BoundMode::Off,
-        };
-        let repair = search::resolve_subtree(
-            model,
-            objective,
-            &repair_cfg,
-            space,
-            Some(best),
-            &mut *observer,
-        );
-        stats.merge(&repair.stats);
-
-        // --- destroy (for the next iteration): unwind to the frozen root ---
-        while space.store.level() > 0 {
-            space.store.backtrack();
-        }
+    let mut certificate = None;
+    let stop = 'search: {
         space.frames.clear();
         space.values.clear();
-
-        let improved = if let (Some(assignment), Some(value)) = (repair.best, repair.best_objective)
+        space.store.reset_from(model.domains());
+        if model
+            .propagate_in(&mut space.store, &mut space.queue, &mut stats, None)
+            .is_err()
         {
-            stats.lns_improvements += 1;
-            solutions.extend(repair.solutions);
-            incumbent = assignment;
-            best = value;
-            if let Some(dual) = stats.dual_bound {
-                stats.gap = Some(bounds::optimality_gap(objective, best, dual));
-            }
-            destroy_count = base_destroy;
-            repair_budgets.reset();
-            true
-        } else {
-            if repair.complete && destroy.len() >= candidates.len() {
-                // Full neighborhood, search exhausted without a budget stop:
-                // no assignment beats the incumbent.
-                complete = true;
-                break;
-            }
-            destroy_count = grow_destroy(destroy_count);
-            repair_budgets.grow();
-            restarts += 1;
-            if notify(&mut *observer, |o| {
-                o.on_restart(restarts, repair_budgets.budget())
-            }) {
-                stats.cancelled = true;
-                break;
-            }
-            false
-        };
-        if notify(&mut *observer, |o| {
-            o.on_lns_iteration(stats.lns_iterations, improved, Some(best))
-        }) {
-            stats.cancelled = true;
-            break;
+            // Unreachable in practice (the dive found a solution through this
+            // very fixpoint), but degrade gracefully: keep the incumbent.
+            break 'search StopReason::Iterations;
         }
-        // Driver-level heartbeat: repairs run bounds-stripped (the root
-        // certificate is the driver's), so the live gap is only visible on
-        // the driver's own stats. Emitted only when a bound exists — with
-        // `BoundMode::Off` the observer stream is byte-identical to before.
-        if stats.dual_bound.is_some() && notify(&mut *observer, |o| o.on_progress(&stats)) {
-            stats.cancelled = true;
-            break;
-        }
-        if stats.cancelled {
-            // An observer cancelled inside the repair search: stop the
-            // driver, keeping the incumbent.
-            break;
-        }
-    }
 
-    finish(
-        stats,
-        Some(incumbent),
-        Some(best),
+        // The dual bound of this LNS run, computed against the frozen-root
+        // fixpoint every iteration searches below. Overwrites whatever a dive
+        // recorded (same root, same engines — same bound) and refreshes the
+        // gap against the current incumbent on every improvement below.
+        certificate = bounds::compute_root_bound(model, objective, config, space.store.domains());
+        if let Some(cert) = &certificate {
+            stats.dual_bound = Some(cert.dual_bound);
+            stats.gap = Some(bounds::optimality_gap(objective, best, cert.dual_bound));
+        }
+
+        // The neighborhood pool: marked decision variables, or every variable
+        // when the model marks none — in both cases restricted to variables
+        // the root fixpoint leaves unfixed (the rest can never move).
+        let candidates: Vec<usize> = if model.decision_vars().is_empty() {
+            (0..model.num_vars())
+                .filter(|&i| !space.store.domain(i).is_fixed())
+                .collect()
+        } else {
+            model
+                .decision_vars()
+                .iter()
+                .map(|v| v.index())
+                .filter(|&i| !space.store.domain(i).is_fixed())
+                .collect()
+        };
+        if candidates.is_empty() {
+            break 'search StopReason::Iterations;
+        }
+
+        let mut rng = StdRng::seed_from_u64(lns.seed);
+        let mut repair_budgets = GeometricRestarts::new(lns.repair_fail_base, lns.repair_growth);
+        let base_destroy = ((candidates.len() as f64 * lns.destroy_fraction).ceil() as usize)
+            .clamp(1, candidates.len());
+        let mut destroy_count = base_destroy;
+        let grow_destroy = |count: usize| {
+            let scaled = (count as f64 * lns.repair_growth.max(1.0)).ceil() as usize;
+            scaled.max(count + 1).min(candidates.len())
+        };
+        // Conflict-guided carry-over: variables whose frozen assignment
+        // clashed with the improving bound last iteration.
+        let mut forced: Vec<usize> = Vec::new();
+        // Repairs are first-fail; the rest of the heuristics are the solve's.
+        let repair_cfg = SearchConfig {
+            branching: Branching::SmallestDomain,
+            ..config.clone()
+        };
+
+        loop {
+            if let Some(stop) = budget.check(&stats, true) {
+                break 'search stop;
+            }
+            if lns
+                .max_iterations
+                .is_some_and(|m| stats.lns_iterations >= m)
+            {
+                break 'search StopReason::Iterations;
+            }
+            stats.lns_iterations += 1;
+
+            // --- destroy selection ---
+            let mut destroy: BTreeSet<usize> = BTreeSet::new();
+            if lns.destroy_strategy == DestroyStrategy::ConflictGuided {
+                destroy.extend(forced.iter().copied().take(destroy_count));
+            }
+            forced.clear();
+            while destroy.len() < destroy_count {
+                destroy.insert(candidates[rng.gen_range(0..candidates.len())]);
+            }
+
+            // --- freeze: improving bound + incumbent values on the kept set ---
+            space.store.push_choice();
+            // The store is at the frozen-root fixpoint and the tightening only
+            // touches the objective, so seeding its watchers reaches the same
+            // fixpoint as seeding every propagator (the exact searcher's
+            // bound-seed argument).
+            let mut frozen_ok = match tighten_to_improve(&mut space.store, objective, best) {
+                Err(()) => false,
+                Ok(false) => true,
+                Ok(true) => {
+                    let seed = match objective {
+                        Objective::Minimize(o) | Objective::Maximize(o) => {
+                            model.props_watching(o.index())
+                        }
+                        Objective::Satisfy => &[],
+                    };
+                    model
+                        .propagate_in(&mut space.store, &mut space.queue, &mut stats, Some(seed))
+                        .is_ok()
+                }
+            };
+            if frozen_ok {
+                'freeze: for &i in &candidates {
+                    if destroy.contains(&i) {
+                        continue;
+                    }
+                    let value = incumbent.value(VarId::from_index(i));
+                    let applied = space.store.assign(i, value);
+                    if applied.is_err() {
+                        forced.push(i);
+                        frozen_ok = false;
+                        break 'freeze;
+                    }
+                    if applied == Ok(true)
+                        && model
+                            .propagate_in(
+                                &mut space.store,
+                                &mut space.queue,
+                                &mut stats,
+                                Some(model.props_watching(i)),
+                            )
+                            .is_err()
+                    {
+                        forced.push(i);
+                        frozen_ok = false;
+                        break 'freeze;
+                    }
+                }
+            }
+            if !frozen_ok {
+                space.store.backtrack();
+                if destroy.len() >= candidates.len() {
+                    // Nothing was frozen, yet demanding an improvement already
+                    // conflicts at the root: the incumbent is optimal.
+                    break 'search StopReason::Complete;
+                }
+                destroy_count = grow_destroy(destroy_count);
+                repair_budgets.grow();
+                restarts += 1;
+                let cancel = notify(&mut *observer, |o| {
+                    o.on_restart(restarts, repair_budgets.budget())
+                }) || notify(&mut *observer, |o| {
+                    o.on_lns_iteration(stats.lns_iterations, false, Some(best))
+                });
+                if cancel {
+                    break 'search StopReason::Cancelled;
+                }
+                continue;
+            }
+
+            // --- repair: bounded first-fail re-solve below the freeze level ---
+            // Without a gap limit: the driver owns the root certificate and
+            // checks the gap at its iteration boundaries.
+            let slice = Slice {
+                fails: Some(repair_budgets.budget()),
+                ..Slice::default()
+            };
+            let mut repair = search::resolve_subtree(
+                model,
+                objective,
+                &repair_cfg,
+                budget.child(&stats, slice),
+                space,
+                Some(best),
+                &mut *observer,
+            );
+            stats.merge(&repair.stats);
+
+            // --- destroy (for the next iteration): unwind to the frozen root ---
+            while space.store.level() > 0 {
+                space.store.backtrack();
+            }
+            space.frames.clear();
+            space.values.clear();
+
+            let improved = if let (Some(assignment), Some(value)) =
+                (repair.best.take(), repair.best_objective)
+            {
+                stats.lns_improvements += 1;
+                solutions.append(&mut repair.solutions);
+                incumbent = assignment;
+                best = value;
+                if let Some(dual) = stats.dual_bound {
+                    stats.gap = Some(bounds::optimality_gap(objective, best, dual));
+                }
+                destroy_count = base_destroy;
+                repair_budgets.reset();
+                true
+            } else {
+                if repair.stop == StopReason::Complete && destroy.len() >= candidates.len() {
+                    // Full neighborhood, search exhausted without a budget
+                    // stop: no assignment beats the incumbent.
+                    break 'search StopReason::Complete;
+                }
+                destroy_count = grow_destroy(destroy_count);
+                repair_budgets.grow();
+                restarts += 1;
+                if notify(&mut *observer, |o| {
+                    o.on_restart(restarts, repair_budgets.budget())
+                }) {
+                    break 'search StopReason::Cancelled;
+                }
+                false
+            };
+            if notify(&mut *observer, |o| {
+                o.on_lns_iteration(stats.lns_iterations, improved, Some(best))
+            }) {
+                break 'search StopReason::Cancelled;
+            }
+            // Driver-level heartbeat: repairs run bounds-stripped (the root
+            // certificate is the driver's), so the live gap is only visible
+            // on the driver's own stats. Emitted only when a bound exists.
+            if stats.dual_bound.is_some() && notify(&mut *observer, |o| o.on_progress(&stats)) {
+                break 'search StopReason::Cancelled;
+            }
+            if repair.stop == StopReason::Cancelled {
+                // An observer cancelled inside the repair search: stop the
+                // driver, keeping the incumbent.
+                break 'search StopReason::Cancelled;
+            }
+        }
+    };
+
+    let outcome = SearchOutcome {
+        best: Some(incumbent),
+        best_objective: Some(best),
         solutions,
-        complete,
+        stats,
+        stop,
         certificate,
-    )
+    };
+    budget.finish(outcome, observer)
 }
 
 #[cfg(test)]
@@ -647,7 +563,12 @@ mod tests {
         // eventually exhaust and flip `complete`.
         let (m, obj) = balance_model(4);
         let out = m.minimize(obj, &lns_config(1));
-        assert!(out.complete, "small instance must be closed: {}", out.stats);
+        assert_eq!(
+            out.stop,
+            StopReason::Complete,
+            "small instance must be closed: {}",
+            out.stats
+        );
     }
 
     #[test]
@@ -686,7 +607,7 @@ mod tests {
         assert_eq!(out.stats.lns_improvements, 0);
         // the dive was skipped: every node explored belongs to repairs, and
         // the driver proves optimality once the full neighborhood exhausts
-        assert!(out.complete, "{}", out.stats);
+        assert_eq!(out.stop, StopReason::Complete, "{}", out.stats);
     }
 
     #[test]
@@ -763,7 +684,7 @@ mod tests {
             Some(&mut log),
         );
         assert!(out.stats.cancelled);
-        assert!(!out.complete);
+        assert_eq!(out.stop, StopReason::Cancelled);
         assert!(out.best.is_some(), "the first incumbent survives");
     }
 
@@ -776,6 +697,10 @@ mod tests {
         let obj = m.linear_var(&[(1, x)], 0);
         let out = m.minimize(obj, &lns_config(9));
         assert!(out.best.is_none());
-        assert!(out.complete, "root infeasibility is proved by the dive");
+        assert_eq!(
+            out.stop,
+            StopReason::Complete,
+            "root infeasibility is proved by the dive"
+        );
     }
 }

@@ -516,7 +516,7 @@ impl Model {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SearchConfig;
+    use crate::{SearchConfig, StopReason};
 
     #[test]
     fn var_creation_and_lookup() {
@@ -589,7 +589,7 @@ mod tests {
         let out = m.solve_all(&SearchConfig::default());
         // pairs with x+y<=2: (0,0)(0,1)(0,2)(1,0)(1,1)(2,0) = 6
         assert_eq!(out.solutions.len(), 6);
-        assert!(out.complete);
+        assert_eq!(out.stop, StopReason::Complete);
     }
 
     #[test]
@@ -639,7 +639,7 @@ mod tests {
         assert_eq!(recycled.num_vars(), 3);
         let out = recycled.minimize(obj, &SearchConfig::default());
         assert_eq!(out.best_objective, expected);
-        assert!(out.complete);
+        assert_eq!(out.stop, StopReason::Complete);
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!   stalled LNS dive or repair;
 //! * [`SolveObserver::on_lns_iteration`] — one destroy/repair iteration
 //!   finished;
-//! * [`SolveObserver::on_node_budget`] — a node or fail budget was
-//!   exhausted;
+//! * [`SolveObserver::on_node_budget`] — the solve's own node or fail
+//!   budget stopped it (once, as it ends; the budget slices of LNS dives,
+//!   repairs and parallel workers never fire it);
 //! * [`SolveObserver::on_progress`] — a periodic heartbeat every
 //!   [`PROGRESS_NODE_INTERVAL`] search nodes with a [`SearchStats`]
 //!   snapshot.
@@ -68,7 +69,9 @@ pub trait SolveObserver {
         ControlFlow::Continue(())
     }
 
-    /// A node or fail budget was exhausted (the search is stopping).
+    /// The solve's own node or fail budget stopped it: fired once, as it
+    /// ends, with the outcome's statistics (never for the budget slices of
+    /// sub-searches). `Break` turns the stop into a cancellation.
     fn on_node_budget(&mut self, stats: &SearchStats) -> ControlFlow<()> {
         let _ = stats;
         ControlFlow::Continue(())
@@ -122,12 +125,12 @@ pub enum SolveEvent {
         /// Incumbent objective after the iteration.
         best_objective: Option<i64>,
     },
-    /// A node/fail budget was exhausted; see
+    /// The solve's node/fail budget ran out; see
     /// [`SolveObserver::on_node_budget`].
     NodeBudget {
-        /// Nodes explored when the budget tripped.
+        /// Nodes the solve explored.
         nodes: u64,
-        /// Failures recorded when the budget tripped.
+        /// Failures the solve recorded.
         fails: u64,
     },
     /// Periodic heartbeat; see [`SolveObserver::on_progress`].
@@ -264,7 +267,7 @@ impl SolveObserver for EventLog {
 mod tests {
     use super::*;
     use crate::search::{solve_in_observed, Objective, SearchConfig, SearchSpace};
-    use crate::Model;
+    use crate::{LnsConfig, Model, SolverMode, StopReason};
 
     fn staircase_model() -> (Model, crate::VarId) {
         // Input-order minimization walks x = 0, 1, 2, ... while the
@@ -288,7 +291,7 @@ mod tests {
             &mut space,
             Some(&mut log),
         );
-        assert!(out.complete);
+        assert_eq!(out.stop, StopReason::Complete);
         let events = log.drain();
         let incumbents: Vec<Option<i64>> = events
             .iter()
@@ -314,7 +317,7 @@ mod tests {
             &mut space,
             Some(&mut log),
         );
-        assert!(!out.complete, "cancelled search must not claim a proof");
+        assert_eq!(out.stop, StopReason::Cancelled);
         assert!(out.stats.cancelled);
         assert_eq!(out.solutions.len(), 1, "stopped after the first incumbent");
         assert!(out.best.is_some());
@@ -323,27 +326,68 @@ mod tests {
         assert!(full.stats.solutions > 1);
     }
 
+    /// The `NodeBudget` events of one solve, and its outcome.
+    fn node_budget_events(
+        m: &Model,
+        obj: crate::VarId,
+        cfg: &SearchConfig,
+    ) -> (crate::SearchOutcome, Vec<SolveEvent>) {
+        let mut log = EventLog::bounded(65536);
+        let out = solve_in_observed(
+            m,
+            Objective::Minimize(obj),
+            cfg,
+            &mut SearchSpace::new(),
+            Some(&mut log),
+        );
+        let events = log
+            .drain()
+            .into_iter()
+            .filter(|e| matches!(e, SolveEvent::NodeBudget { .. }))
+            .collect();
+        (out, events)
+    }
+
+    /// The event fires exactly once when the solve's own node budget stops
+    /// it, with the outcome's counters, and never for the budget slices of
+    /// an LNS run's dives and repairs.
     #[test]
     fn node_budget_event_fires() {
         let (m, obj) = staircase_model();
-        let mut log = EventLog::bounded(64);
-        let mut space = SearchSpace::new();
         let cfg = SearchConfig {
             node_limit: Some(3),
             ..Default::default()
         };
-        let out = solve_in_observed(
-            &m,
-            Objective::Minimize(obj),
-            &cfg,
-            &mut space,
-            Some(&mut log),
-        );
-        assert!(!out.complete);
-        assert!(log
-            .drain()
-            .iter()
-            .any(|e| matches!(e, SolveEvent::NodeBudget { .. })));
+        let (out, events) = node_budget_events(&m, obj, &cfg);
+        assert_eq!(out.stop, StopReason::Nodes);
+        let expected = SolveEvent::NodeBudget {
+            nodes: out.stats.nodes,
+            fails: out.stats.fails,
+        };
+        assert_eq!(events, vec![expected]);
+
+        // Tiny dive slices and the repairs' fail slices run out again and
+        // again on the way to a proof.
+        let (m, obj) = crate::budget::tests::probe_model();
+        let lns = |node_limit| SearchConfig {
+            mode: SolverMode::Lns(LnsConfig {
+                seed: 3,
+                dive_node_limit: 4,
+                ..Default::default()
+            }),
+            node_limit: Some(node_limit),
+            ..Default::default()
+        };
+        let (out, events) = node_budget_events(&m, obj, &lns(20_000));
+        assert_eq!(out.stop, StopReason::Complete);
+        assert_eq!(events, vec![], "child slices must not fire the event");
+        let (out, events) = node_budget_events(&m, obj, &lns(500));
+        assert_eq!(out.stop, StopReason::Nodes);
+        let expected = SolveEvent::NodeBudget {
+            nodes: out.stats.nodes,
+            fails: out.stats.fails,
+        };
+        assert_eq!(events, vec![expected]);
     }
 
     #[test]

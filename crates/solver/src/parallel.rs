@@ -60,11 +60,11 @@
 //! Only the *result* is deterministic. The merged `nodes`/`fails`/
 //! `propagations`/`max_depth` counters cover the accepted runs and therefore
 //! vary slightly with which speculations validated; rejected speculative
-//! work shows up only in wall-clock time. [`SearchConfig::node_limit`] is
-//! accounted against a shared atomic total across every run (best-effort:
-//! results are only reproducible when the budget is not hit), and
-//! [`SearchConfig::fail_limit`] applies per cell rather than globally.
-//! `on_progress` heartbeats are not emitted in parallel mode.
+//! work shows up only in wall-clock time. [`SearchConfig::node_limit`] and
+//! [`SearchConfig::fail_limit`] are accounted against shared atomic totals
+//! across every run (best-effort: results are only reproducible when the
+//! budget is not hit). `on_progress` heartbeats are not emitted in parallel
+//! mode.
 //!
 //! # LNS: multi-seed portfolio
 //!
@@ -75,20 +75,22 @@
 //! its result to a shared board; at the round boundary the coordinator
 //! adopts the best published incumbent in a fixed reduction order (objective
 //! value first, lowest worker index on ties) and hands it to every worker as
-//! the next round's warm start. The shared node budget is accounted across
-//! rounds, and consecutive unimproved rounds escalate the per-round
-//! iteration slice geometrically so the portfolio can still prove
-//! completeness through full-neighborhood exhaustion. Because adoption
-//! happens only at round boundaries and every per-round input is derived
-//! deterministically, a seeded portfolio run is **byte-identical across
-//! reruns** (modulo wall-clock fields) as long as no time limit interferes.
+//! the next round's warm start. Each round hands every worker an even share
+//! of what remains of the node and fail budgets, the coordinator checks the
+//! solve's budget at every round boundary, and consecutive unimproved rounds
+//! escalate the per-round iteration slice geometrically so the portfolio can
+//! still prove completeness through full-neighborhood exhaustion. Because
+//! adoption happens only at round boundaries and every per-round input is
+//! derived deterministically, a seeded portfolio run is **byte-identical
+//! across reruns** (modulo wall-clock fields) as long as no time limit
+//! interferes.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
-use std::time::Instant;
 
 use crate::bounds::{self, BoundMode};
+use crate::budget::{Budget, Shared, Slice, StopReason};
 use crate::domain::Domain;
 use crate::lns::LnsConfig;
 use crate::model::Model;
@@ -171,12 +173,11 @@ impl Sense {
     }
 }
 
-/// Shared state of one parallel exact search: cooperative cancellation, the
-/// shared node budget, and the committed bound contribution of every cell.
+/// Shared state of one parallel exact search: the work counters and stop
+/// flag every cell budget shares, and the committed bound contribution of
+/// every cell.
 pub(crate) struct ExactContext {
-    cancel: AtomicBool,
-    nodes: AtomicU64,
-    node_limit: Option<u64>,
+    shared: Shared,
     /// `done[i]` flips once the coordinator has committed cell `i` (or, for
     /// solution items, from the start); `finals[i]` then holds the running
     /// sequential bound after that cell (sentinel = no contribution).
@@ -218,17 +219,11 @@ impl ExactContext {
         }
         self.done[position].store(true, Ordering::Release);
     }
-
-    fn node_budget_exhausted(&self) -> bool {
-        self.node_limit
-            .is_some_and(|n| self.nodes.load(Ordering::Relaxed) >= n)
-    }
 }
 
 /// A worker searcher's handle onto the shared [`ExactContext`], fixed to the
 /// cell it is searching and the entry bound it speculated on. The sequential
-/// `Searcher` polls this (when present) for cancellation, the shared node
-/// budget, and entry-bound invalidation.
+/// `Searcher` polls this (when present) for entry-bound invalidation.
 pub(crate) struct SearchLink<'a> {
     ctx: &'a ExactContext,
     position: usize,
@@ -236,20 +231,6 @@ pub(crate) struct SearchLink<'a> {
 }
 
 impl SearchLink<'_> {
-    pub(crate) fn cancelled(&self) -> bool {
-        self.ctx.cancel.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn count_node(&self) {
-        if self.ctx.node_limit.is_some() {
-            self.ctx.nodes.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    pub(crate) fn node_budget_exhausted(&self) -> bool {
-        self.ctx.node_budget_exhausted()
-    }
-
     /// True once the committed prefix bound has moved past this run's entry
     /// snapshot: the speculation can no longer validate, so the searcher
     /// stops early and leaves the redo to the coordinator.
@@ -473,18 +454,18 @@ fn enumerate_spine(
 
 /// Search one cell: snapshot the entry bound, replay the path onto the
 /// propagated warm-bounded root, then run the trail searcher linked to the
-/// shared context. Returns the outcome together with the entry snapshot the
-/// coordinator validates.
+/// shared context under a worker run of the `cells` budget. Returns the
+/// outcome together with the entry snapshot the coordinator validates.
 #[allow(clippy::too_many_arguments)]
 fn run_position(
     model: &Model,
     objective: Objective,
     config: &SearchConfig,
+    cells: &Budget<'_>,
     ctx: &ExactContext,
     items: &[Seed],
     item_idx: usize,
     space: &mut SearchSpace,
-    start: Instant,
 ) -> (SearchOutcome, Option<i64>) {
     let Seed::Subtree(path) = &items[item_idx] else {
         unreachable!("workers only drain subtree items");
@@ -495,61 +476,36 @@ fn run_position(
         position: item_idx,
         entry,
     };
-    let empty = |stats: SearchStats, complete: bool| SearchOutcome {
+    let empty = |stats: SearchStats, stop: StopReason| SearchOutcome {
         best: None,
         best_objective: None,
         solutions: Vec::new(),
         stats,
-        complete,
+        stop,
         certificate: None,
     };
+    let mut budget = cells.worker(&ctx.shared);
     let mut pre = SearchStats::default();
-    if link.cancelled() || link.node_budget_exhausted() {
-        pre.limit_reached = true;
-        pre.cancelled = link.cancelled();
-        return (empty(pre, false), entry);
+    if let Some(stop) = budget.check(&pre, true) {
+        return (empty(pre, stop), entry);
     }
     space.store.reset_from(model.domains());
     space.frames.clear();
     space.values.clear();
-    if model
+    let replayed = model
         .propagate_in(&mut space.store, &mut space.queue, &mut pre, None)
-        .is_err()
-    {
-        // Unreachable in practice: enumeration propagated the same root.
-        return (empty(pre, true), entry);
-    }
-    if let Some(seed) = ctx.base {
-        if tighten_root(model, objective, seed, space, &mut pre).is_err() {
-            return (empty(pre, true), entry);
-        }
-    }
-    if replay_path(model, space, path, &mut pre).is_err() {
-        // Unreachable likewise: enumeration verified the path on this state.
+        .is_ok()
+        && ctx.base.map_or(true, |seed| {
+            tighten_root(model, objective, seed, space, &mut pre).is_ok()
+        })
+        && replay_path(model, space, path, &mut pre).is_ok();
+    if !replayed {
+        // Unreachable in practice: enumeration propagated the same root and
+        // verified the path on this state.
         unwind(space);
-        return (empty(pre, true), entry);
+        return (empty(pre, StopReason::Complete), entry);
     }
-    let worker_cfg = SearchConfig {
-        workers: None,
-        warm_start: None,
-        // The node budget is accounted globally through the link; the local
-        // limit must not truncate the cell on its own.
-        node_limit: None,
-        // Optimization workers run uncapped: the merge truncates the chain.
-        // Satisfaction solutions are never filtered, so the global cap
-        // applies per cell directly.
-        max_solutions: match objective {
-            Objective::Satisfy => config.max_solutions,
-            _ => None,
-        },
-        time_limit: config.time_limit.map(|t| t.saturating_sub(start.elapsed())),
-        // The coordinator owns the certificate and all gap checks (at cell
-        // commits, where the global incumbent lives); workers run bound-free.
-        gap_limit: None,
-        bound_mode: BoundMode::Off,
-        ..config.clone()
-    };
-    let mut outcome = resolve_subtree_linked(model, objective, &worker_cfg, space, entry, &link);
+    let mut outcome = resolve_subtree_linked(model, objective, config, budget, space, entry, &link);
     unwind(space);
     outcome.stats.max_depth = outcome.stats.max_depth.saturating_add(path.len() as u64);
     outcome.stats.merge(&pre);
@@ -573,37 +529,32 @@ fn wait_result(
 
 /// The sequential strict-improvement recording, re-applied over the accepted
 /// per-cell solution lists in sequential order: maintains the running bound
-/// speculations are validated against, releases ordered `on_incumbent`
-/// events, and turns an observer `Break` (or a hit solution cap) into
-/// cooperative cancellation of every worker.
+/// speculations are validated against and releases ordered `on_incumbent`
+/// events.
 struct ChainMerge {
     sense: Sense,
     objective: Objective,
     bound: Option<i64>,
-    cap: Option<usize>,
     chain: Vec<Assignment>,
-    halted: bool,
 }
 
 impl ChainMerge {
-    fn capped(&self) -> bool {
-        self.cap.is_some_and(|k| self.chain.len() >= k)
-    }
-
+    /// Record `a` if the sequential search would (every solution of a
+    /// satisfaction search, strict improvements otherwise), counting it in
+    /// `stats`. Returns why the search stops there: an observer cancel, or
+    /// the solution cap of `budget`.
     fn offer(
         &mut self,
         a: &Assignment,
+        stats: &mut SearchStats,
+        budget: &Budget<'_>,
         observer: &mut Option<&mut dyn SolveObserver>,
-        ctx: &ExactContext,
-    ) {
-        if self.halted || self.capped() {
-            return;
-        }
+    ) -> Option<StopReason> {
         let value = match self.objective {
             Objective::Minimize(o) | Objective::Maximize(o) => {
                 let v = a.value(o);
                 match self.bound {
-                    Some(b) if !self.sense.better(v, b) => return,
+                    Some(b) if !self.sense.better(v, b) => return None,
                     _ => {}
                 }
                 self.bound = Some(v);
@@ -612,36 +563,33 @@ impl ChainMerge {
             Objective::Satisfy => None,
         };
         self.chain.push(a.clone());
+        stats.solutions += 1;
         if notify(observer, |o| o.on_incumbent(value, a)) {
-            self.halted = true;
-            ctx.cancel.store(true, Ordering::Relaxed);
-        } else if self.capped() {
-            // Sequential stops at the solution cap; nothing recorded past
-            // this point can enter the chain, so stop the workers too.
-            ctx.cancel.store(true, Ordering::Relaxed);
+            return Some(StopReason::Cancelled);
         }
+        budget.solutions_done(stats)
     }
 }
 
-/// Parallel exact branch-and-bound over `workers ≥ 2` scoped threads. See
-/// the module docs for the determinism contract.
+/// Parallel exact branch-and-bound over `config.workers ≥ 2` scoped threads.
+/// See the module docs for the determinism contract.
 pub(crate) fn solve_exact_parallel(
     model: &Model,
     objective: Objective,
     config: &SearchConfig,
-    workers: usize,
+    mut budget: Budget<'_>,
     space: &mut SearchSpace,
     observer: &mut Option<&mut dyn SolveObserver>,
 ) -> SearchOutcome {
+    let workers = worker_count(config);
     debug_assert!(workers > 1);
-    if model.num_vars() == 0
-        || config
-            .node_limit
-            .is_some_and(|n| n <= MIN_PARALLEL_NODE_BUDGET)
-    {
-        return solve_exact_in(model, objective, config, space, observer);
+    let small_budget = budget
+        .remaining(&SearchStats::default())
+        .nodes
+        .is_some_and(|n| n <= MIN_PARALLEL_NODE_BUDGET);
+    if model.num_vars() == 0 || small_budget {
+        return solve_exact_in(model, objective, config, budget, space, observer);
     }
-    let start = Instant::now();
     let warm = validated_warm(model, objective, config);
     let warm_seed = warm
         .as_ref()
@@ -657,7 +605,6 @@ pub(crate) fn solve_exact_parallel(
         match enumerate_spine(model, objective, config, warm_seed, space, target) {
             Frontier::Closed(mut stats) => {
                 stats.warm_start = warm.is_some();
-                stats.elapsed_micros = start.elapsed().as_micros() as u64;
                 let (best, best_objective) = match warm {
                     Some((a, v)) => (Some(a), Some(v)),
                     None => (None, None),
@@ -666,17 +613,18 @@ pub(crate) fn solve_exact_parallel(
                 if let (Some(dual), Some(v)) = (stats.dual_bound, best_objective) {
                     stats.gap = Some(bounds::optimality_gap(objective, v, dual));
                 }
-                return SearchOutcome {
+                let outcome = SearchOutcome {
                     best,
                     best_objective,
                     solutions: Vec::new(),
                     stats,
-                    complete: true,
+                    stop: StopReason::Complete,
                     certificate,
                 };
+                return budget.finish(outcome, observer);
             }
             Frontier::Sequential => {
-                return solve_exact_in(model, objective, config, space, observer)
+                return solve_exact_in(model, objective, config, budget, space, observer)
             }
             Frontier::Items(items, stats) => (items, stats),
         };
@@ -697,9 +645,11 @@ pub(crate) fn solve_exact_parallel(
     stats.subtrees = positions.len() as u64;
 
     let ctx = ExactContext {
-        cancel: AtomicBool::new(false),
-        nodes: AtomicU64::new(stats.nodes),
-        node_limit: config.node_limit,
+        shared: Shared {
+            cancel: AtomicBool::new(false),
+            nodes: AtomicU64::new(stats.nodes),
+            fails: AtomicU64::new(stats.fails),
+        },
         done: (0..items.len()).map(|_| AtomicBool::new(false)).collect(),
         finals: (0..items.len())
             .map(|_| AtomicI64::new(sense.sentinel()))
@@ -707,6 +657,9 @@ pub(crate) fn solve_exact_parallel(
         base: warm_seed,
         sense,
     };
+    // Cells run without a gap limit: the coordinator owns the certificate
+    // and checks the gap at cell commits, where the global incumbent lives.
+    let cells = budget.child(&SearchStats::default(), Slice::default());
     // The spine solution (if any) is known upfront: commit it immediately so
     // cell speculations prune against it from the start.
     for (i, item) in items.iter().enumerate() {
@@ -732,19 +685,16 @@ pub(crate) fn solve_exact_parallel(
         sense,
         objective,
         bound: warm_seed,
-        cap: config.max_solutions,
         chain: Vec::new(),
-        halted: false,
     };
-    let mut all_complete = true;
-    // Set when the certified gap drops strictly below `gap_limit` at a cell
-    // commit: remaining cells stop committing and the workers are signalled,
-    // exactly like a budget stop (the run reports `limit_reached`, not
-    // `cancelled`). Commit order is sequential, so the decision — and the
-    // reported incumbent — is rerun-deterministic.
-    let mut gap_stopped = false;
+    // Set once the search must stop: an observer cancel or the solution cap
+    // while merging, a cell stopped by the shared budget, or the solve's
+    // budget checked at a cell commit. Commit order is sequential, so the
+    // decision — and the reported incumbent — is rerun-deterministic.
+    let mut stop: Option<StopReason> = None;
 
     std::thread::scope(|s| {
+        let cells = &cells;
         for wspace in pool.iter_mut().take(workers) {
             let (ctx, items, positions, next, results, slot_filled) =
                 (&ctx, &items, &positions, &next, &results, &slot_filled);
@@ -757,31 +707,35 @@ pub(crate) fn solve_exact_parallel(
                     model,
                     objective,
                     config,
+                    cells,
                     ctx,
                     items,
                     positions[k],
                     wspace,
-                    start,
                 );
                 let mut guard = results.lock().expect("coordinator never panics");
                 guard[k] = Some(out);
                 slot_filled.notify_all();
             });
         }
-        // Coordinator: commit cells in sequential order. Even once halted or
-        // capped, keep draining every slot (workers wind down on the cancel
-        // flag and every slot must fill) without committing anything.
+        // Coordinator: commit cells in sequential order. Once stopped, keep
+        // draining every slot (workers wind down on the shared stop flag and
+        // every slot must fill) without committing anything.
         let mut cursor = 0usize;
         for (idx, item) in items.iter().enumerate() {
             match item {
-                Seed::Solution(a) => merge.offer(a, observer, &ctx),
+                Seed::Solution(a) => {
+                    if stop.is_none() {
+                        stop = merge.offer(a, &mut stats, &budget, observer);
+                    }
+                }
                 Seed::Subtree(_) => {
                     let (outcome, entry) = wait_result(&results, &slot_filled, cursor);
                     cursor += 1;
-                    if merge.halted || merge.capped() || gap_stopped {
+                    if stop.is_some() {
                         continue;
                     }
-                    let accepted = if entry == merge.bound {
+                    let mut accepted = if entry == merge.bound {
                         outcome
                     } else {
                         // The speculation raced an incumbent improvement:
@@ -790,54 +744,40 @@ pub(crate) fn solve_exact_parallel(
                         // fresh snapshot equals the running bound and the
                         // redo cannot be invalidated.
                         let (redo, redo_entry) =
-                            run_position(model, objective, config, &ctx, &items, idx, space, start);
+                            run_position(model, objective, config, cells, &ctx, &items, idx, space);
                         debug_assert_eq!(redo_entry, merge.bound);
                         redo
                     };
-                    all_complete &= accepted.complete;
+                    // The chain counts the solutions the merge keeps.
+                    accepted.stats.solutions = 0;
                     stats.merge(&accepted.stats);
                     for a in &accepted.solutions {
-                        merge.offer(a, observer, &ctx);
+                        stop = stop.or_else(|| merge.offer(a, &mut stats, &budget, observer));
                     }
                     ctx.publish_final(idx, merge.bound);
-                    if let (Some(limit), Some(cert)) = (config.gap_limit, certificate.as_ref()) {
-                        // The primal must be a real solution: the committed
-                        // chain's objective, or the warm value before any
-                        // cell produced one (`merge.bound` alone would be
-                        // the off-by-one warm *seed*).
-                        let primal = if merge.chain.is_empty() {
-                            warm.as_ref().map(|(_, v)| *v)
-                        } else {
-                            merge.bound
-                        };
-                        if primal.is_some_and(|p| {
-                            bounds::optimality_gap(objective, p, cert.dual_bound) < limit
-                        }) {
-                            gap_stopped = true;
-                            ctx.cancel.store(true, Ordering::Relaxed);
-                        }
+                    stop =
+                        stop.or((accepted.stop != StopReason::Complete).then_some(accepted.stop));
+                    // The primal must be a real solution: the committed
+                    // chain's objective, or the warm value before any cell
+                    // produced one (`merge.bound` alone would be the
+                    // off-by-one warm *seed*).
+                    let primal = if merge.chain.is_empty() {
+                        warm.as_ref().map(|(_, v)| *v)
+                    } else {
+                        merge.bound
+                    };
+                    if let (Some(cert), Some(p)) = (certificate.as_ref(), primal) {
+                        stats.gap = Some(bounds::optimality_gap(objective, p, cert.dual_bound));
                     }
+                    stop = stop.or_else(|| budget.check(&stats, true));
                 }
+            }
+            if stop.is_some() {
+                ctx.shared.cancel.store(true, Ordering::Relaxed);
             }
         }
     });
     space.pool = pool;
-
-    let capped = merge.capped();
-    let mut cancelled = merge.halted;
-    let budget_tripped = ctx.node_budget_exhausted();
-    if budget_tripped && notify(observer, |o| o.on_node_budget(&stats)) {
-        cancelled = true;
-    }
-    stats.solutions = merge.chain.len() as u64;
-    stats.cancelled = cancelled;
-    // Mirror the sequential `finish`: a hit solution cap still reports a
-    // complete search (the cap is not a `stopped` condition there). A gap
-    // stop is a limit stop — the sequential searcher would also have stopped
-    // without a full proof once the gap dropped below the threshold.
-    let complete = !cancelled && (capped || all_complete) && !gap_stopped;
-    stats.limit_reached = !complete;
-    stats.elapsed_micros = start.elapsed().as_micros() as u64;
 
     let (mut best, mut best_objective) = match sense {
         Sense::Satisfy => (merge.chain.first().cloned(), None),
@@ -856,31 +796,32 @@ pub(crate) fn solve_exact_parallel(
     if let (Some(cert), Some(v)) = (certificate.as_ref(), best_objective) {
         stats.gap = Some(bounds::optimality_gap(objective, v, cert.dual_bound));
     }
-    SearchOutcome {
+    let outcome = SearchOutcome {
         best,
         best_objective,
         solutions: merge.chain,
         stats,
-        complete,
+        stop: stop.unwrap_or(StopReason::Complete),
         certificate,
-    }
+    };
+    budget.finish(outcome, observer)
 }
 
-/// Multi-seed LNS portfolio over `workers ≥ 2` scoped threads in
+/// Multi-seed LNS portfolio over `config.workers ≥ 2` scoped threads in
 /// synchronized rounds. See the module docs for semantics and the rerun
 /// determinism guarantee.
 pub(crate) fn solve_lns_portfolio(
     model: &Model,
     objective: Objective,
     config: &SearchConfig,
+    mut budget: Budget<'_>,
     lns: &LnsConfig,
-    workers: usize,
     space: &mut SearchSpace,
     observer: &mut Option<&mut dyn SolveObserver>,
 ) -> SearchOutcome {
+    let workers = worker_count(config);
     debug_assert!(workers > 1);
     debug_assert!(!matches!(objective, Objective::Satisfy));
-    let start = Instant::now();
     let sense = Sense::of(objective);
     let warm = validated_warm(model, objective, config);
     let had_warm = warm.is_some();
@@ -890,10 +831,16 @@ pub(crate) fn solve_lns_portfolio(
         parallel_workers: workers as u64,
         ..Default::default()
     };
-    let mut cancelled = false;
-    let mut complete = false;
-    let mut limit = false;
+    // Set when the construction dive or a round settles the solve.
+    let mut settled: Option<StopReason> = None;
     let mut stall: u32 = 0;
+    // The construction dive and every worker run bound-free: the coordinator
+    // owns the one certificate and checks the gap at round boundaries.
+    let unbounded = SearchConfig {
+        bound_mode: BoundMode::Off,
+        warm_start: None,
+        ..config.clone()
+    };
 
     if space.pool.len() < workers {
         space.pool.resize_with(workers, SearchSpace::new);
@@ -910,55 +857,32 @@ pub(crate) fn solve_lns_portfolio(
     // instead dives once with the whole remaining budget, stopping at the
     // first solution, and hands it to every worker as the opening round's
     // shared incumbent.
-    let mut halted_in_construction = incumbent.is_none() && {
-        let dive_cfg = SearchConfig {
-            mode: crate::lns::SolverMode::Exact,
-            workers: None,
-            warm_start: None,
-            node_limit: config.node_limit,
-            max_solutions: Some(1),
-            // The portfolio coordinator owns the one certificate and the
-            // round-boundary gap checks; the construction dive runs
-            // bound-free like every worker.
-            gap_limit: None,
-            bound_mode: BoundMode::Off,
-            ..config.clone()
+    if incumbent.is_none() {
+        let slice = Slice {
+            solutions: Some(1),
+            ..Slice::default()
         };
-        let dive = solve_exact_in(model, objective, &dive_cfg, space, &mut *observer);
-        chain.extend(dive.solutions.iter().cloned());
-        let mut counters = dive.stats.clone();
-        counters.solutions = 0;
-        counters.elapsed_micros = 0;
-        counters.limit_reached = false;
-        counters.cancelled = false;
-        counters.warm_start = false;
-        stats.merge(&counters);
-        cancelled = dive.stats.cancelled;
+        let mut dive = solve_exact_in(
+            model,
+            objective,
+            &unbounded,
+            budget.child(&stats, slice),
+            space,
+            &mut *observer,
+        );
+        chain.append(&mut dive.solutions);
+        stats.merge(&dive.stats);
         if let (Some(a), Some(v)) = (dive.best, dive.best_objective) {
             incumbent = Some((a, v));
         }
-        if dive.complete && incumbent.is_none() {
-            // The dive exhausted the tree without a leaf: proven infeasible.
-            // (With a solution, `complete` is ambiguous — the engine reports
-            // a solution-capped stop as complete — so the portfolio keeps
-            // improving and lets neighborhood exhaustion re-prove
-            // optimality.)
-            complete = true;
-            true
-        } else if incumbent.is_none() {
-            // Budget exhausted before any incumbent appeared.
-            limit = true;
-            true
-        } else {
-            cancelled
+        // Stopping at the first solution is the dive's job; any other stop —
+        // a proof of infeasibility, a cancel, the solve's budget running out
+        // — settles the solve.
+        if dive.stop != StopReason::Solutions {
+            settled = Some(dive.stop);
         }
-    };
-    if config
-        .max_solutions
-        .is_some_and(|k| chain.len() >= k && !complete)
-    {
-        halted_in_construction = true;
     }
+    stats.solutions = chain.len() as u64;
 
     // One root certificate for the whole portfolio, computed on the
     // coordinator in a scratch store (worker counters stay comparable).
@@ -966,63 +890,42 @@ pub(crate) fn solve_lns_portfolio(
     stats.dual_bound = certificate.as_ref().map(|c| c.dual_bound);
 
     let mut round: u64 = 0;
-    loop {
-        // The construction phase may already have settled the outcome
-        // (proved infeasibility, exhausted the budget feasible-solution-less,
-        // satisfied `max_solutions`, or got cancelled): skip the rounds.
-        if halted_in_construction {
-            break;
+    let stop = loop {
+        if let Some(stop) = settled {
+            break stop;
         }
-        // Gap-driven termination at the round boundary — the same
-        // deterministic synchronization point where incumbents are adopted.
-        // Strict comparison: `gap_limit = Some(0.0)` never stops a round.
-        if let (Some(gap_limit), Some(dual)) = (config.gap_limit, stats.dual_bound) {
-            if incumbent
-                .as_ref()
-                .is_some_and(|(_, v)| bounds::optimality_gap(objective, *v, dual) < gap_limit)
-            {
-                limit = true;
-                break;
-            }
+        // The round boundary is the deterministic synchronization point
+        // where incumbents are adopted and the solve's budget is checked.
+        if let (Some(dual), Some((_, v))) = (stats.dual_bound, incumbent.as_ref()) {
+            stats.gap = Some(bounds::optimality_gap(objective, *v, dual));
         }
-        if let Some(t) = config.time_limit {
-            if start.elapsed() >= t {
-                limit = true;
-                break;
-            }
+        if let Some(stop) = budget.check(&stats, true) {
+            break stop;
         }
-        if let Some(n) = config.node_limit {
-            if stats.nodes >= n {
-                limit = true;
-                break;
-            }
-        }
-        if let Some(mi) = lns.max_iterations {
-            if stats.lns_iterations >= mi {
-                limit = true;
-                break;
-            }
-        }
-        if let Some(ms) = config.max_solutions {
-            if chain.len() >= ms {
-                break;
-            }
+        if lns
+            .max_iterations
+            .is_some_and(|mi| stats.lns_iterations >= mi)
+        {
+            break StopReason::Iterations;
         }
 
-        // Per-round budget slices. Consecutive unimproved rounds escalate
-        // geometrically so a stalled portfolio still reaches the
-        // full-neighborhood completeness proof of the sequential driver.
+        // Per-round budget slices: an even share of what remains of the node
+        // and fail budgets (at most `node_floor` nodes). Consecutive
+        // unimproved rounds escalate geometrically so a stalled portfolio
+        // still reaches the full-neighborhood completeness proof of the
+        // sequential driver.
         let escalation = 1u64 << stall.min(16);
         let node_floor = lns
             .dive_node_limit
             .saturating_mul(2)
             .max(1_000)
             .saturating_mul(escalation);
-        let node_slice = match config.node_limit {
-            None => node_floor,
-            Some(n) => node_floor
-                .min((n - stats.nodes).div_ceil(workers as u64))
-                .max(1),
+        let left = budget.remaining(&stats);
+        let share = |left: Option<u64>| left.map(|l| l.div_ceil(workers as u64));
+        let slice = Slice {
+            nodes: Some(share(left.nodes).map_or(node_floor, |s| s.min(node_floor))),
+            fails: share(left.fails),
+            ..Slice::default()
         };
         let iter_slice = {
             let base = PORTFOLIO_ROUND_ITERATIONS.saturating_mul(escalation);
@@ -1033,26 +936,17 @@ pub(crate) fn solve_lns_portfolio(
         };
 
         let warm_assignment: Option<Assignment> = incumbent.as_ref().map(|(a, _)| a.clone());
-        let fails_so_far = stats.fails;
         // The shared incumbent board: one slot per worker, adopted in fixed
         // worker order at the round boundary.
         let board: Mutex<Vec<Option<SearchOutcome>>> = Mutex::new(vec![None; workers]);
         std::thread::scope(|s| {
             for (w, wspace) in pool.iter_mut().take(workers).enumerate() {
-                let (board, warm_assignment) = (&board, &warm_assignment);
+                let (board, warm_assignment, unbounded) = (&board, &warm_assignment, &unbounded);
+                let worker_budget = budget.child(&stats, slice);
                 s.spawn(move || {
                     let worker_cfg = SearchConfig {
-                        workers: None,
                         warm_start: warm_assignment.clone(),
-                        node_limit: Some(node_slice),
-                        fail_limit: config
-                            .fail_limit
-                            .map(|f| f.saturating_sub(fails_so_far).max(1)),
-                        max_solutions: None,
-                        time_limit: config.time_limit.map(|t| t.saturating_sub(start.elapsed())),
-                        gap_limit: None,
-                        bound_mode: BoundMode::Off,
-                        ..config.clone()
+                        ..unbounded.clone()
                     };
                     let mut worker_lns = lns.clone();
                     worker_lns.seed =
@@ -1063,6 +957,7 @@ pub(crate) fn solve_lns_portfolio(
                         model,
                         objective,
                         &worker_cfg,
+                        worker_budget,
                         &worker_lns,
                         wspace,
                         &mut no_obs,
@@ -1096,19 +991,10 @@ pub(crate) fn solve_lns_portfolio(
                     adopted = Some((a, v));
                 }
             }
-            if out.complete {
-                complete = true;
-            }
-            // Merge worker counters deterministically (worker order), with
-            // flags and result-shaped fields scrubbed: the coordinator owns
-            // the incumbent chain and the final flag set.
-            let mut counters = out.stats.clone();
-            counters.solutions = 0;
-            counters.elapsed_micros = 0;
-            counters.limit_reached = false;
-            counters.cancelled = false;
-            counters.warm_start = false;
-            stats.merge(&counters);
+            // Merge worker counters deterministically (worker order). The
+            // coordinator owns the incumbent chain, the solution count and
+            // (through `finish`) the flags.
+            stats.merge(&out.stats);
         }
         let improved = adopted.map(|(a, v)| (a.clone(), v));
         let improved_flag = improved.is_some();
@@ -1117,10 +1003,11 @@ pub(crate) fn solve_lns_portfolio(
             chain.push(a.clone());
             incumbent = Some((a.clone(), v));
             if notify(observer, |o| o.on_incumbent(Some(v), &a)) {
-                cancelled = true;
+                settled = Some(StopReason::Cancelled);
             }
         }
-        if !cancelled
+        stats.solutions = chain.len() as u64;
+        if settled.is_none()
             && notify(observer, |o| {
                 o.on_lns_iteration(
                     stats.lns_iterations,
@@ -1129,25 +1016,17 @@ pub(crate) fn solve_lns_portfolio(
                 )
             })
         {
-            cancelled = true;
+            settled = Some(StopReason::Cancelled);
         }
-        if cancelled || complete {
-            break;
-        }
-        if consumed == 0 && !improved_flag {
-            // Degenerate: no worker could expend a single node — treat as an
-            // exhausted budget rather than spinning.
-            limit = true;
-            break;
-        }
-    }
+        let proved = outcomes.iter().any(|o| o.stop == StopReason::Complete);
+        settled = settled.or(proved.then_some(StopReason::Complete));
+        // Degenerate: no worker could expend a single node (there is no
+        // neighborhood to destroy) — stop rather than spin.
+        settled = settled.or((consumed == 0 && !improved_flag).then_some(StopReason::Iterations));
+    };
     space.pool = pool;
 
-    stats.solutions = chain.len() as u64;
     stats.warm_start = had_warm;
-    stats.cancelled = cancelled;
-    stats.limit_reached = limit || cancelled;
-    stats.elapsed_micros = start.elapsed().as_micros() as u64;
     let (best, best_objective) = match incumbent {
         Some((a, v)) => (Some(a), Some(v)),
         None => (None, None),
@@ -1155,14 +1034,15 @@ pub(crate) fn solve_lns_portfolio(
     if let (Some(dual), Some(v)) = (stats.dual_bound, best_objective) {
         stats.gap = Some(bounds::optimality_gap(objective, v, dual));
     }
-    SearchOutcome {
+    let outcome = SearchOutcome {
         best,
         best_objective,
         solutions: chain,
         stats,
-        complete: complete && !cancelled,
+        stop,
         certificate,
-    }
+    };
+    budget.finish(outcome, observer)
 }
 
 #[cfg(test)]
@@ -1221,7 +1101,7 @@ mod tests {
             assert_eq!(par.best_objective, sequential.best_objective, "workers={n}");
             assert_eq!(par.best, sequential.best, "workers={n}");
             assert_eq!(par.solutions, sequential.solutions, "workers={n}");
-            assert_eq!(par.complete, sequential.complete, "workers={n}");
+            assert_eq!(par.stop, sequential.stop, "workers={n}");
             assert_eq!(par.stats.solutions, sequential.stats.solutions);
             assert_eq!(par.stats.parallel_workers, n as u64);
             assert!(par.stats.subtrees >= 2);
@@ -1302,7 +1182,7 @@ mod tests {
         assert_eq!(par.solutions, sequential.solutions);
         assert_eq!(par.best, sequential.best);
         assert_eq!(par.best_objective, sequential.best_objective);
-        assert_eq!(par.complete, sequential.complete);
+        assert_eq!(par.stop, sequential.stop);
     }
 
     #[test]
@@ -1374,7 +1254,7 @@ mod tests {
             },
             &mut SearchSpace::new(),
         );
-        assert!(par.complete);
+        assert_eq!(par.stop, StopReason::Complete);
         assert!(par.solutions.is_empty());
     }
 
@@ -1387,7 +1267,7 @@ mod tests {
             ..Default::default()
         };
         let out = solve_in(&m, Objective::Minimize(obj), &cfg, &mut SearchSpace::new());
-        assert!(!out.complete);
+        assert_eq!(out.stop, StopReason::Nodes);
         assert!(out.stats.nodes <= 6);
         assert_eq!(out.stats.parallel_workers, 0, "sequential fallback");
     }

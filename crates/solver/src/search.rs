@@ -39,9 +39,10 @@
 //! sets and fail counts on every model.
 
 use std::num::NonZeroUsize;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::bounds::{self, BoundCertificate, BoundMode};
+use crate::budget::{Budget, Slice, StopReason};
 use crate::domain::Domain;
 use crate::lns::SolverMode;
 use crate::model::{Model, VarId};
@@ -219,17 +220,6 @@ impl Default for SearchConfig {
     }
 }
 
-impl SearchConfig {
-    /// Convenience constructor with only a time limit, mirroring the paper's
-    /// "we limit each solver's COP execution time to 10 seconds".
-    pub fn with_time_limit(limit: Duration) -> Self {
-        SearchConfig {
-            time_limit: Some(limit),
-            ..Default::default()
-        }
-    }
-}
-
 /// A complete assignment of values to all model variables.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Assignment {
@@ -268,18 +258,23 @@ impl Assignment {
 #[derive(Debug, Clone)]
 pub struct SearchOutcome {
     /// Best assignment found (for optimization), or the first solution (for
-    /// satisfaction). `None` if no solution was found.
+    /// satisfaction). `None` if no solution was found. A valid
+    /// [`SearchConfig::warm_start`] is reported here when the search stopped
+    /// before recording anything better.
     pub best: Option<Assignment>,
     /// Objective value of `best`, when optimizing.
     pub best_objective: Option<i64>,
-    /// All solutions collected (for `Satisfy`; for optimization this is the
-    /// sequence of improving incumbents).
+    /// The solutions recorded, in order: every solution for `Satisfy`, the
+    /// improving incumbents for optimization (for the LNS portfolio, the
+    /// incumbents adopted at round boundaries).
     pub solutions: Vec<Assignment>,
-    /// Search statistics.
+    /// Search statistics; their `limit_reached` and `cancelled` flags are
+    /// projections of `stop`.
     pub stats: SearchStats,
-    /// True if the search space was fully explored (the result is proven
-    /// optimal / complete), false if a limit stopped it early.
-    pub complete: bool,
+    /// Why the search stopped. Only [`StopReason::Complete`] proves the
+    /// result: the optimum (or infeasibility) of an optimization, or every
+    /// requested solution of a satisfaction search.
+    pub stop: StopReason,
     /// The dual-bound certificate computed at the frozen root, when
     /// [`SearchConfig::bound_mode`] enabled one (see [`crate::bounds`]).
     /// A gap-terminated search documents its solution quality here.
@@ -444,13 +439,13 @@ impl SearchSpace {
 struct Searcher<'m, 'o, 'p> {
     model: &'m Model,
     objective: Objective,
-    config: SearchConfig,
+    config: &'m SearchConfig,
+    budget: Budget<'m>,
     stats: SearchStats,
-    start: Instant,
     best: Option<Assignment>,
     best_objective: Option<i64>,
     solutions: Vec<Assignment>,
-    stopped: bool,
+    stop: Option<StopReason>,
     /// Dual-bound certificate computed at this search's frozen root, when
     /// [`SearchConfig::bound_mode`] enabled an engine.
     certificate: Option<BoundCertificate>,
@@ -466,9 +461,9 @@ struct Searcher<'m, 'o, 'p> {
     /// observer without fighting the trait object's invariant lifetime.
     observer: &'o mut Option<&'p mut dyn SolveObserver>,
     /// Coupling to a parallel-search coordinator, when this searcher runs as
-    /// a subtree worker (see [`crate::parallel`]): cooperative cancellation,
-    /// the shared node budget, the shared incumbent-bound slots. `None` on
-    /// every sequential path.
+    /// a subtree worker (see [`crate::parallel`]): the shared incumbent-bound
+    /// slots its entry bound is validated against. `None` on every
+    /// sequential path.
     link: Option<&'m crate::parallel::SearchLink<'m>>,
 }
 
@@ -505,47 +500,57 @@ pub fn solve_in_observed(
     observer: Option<&mut dyn SolveObserver>,
 ) -> SearchOutcome {
     let mut observer = observer;
-    let workers = crate::parallel::worker_count(config);
+    let budget = Budget::new(config, objective);
+    let parallel = crate::parallel::worker_count(config) > 1;
     if let SolverMode::Lns(lns) = &config.mode {
         if !matches!(objective, Objective::Satisfy) {
-            let lns = lns.clone();
-            if workers > 1 {
+            if parallel {
                 return crate::parallel::solve_lns_portfolio(
                     model,
                     objective,
                     config,
-                    &lns,
-                    workers,
+                    budget,
+                    lns,
                     space,
                     &mut observer,
                 );
             }
-            return crate::lns::solve_lns(model, objective, config, &lns, space, &mut observer);
+            return crate::lns::solve_lns(
+                model,
+                objective,
+                config,
+                budget,
+                lns,
+                space,
+                &mut observer,
+            );
         }
     }
-    if workers > 1 {
+    if parallel {
         return crate::parallel::solve_exact_parallel(
             model,
             objective,
             config,
-            workers,
+            budget,
             space,
             &mut observer,
         );
     }
-    solve_exact_in(model, objective, config, space, &mut observer)
+    solve_exact_in(model, objective, config, budget, space, &mut observer)
 }
 
-/// The exact branch-and-bound search (ignores [`SearchConfig::mode`]); the
-/// LNS driver calls this for its incumbent dives.
+/// The exact branch-and-bound search under `budget` (ignores
+/// [`SearchConfig::mode`] and [`SearchConfig::workers`]); the LNS drivers
+/// call this for their incumbent dives.
 pub(crate) fn solve_exact_in(
     model: &Model,
     objective: Objective,
     config: &SearchConfig,
+    budget: Budget<'_>,
     space: &mut SearchSpace,
     observer: &mut Option<&mut dyn SolveObserver>,
 ) -> SearchOutcome {
-    let mut searcher = Searcher::new(model, objective, config.clone(), observer);
+    let mut searcher = Searcher::new(model, objective, config, budget, observer);
     let warm = validated_warm(model, objective, config);
     if let Some((_, value)) = &warm {
         searcher.seed_warm_bound(*value);
@@ -598,7 +603,7 @@ pub(crate) fn validated_warm(
 /// True when `warm` is a complete, feasible assignment of `model`: it covers
 /// every variable, every value lies inside the variable's root domain, and
 /// every propagator accepts the assignment.
-pub(crate) fn warm_start_valid(model: &Model, warm: &Assignment) -> bool {
+fn warm_start_valid(model: &Model, warm: &Assignment) -> bool {
     if warm.len() != model.num_vars() || warm.is_empty() {
         return false;
     }
@@ -693,12 +698,17 @@ pub fn complete_hints(
     }
     let best = if consistent {
         let probe_cfg = SearchConfig {
-            mode: SolverMode::Exact,
             branching: Branching::SmallestDomain,
-            fail_limit: Some(fail_limit),
             ..Default::default()
         };
-        resolve_subtree(model, objective, &probe_cfg, space, None, &mut None).best
+        let probe = Budget::new(&probe_cfg, objective).child(
+            &stats,
+            Slice {
+                fails: Some(fail_limit),
+                ..Slice::default()
+            },
+        );
+        resolve_subtree(model, objective, &probe_cfg, probe, space, None, &mut None).best
     } else {
         None
     };
@@ -731,7 +741,8 @@ pub fn solve_reference(
     config: &SearchConfig,
 ) -> SearchOutcome {
     let mut no_observer: Option<&mut dyn SolveObserver> = None;
-    let mut searcher = Searcher::new(model, objective, config.clone(), &mut no_observer);
+    let budget = Budget::new(config, objective);
+    let mut searcher = Searcher::new(model, objective, config, budget, &mut no_observer);
     let warm = validated_warm(model, objective, config);
     if let Some((_, value)) = &warm {
         searcher.seed_warm_bound(*value);
@@ -747,8 +758,8 @@ pub fn solve_reference(
     finish_with_warm(searcher, warm)
 }
 
-/// Run a bounded exact search *below the current store state* — the repair
-/// step of the LNS driver.
+/// Run an exact search under `budget` *below the current store state* — the
+/// repair step of the LNS driver.
 ///
 /// Contract with the caller ([`crate::lns::solve_lns`]):
 ///
@@ -766,6 +777,7 @@ pub(crate) fn resolve_subtree(
     model: &Model,
     objective: Objective,
     config: &SearchConfig,
+    budget: Budget<'_>,
     space: &mut SearchSpace,
     incumbent: Option<i64>,
     observer: &mut Option<&mut dyn SolveObserver>,
@@ -774,7 +786,7 @@ pub(crate) fn resolve_subtree(
         space.store.level() > 0,
         "resolve_subtree requires an open freeze level"
     );
-    let mut searcher = Searcher::new(model, objective, config.clone(), observer);
+    let mut searcher = Searcher::new(model, objective, config, budget, observer);
     searcher.best_objective = incumbent;
     space.frames.clear();
     space.values.clear();
@@ -784,24 +796,25 @@ pub(crate) fn resolve_subtree(
 
 /// [`resolve_subtree`] for a parallel subtree worker: unobserved (the
 /// [`SolveObserver`] is not `Send`, so events are sequenced on the
-/// coordinator thread from the merged result instead), coupled to the
-/// coordinator through `link` for cancellation, the shared node budget and
+/// coordinator thread from the merged result instead), under a budget shared
+/// with the other workers, and coupled to the coordinator through `link` for
 /// entry-bound invalidation (`incumbent` is the worker's speculative entry
 /// bound; the coordinator validates it against the sequential bound).
-pub(crate) fn resolve_subtree_linked(
-    model: &Model,
+pub(crate) fn resolve_subtree_linked<'a>(
+    model: &'a Model,
     objective: Objective,
-    config: &SearchConfig,
+    config: &'a SearchConfig,
+    budget: Budget<'a>,
     space: &mut SearchSpace,
     incumbent: Option<i64>,
-    link: &crate::parallel::SearchLink<'_>,
+    link: &'a crate::parallel::SearchLink<'a>,
 ) -> SearchOutcome {
     debug_assert!(
         space.store.level() > 0,
         "resolve_subtree_linked requires an open subtree level"
     );
     let mut no_observer: Option<&mut dyn SolveObserver> = None;
-    let mut searcher = Searcher::new(model, objective, config.clone(), &mut no_observer);
+    let mut searcher = Searcher::new(model, objective, config, budget, &mut no_observer);
     searcher.link = Some(link);
     searcher.best_objective = incumbent;
     space.frames.clear();
@@ -814,19 +827,20 @@ impl<'m, 'o, 'p> Searcher<'m, 'o, 'p> {
     fn new(
         model: &'m Model,
         objective: Objective,
-        config: SearchConfig,
+        config: &'m SearchConfig,
+        budget: Budget<'m>,
         observer: &'o mut Option<&'p mut dyn SolveObserver>,
     ) -> Self {
         Searcher {
             model,
             objective,
             config,
+            budget,
             stats: SearchStats::default(),
-            start: Instant::now(),
             best: None,
             best_objective: None,
             solutions: Vec::new(),
-            stopped: false,
+            stop: None,
             certificate: None,
             primal: None,
             observer,
@@ -871,91 +885,38 @@ impl<'m, 'o, 'p> Searcher<'m, 'o, 'p> {
         }
     }
 
-    fn finish(self) -> SearchOutcome {
-        let mut stats = self.stats;
-        stats.elapsed_micros = self.start.elapsed().as_micros() as u64;
-        stats.limit_reached = self.stopped;
-        SearchOutcome {
+    fn finish(mut self) -> SearchOutcome {
+        let outcome = SearchOutcome {
             best: self.best,
             best_objective: self.best_objective,
             solutions: self.solutions,
-            stats,
-            complete: !self.stopped,
+            stats: self.stats,
+            stop: self.stop.unwrap_or(StopReason::Complete),
             certificate: self.certificate,
-        }
+        };
+        self.budget.finish(outcome, self.observer)
     }
 
-    /// Mark the search cancelled by the observer: it stops like a limit hit,
-    /// keeping whatever incumbent exists.
-    fn cancel(&mut self) {
-        self.stopped = true;
-        self.stats.cancelled = true;
-    }
-
+    /// Node-entry check: has the search stopped, or must it stop now? The gap
+    /// only changes with the incumbent or the dual bound (both deterministic
+    /// events) and is checked here with every other limit, so a gap-limited
+    /// run is rerun-deterministic. The clock is only polled every 64 nodes:
+    /// `Instant::now` is cheap but not free on the per-node path.
     fn check_limits(&mut self) -> bool {
-        if self.stopped {
+        if self.stop.is_some() {
             return true;
         }
-        if let Some(link) = self.link {
-            if link.cancelled() {
-                self.cancel();
-                return true;
-            }
-            // A published prefix incumbent has beaten this worker's entry
-            // bound: the speculative run is doomed to fail validation, so
-            // abandon it early (the coordinator redoes the subtree with the
-            // exact sequential entry bound).
-            if self.stats.nodes % 64 == 0 && link.invalidated() {
-                self.stopped = true;
-                return true;
-            }
-            if link.node_budget_exhausted() {
-                self.stopped = true;
-                return true;
-            }
-        }
-        // Gap-driven termination: the gap only changes when the incumbent or
-        // the dual bound does (both deterministic events), and it is checked
-        // here — the same place every budget limit is checked — so a
-        // gap-limited run is rerun-deterministic. Strict comparison: a zero
-        // threshold never stops early (the gap is never negative).
-        if let (Some(limit), Some(gap)) = (self.config.gap_limit, self.stats.gap) {
-            if gap < limit {
-                self.stopped = true;
-                return true;
-            }
-        }
-        if let Some(t) = self.config.time_limit {
-            // Only check the clock periodically; Instant::elapsed is cheap but
-            // not free on hot paths.
-            if self.stats.nodes % 64 == 0 && self.start.elapsed() > t {
-                self.stopped = true;
-                return true;
-            }
-        }
-        let budget_hit = self
-            .config
-            .fail_limit
-            .is_some_and(|f| self.stats.fails >= f)
-            || self
-                .config
-                .node_limit
-                .is_some_and(|n| self.stats.nodes >= n);
-        if budget_hit {
-            self.stopped = true;
-            if notify(&mut *self.observer, |o| o.on_node_budget(&self.stats)) {
-                self.stats.cancelled = true;
-            }
+        let poll = self.stats.nodes % 64 == 0;
+        // A published prefix incumbent has beaten this worker's entry bound:
+        // the speculative run is doomed to fail validation, so abandon it
+        // early (the coordinator redoes the subtree with the exact
+        // sequential entry bound, and never reads this stop reason).
+        if poll && self.link.is_some_and(|link| link.invalidated()) {
+            self.stop = Some(StopReason::Cancelled);
             return true;
         }
-        false
-    }
-
-    fn solution_limit_hit(&self) -> bool {
-        match self.config.max_solutions {
-            Some(k) => self.solutions.len() >= k,
-            None => false,
-        }
+        self.stop = self.budget.check(&self.stats, poll);
+        self.stop.is_some()
     }
 
     fn select_var(&self, domains: &[Domain]) -> Option<usize> {
@@ -990,14 +951,17 @@ impl<'m, 'o, 'p> Searcher<'m, 'o, 'p> {
         if notify(&mut *self.observer, |o| {
             o.on_incumbent(objective_value, &assignment)
         }) {
-            self.cancel();
+            self.stop = Some(StopReason::Cancelled);
         }
         self.solutions.push(assignment);
+        if self.stop.is_none() {
+            self.stop = self.budget.solutions_done(&self.stats);
+        }
     }
 
     /// Should this node bisect the domain instead of enumerating values?
     fn use_split(&self, size: u64) -> bool {
-        use_split_with(&self.config, size)
+        use_split_with(self.config, size)
     }
 
     /// Tighten the objective domain with the incumbent bound at node entry.
@@ -1030,18 +994,15 @@ impl<'m, 'o, 'p> Searcher<'m, 'o, 'p> {
     /// branch-and-bound objective bound, leaf detection and frame creation.
     /// Returns `true` iff a frame was pushed (the node has branches to try).
     fn enter_node(&mut self, space: &mut SearchSpace, depth: u64) -> bool {
-        if self.check_limits() || self.solution_limit_hit() {
+        if self.check_limits() {
             return false;
         }
         self.stats.nodes += 1;
         self.stats.max_depth = self.stats.max_depth.max(depth);
-        if let Some(link) = self.link {
-            link.count_node();
-        }
         if self.stats.nodes % PROGRESS_NODE_INTERVAL == 0
             && notify(&mut *self.observer, |o| o.on_progress(&self.stats))
         {
-            self.cancel();
+            self.stop = Some(StopReason::Cancelled);
             return false;
         }
 
@@ -1117,7 +1078,7 @@ impl<'m, 'o, 'p> Searcher<'m, 'o, 'p> {
             return;
         }
         while let Some(top) = space.frames.len().checked_sub(1) {
-            if self.stopped || self.solution_limit_hit() {
+            if self.stop.is_some() {
                 return;
             }
             let frame = space.frames[top];
@@ -1169,7 +1130,7 @@ impl<'m, 'o, 'p> Searcher<'m, 'o, 'p> {
     /// Recursive DFS cloning the whole store at every branch (the
     /// pre-trail semantics, kept verbatim for equivalence testing).
     fn dfs_cloning(&mut self, mut store: Store, queue: &mut PropQueue, depth: u64) {
-        if self.check_limits() || self.solution_limit_hit() {
+        if self.check_limits() {
             return;
         }
         self.stats.nodes += 1;
@@ -1235,7 +1196,7 @@ impl<'m, 'o, 'p> Searcher<'m, 'o, 'p> {
                     continue;
                 }
                 self.dfs_cloning(branch, queue, depth + 1);
-                if self.stopped || self.solution_limit_hit() {
+                if self.stop.is_some() {
                     return;
                 }
             }
@@ -1256,7 +1217,7 @@ impl<'m, 'o, 'p> Searcher<'m, 'o, 'p> {
                     continue;
                 }
                 self.dfs_cloning(branch, queue, depth + 1);
-                if self.stopped || self.solution_limit_hit() {
+                if self.stop.is_some() {
                     return;
                 }
             }
@@ -1268,6 +1229,7 @@ impl<'m, 'o, 'p> Searcher<'m, 'o, 'p> {
 mod tests {
     use super::*;
     use crate::Model;
+    use std::time::Instant;
 
     fn sum_model() -> (Model, VarId, VarId, VarId) {
         let mut m = Model::new();
@@ -1282,7 +1244,7 @@ mod tests {
     fn minimize_finds_optimum_and_proves_it() {
         let (m, x, y, obj) = sum_model();
         let out = m.minimize(obj, &SearchConfig::default());
-        assert!(out.complete);
+        assert_eq!(out.stop, StopReason::Complete);
         let best = out.best.unwrap();
         assert_eq!(best.value(x), 0);
         assert_eq!(best.value(y), 9);
@@ -1343,7 +1305,7 @@ mod tests {
             ..Default::default()
         };
         let out = m.maximize(obj, &cfg);
-        assert!(!out.complete);
+        assert_eq!(out.stop, StopReason::Nodes);
         assert!(out.stats.nodes <= 6);
     }
 
@@ -1353,7 +1315,10 @@ mod tests {
         let mut m = Model::new();
         let xs: Vec<VarId> = (0..30).map(|_| m.new_var(0, 30)).collect();
         let obj = m.linear_var(&xs.iter().map(|&x| (1, x)).collect::<Vec<_>>(), 0);
-        let cfg = SearchConfig::with_time_limit(Duration::from_millis(50));
+        let cfg = SearchConfig {
+            time_limit: Some(Duration::from_millis(50)),
+            ..Default::default()
+        };
         let start = Instant::now();
         let _ = m.maximize(obj, &cfg);
         assert!(start.elapsed() < Duration::from_secs(5));
@@ -1380,7 +1345,7 @@ mod tests {
         m.linear_ge(&[(1, x), (1, y)], 5);
         let out = m.solve_all(&SearchConfig::default());
         assert!(out.solutions.is_empty());
-        assert!(out.complete);
+        assert_eq!(out.stop, StopReason::Complete);
     }
 
     #[test]
@@ -1491,7 +1456,7 @@ mod tests {
         };
         let warm = m.minimize(obj, &warm_cfg);
         assert!(warm.stats.warm_start);
-        assert!(warm.complete);
+        assert_eq!(warm.stop, StopReason::Complete);
         assert_eq!(warm.best_objective, cold.best_objective);
         assert_eq!(warm.best, cold.best, "warm must land on the cold incumbent");
         assert!(
@@ -1537,7 +1502,7 @@ mod tests {
             ..Default::default()
         };
         let out = m.minimize(obj, &cfg);
-        assert!(!out.complete);
+        assert_eq!(out.stop, StopReason::Nodes);
         // the search explored nothing, but the warm incumbent is reported
         assert_eq!(out.best, cold.best);
         assert_eq!(out.best_objective, cold.best_objective);

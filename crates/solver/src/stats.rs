@@ -32,11 +32,11 @@ pub struct SearchStats {
     pub lns_improvements: u64,
     /// Wall-clock time spent searching, in microseconds.
     pub elapsed_micros: u64,
-    /// True if the search stopped because of a limit (time, fails, solutions)
-    /// rather than exhausting the tree.
+    /// True if [`crate::SearchOutcome::stop`] is any [`crate::StopReason`]
+    /// but `Complete` (a limit, the solution cap, or a cancellation).
     pub limit_reached: bool,
     /// True if a [`crate::SolveObserver`] cancelled the search cooperatively
-    /// (implies `limit_reached`).
+    /// ([`crate::StopReason::Cancelled`]; implies `limit_reached`).
     pub cancelled: bool,
     /// True if a [`crate::SearchConfig::warm_start`] assignment seeded this
     /// search (the initial branch-and-bound bound for exact search, the

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use cologne::datalog::{NodeId, Value};
 use cologne::solver::{
     solve_reference, BoundMode, Branching, DualBound, LinearRelaxation, Model, Objective,
-    RelaxedMerge, SearchConfig,
+    RelaxedMerge, SearchConfig, StopReason,
 };
 use cologne::{CologneInstance, ProgramParams, SolveReport, VarDomain};
 use cologne_usecases::programs::{ACLOUD_CENTRALIZED, WIRELESS_CENTRALIZED};
@@ -73,7 +73,10 @@ proptest! {
         };
         let cfg = SearchConfig::default();
         let reference = solve_reference(&m, objective, &cfg);
-        prop_assert!(reference.complete, "small models must be solved to proof");
+        prop_assert!(
+            reference.stop == StopReason::Complete,
+            "small models must be solved to proof"
+        );
         let Some(optimum) = reference.best_objective else {
             return Ok(()); // infeasible: any bound is vacuously sound
         };
@@ -311,7 +314,7 @@ fn followsun_bound_is_sound_on_the_grounded_negotiation_cop() {
     assert_eq!(full.best_objective, bounded.best_objective);
     assert_eq!(full.stats.nodes, bounded.stats.nodes);
     assert_eq!(full.stats.fails, bounded.stats.fails);
-    assert_eq!(full.complete, bounded.complete);
+    assert_eq!(full.stop, bounded.stop);
     let cert = bounded
         .certificate
         .as_ref()

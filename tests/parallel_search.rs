@@ -52,7 +52,7 @@ fn assert_outcomes_agree(par: &SearchOutcome, seq: &SearchOutcome, context: &str
     );
     assert_eq!(par.best, seq.best, "{context}: best assignment");
     assert_eq!(par.solutions, seq.solutions, "{context}: incumbent chain");
-    assert_eq!(par.complete, seq.complete, "{context}: completeness");
+    assert_eq!(par.stop, seq.stop, "{context}: stop reason");
     assert_eq!(
         par.stats.solutions, seq.stats.solutions,
         "{context}: solution count"

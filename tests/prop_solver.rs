@@ -200,7 +200,7 @@ proptest! {
         prop_assert_eq!(trail.stats.fails, reference.stats.fails);
         prop_assert_eq!(trail.stats.solutions, reference.stats.solutions);
         prop_assert_eq!(trail.stats.max_depth, reference.stats.max_depth);
-        prop_assert_eq!(trail.complete, reference.complete);
+        prop_assert_eq!(trail.stop, reference.stop);
     }
 
     /// The scaled-variance lowering used for `STDEV` goals always picks a

@@ -51,10 +51,7 @@ fn assert_searchers_agree(cop: &GroundedCop, config: &SearchConfig, context: &st
         trail.solutions, reference.solutions,
         "{context}: incumbent sequence"
     );
-    assert_eq!(
-        trail.complete, reference.complete,
-        "{context}: completeness"
-    );
+    assert_eq!(trail.stop, reference.stop, "{context}: stop reason");
     assert_eq!(trail.stats.nodes, reference.stats.nodes, "{context}: nodes");
     assert_eq!(trail.stats.fails, reference.stats.fails, "{context}: fails");
     assert_eq!(
