@@ -7,7 +7,17 @@
 //! ```
 
 use cologne_bench::format_multi_series;
+use cologne_usecases::wireless::ThroughputCurve;
 use cologne_usecases::{run_fig6, run_fig7, WirelessConfig, WirelessPolicy, WirelessProtocol};
+
+/// How the negotiation behind a curve ended: at its fixpoint, or at its pass
+/// cap with an oscillation cut off. `None` for curves no negotiation made.
+fn fixpoint(curve: &ThroughputCurve) -> Option<&'static str> {
+    Some(match curve.converged? {
+        true => "negotiation reached its fixpoint",
+        false => "negotiation stopped at its pass cap, no fixpoint",
+    })
+}
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -52,10 +62,14 @@ fn main() {
     );
     println!();
     for p in protocols {
+        let curve = &fig6[&p];
+        let note = fixpoint(curve)
+            .map(|f| format!(" ({f})"))
+            .unwrap_or_default();
         println!(
-            "  {:<14} peak throughput {:>6.2} Mbps",
+            "  {:<14} peak throughput {:>6.2} Mbps{note}",
             p.name(),
-            fig6[&p].peak()
+            curve.peak()
         );
     }
     println!("(paper: Cologne protocols clearly outperform Identical-Ch and 1-Interface;");
@@ -78,6 +92,11 @@ fn main() {
     let restricted = fig7[&WirelessPolicy::RestrictedChannels].peak();
     let onehop = fig7[&WirelessPolicy::OneHopInterference].peak();
     println!();
+    for p in policies {
+        if let Some(f) = fixpoint(&fig7[&p]) {
+            println!("  {:<20} {f}", p.name());
+        }
+    }
     println!(
         "  restricted channels reduce peak throughput by {:.1}% (paper: 35.9%)",
         100.0 * (two - restricted).max(0.0) / two.max(f64::EPSILON)

@@ -113,10 +113,13 @@ d5 totalCost2(SUM<C>) <- cost2(X,Y,Z,W,C).
 /// Distributed wireless channel selection (Appendix A.3): per-link
 /// negotiation with the two-hop interference model. Neighbouring nodes
 /// publish their already-chosen channels (`chosen`) and primary-user
-/// restrictions to the negotiating node through the regular rules `r2`/`r3`;
-/// rule `r4` (channel symmetry propagation) is in the listing and the
-/// experiment driver applies the symmetric assignment after each
-/// negotiation, exactly as the paper's `r1` describes.
+/// restrictions to the negotiating node through the regular rules `r2`/`r3`.
+/// Rule `r4` (channel symmetry propagation) is in the listing. After each
+/// negotiation the driver (`wireless::networked_distributed_assignment`)
+/// writes the link's new channel into the `chosen` table of *both*
+/// endpoints — the symmetric assignment `r4` describes — so that `r2` ships
+/// it to both neighbourhoods. It then clears `setLink` and waits until every
+/// shipped tuple is delivered and acknowledged before the next link.
 pub const WIRELESS_DISTRIBUTED: &str = r#"
 goal minimize C in totalCost(@X,C).
 var assign(@X,Y,C) forall setLink(@X,Y).

@@ -2,11 +2,14 @@
 //! distributed Colog programs, interference model, throughput ordering of the
 //! protocols (Fig. 6) and of the policy variations (Fig. 7).
 
+use cologne::net::FaultPlan;
 use cologne_usecases::wireless::{
-    aggregate_throughput, assignment_for, distributed_assignment_with_stats, interference_count,
-    MeshNetwork,
+    aggregate_throughput, assignment_for, interference_count, MeshNetwork,
 };
-use cologne_usecases::{run_fig6, run_fig7, WirelessConfig, WirelessPolicy, WirelessProtocol};
+use cologne_usecases::{
+    networked_distributed_assignment, run_fig6, run_fig7, WirelessConfig, WirelessPolicy,
+    WirelessProtocol,
+};
 
 fn test_config() -> WirelessConfig {
     WirelessConfig {
@@ -77,18 +80,22 @@ fn fig6_protocol_ordering_matches_paper_shape() {
 
 #[test]
 fn fig7_policy_restrictions_cost_throughput() {
-    let config = test_config();
-    let rates = [2.0, 6.0, 10.0];
-    let curves = run_fig7(&config, &rates);
-    let two_hop = curves[&WirelessPolicy::TwoHopInterference].peak();
-    let restricted = curves[&WirelessPolicy::RestrictedChannels].peak();
-    // Removing channels cannot help (Fig. 7: 35.9% throughput drop).
-    assert!(
-        restricted <= two_hop + 1e-9,
-        "restricted channels ({restricted:.2}) must not beat the full set ({two_hop:.2})"
-    );
-    for curve in curves.values() {
-        assert_eq!(curve.throughput.len(), rates.len());
+    // The 3x4 test mesh and the paper-sized 5x6 mesh of the Fig. 7 run.
+    for config in [test_config(), WirelessConfig::default()] {
+        let rates = [2.0, 6.0, 10.0];
+        let curves = run_fig7(&config, &rates);
+        let two_hop = curves[&WirelessPolicy::TwoHopInterference].peak();
+        let restricted = curves[&WirelessPolicy::RestrictedChannels].peak();
+        // Removing channels cannot help (Fig. 7: 35.9% throughput drop).
+        assert!(
+            restricted <= two_hop + 1e-9,
+            "{}x{}: restricted channels ({restricted:.2}) must not beat the full set ({two_hop:.2})",
+            config.rows,
+            config.cols
+        );
+        for curve in curves.values() {
+            assert_eq!(curve.throughput.len(), rates.len());
+        }
     }
 }
 
@@ -103,9 +110,16 @@ fn fig7_policy_restrictions_cost_throughput() {
 /// regression was observed on.
 #[test]
 fn distributed_negotiation_effort_stays_bounded() {
-    // Input-order negotiation explores ~340 / ~860 nodes on these grids; the
-    // ceilings leave ~6x headroom, far below what a wandering fixpoint costs.
-    for (rows, cols, ceiling) in [(3u32, 3u32, 2_000u64), (4, 4, 5_000)] {
+    // Input-order negotiation explores ~340 / ~1 150 nodes on these grids;
+    // the ceilings leave 4-6x headroom, far below what a wandering fixpoint
+    // costs.
+    for (rows, cols, ceiling, converges) in [
+        (3u32, 3u32, 2_000u64, true),
+        // Known gap (reproduction scorecard): the 4x4 mesh of the `--quick`
+        // Fig. 6/7 run oscillates, and its negotiation stops at the pass
+        // cap without a fixpoint.
+        (4, 4, 5_000, false),
+    ] {
         // The full default channel set (the Fig. 6/7 setup), only the grid
         // size varies; `tiny()`'s reduced channel set changes the Fig. 7
         // economics and is not what the regression was observed on.
@@ -117,12 +131,17 @@ fn distributed_negotiation_effort_stays_bounded() {
             ..WirelessConfig::default()
         };
         let mesh = MeshNetwork::generate(&config);
-        let (assignment, stats) = distributed_assignment_with_stats(&mesh, &config.channels);
-        assert_eq!(assignment.len(), mesh.links().len());
+        let out = networked_distributed_assignment(&mesh, &config.channels, FaultPlan::default());
+        assert_eq!(out.assignment.len(), mesh.links().len());
         assert!(
-            stats.nodes < ceiling,
+            out.search.nodes < ceiling,
             "{rows}x{cols} negotiation explored {} nodes (ceiling {ceiling})",
-            stats.nodes
+            out.search.nodes
+        );
+        assert_eq!(
+            out.converged, converges,
+            "{rows}x{cols}: fixpoint after {} passes",
+            out.passes
         );
 
         let rates = [2.0, 6.0, 10.0];
