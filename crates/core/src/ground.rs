@@ -895,9 +895,9 @@ impl<'a> GroundingRun<'a> {
             AggFunc::Unique => self.model.nvalues_var(&vars),
             AggFunc::Min => self.model.min_var(&vars),
             AggFunc::Max => self.model.max_var(&vars),
-            // STDEV is lowered to the scaled integer variance
-            // n·Σx² − (Σx)², which has the same argmin and stays in the
-            // integers (see `Model::scaled_variance_var`).
+            // STDEV is lowered to the scaled integer variance n·Σx² − (Σx)²
+            // (same argmin, stays in the integers): one `ScaledVariance`
+            // propagator over the operands (`Model::scaled_variance_var`).
             AggFunc::Stdev => self.model.scaled_variance_var(&vars),
         };
         Ok(self.new_sym(result_var))

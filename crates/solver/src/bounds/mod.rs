@@ -40,11 +40,10 @@
 //! so no feasible solution is ever excluded. The property tests pin this
 //! against the reference searcher's proven optimum on random models.
 //!
-//! On top of either engine, [`compute_root_bound`] clamps the certificate
-//! with the model's *semantic floors* ([`Model::semantic_floor`]): proven
-//! lower bounds on composite objective variables — the scaled variance of
-//! `STDEV` goals is nonnegative by Cauchy–Schwarz — that interval
-//! relaxation alone cannot see.
+//! Both engines start from the propagated objective domain, sound by itself.
+//! Non-linear objectives are bounded there: for `STDEV` goals the
+//! [`crate::propagators::ScaledVariance`] propagator lifts the domain's
+//! floor to the variance's real minimum over the load boxes.
 //!
 //! # Determinism
 //!
@@ -168,22 +167,6 @@ fn tighter(objective: Objective, candidate: i64, current: i64) -> bool {
     }
 }
 
-/// Clamp a certificate with the model's semantic floor on the objective
-/// (e.g. variance nonnegativity): a proven lower bound on the objective
-/// variable is itself a sound dual bound for minimization, often far
-/// tighter than what interval relaxation can see.
-fn clamp_to_semantic_floor(model: &Model, objective: Objective, cert: &mut BoundCertificate) {
-    if let Objective::Minimize(v) = objective {
-        if let Some(floor) = model.semantic_floor(v) {
-            if floor > cert.dual_bound {
-                cert.dual_bound = floor;
-                cert.binding
-                    .push(format!("semantic floor (objective >= {floor})"));
-            }
-        }
-    }
-}
-
 /// Run the configured engine(s) against an already-propagated root.
 ///
 /// `domains` must be the fixpoint the search starts from (its frozen root);
@@ -195,7 +178,7 @@ pub fn compute_root_bound(
     config: &SearchConfig,
     domains: &[Domain],
 ) -> Option<BoundCertificate> {
-    let mut cert = match config.bound_mode {
+    match config.bound_mode {
         BoundMode::Off => None,
         BoundMode::Linear => LinearRelaxation.certify(model, objective, config, domains),
         BoundMode::Relaxed => RelaxedMerge::default().certify(model, objective, config, domains),
@@ -215,9 +198,7 @@ pub fn compute_root_bound(
                 (a, b) => a.or(b),
             }
         }
-    }?;
-    clamp_to_semantic_floor(model, objective, &mut cert);
-    Some(cert)
+    }
 }
 
 /// [`compute_root_bound`] for callers that have not propagated the root yet
@@ -395,15 +376,16 @@ mod tests {
     }
 
     #[test]
-    fn semantic_floor_clamps_variance_objectives() {
-        // Balance 10 across two vars: the scaled variance n·Σx² − (Σx)² has
-        // interval lower bound −(Σx)²_max, far below the true floor of 0.
+    fn variance_objectives_are_bounded_by_their_propagated_domain() {
+        // Balance 10 across two vars: the load boxes overlap, so the
+        // propagated floor of n·Σx² − (Σx)² is 0, which is the optimum.
         let mut m = Model::new();
         let a = m.new_var(0, 10);
         let b = m.new_var(0, 10);
         m.linear_eq(&[(1, a), (1, b)], 10);
         let z = m.scaled_variance_var(&[a, b]);
-        assert_eq!(m.semantic_floor(z), Some(0));
+        m.propagate_root().unwrap();
+        assert_eq!(m.domain(z).min(), 0);
         for mode in [BoundMode::Linear, BoundMode::Relaxed, BoundMode::Auto] {
             let cfg = SearchConfig {
                 bound_mode: mode,
@@ -413,10 +395,10 @@ mod tests {
                 .unwrap_or_else(|| panic!("{mode:?} must produce a bound"));
             assert!(
                 cert.dual_bound >= 0,
-                "{mode:?}: variance bound {} below the semantic floor",
+                "{mode:?}: variance bound {} is negative",
                 cert.dual_bound
             );
-            assert_eq!(cert.dual_bound, 0, "{mode:?}: floor is tight here");
+            assert_eq!(cert.dual_bound, 0, "{mode:?}: the floor is tight here");
         }
     }
 

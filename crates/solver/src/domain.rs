@@ -124,6 +124,7 @@ impl Domain {
     }
 
     /// True if `v` belongs to the domain.
+    #[inline]
     pub fn contains(&self, v: i64) -> bool {
         if v < self.lo || v > self.hi {
             return false;
@@ -150,6 +151,7 @@ impl Domain {
 
     /// Remove every value `< bound`. Returns `true` if the domain changed,
     /// `Err(())` if it became empty.
+    #[inline]
     pub fn remove_below(&mut self, bound: i64) -> Result<bool, ()> {
         if bound <= self.lo {
             return Ok(false);
@@ -184,6 +186,7 @@ impl Domain {
 
     /// Remove every value `> bound`. Returns `true` if the domain changed,
     /// `Err(())` if it became empty.
+    #[inline]
     pub fn remove_above(&mut self, bound: i64) -> Result<bool, ()> {
         if bound >= self.hi {
             return Ok(false);
@@ -265,6 +268,7 @@ impl Domain {
 
     /// Reduce the domain to the single value `v`. Returns `true` if the
     /// domain changed, `Err(())` if `v` is not a member.
+    #[inline]
     pub fn assign(&mut self, v: i64) -> Result<bool, ()> {
         if !self.contains(v) {
             return Err(());
@@ -279,6 +283,7 @@ impl Domain {
     }
 
     /// Intersect with the interval `[lo, hi]`.
+    #[inline]
     pub fn intersect_bounds(&mut self, lo: i64, hi: i64) -> Result<bool, ()> {
         let a = self.remove_below(lo)?;
         let b = self.remove_above(hi)?;

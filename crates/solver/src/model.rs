@@ -31,9 +31,10 @@
 use crate::domain::Domain;
 use crate::expr::LinExpr;
 use crate::propagator::{Conflict, PropStatus, PropagatorContext};
+use crate::propagators::arith::variance_cap;
 use crate::propagators::{
     AbsVal, LinearEq, LinearLe, LinearNe, MaxOfArray, MinOfArray, MulVar, NValues, ReifLinearEq,
-    ReifLinearLe, Square,
+    ReifLinearLe, ScaledVariance,
 };
 use crate::search::{self, Objective, SearchConfig, SearchOutcome, SearchSpace};
 use crate::stats::SearchStats;
@@ -73,13 +74,6 @@ pub struct Model {
     /// the neighborhood pool of the LNS mode. Empty means "no marking" —
     /// LNS then treats every root-unfixed variable as a decision variable.
     decisions: Vec<VarId>,
-    /// Mathematically proven objective floors interval propagation cannot
-    /// derive (var index → lower bound). Recorded by composite constructors
-    /// — today [`Model::scaled_variance_var`], whose `n·Σx² − (Σx)²` is
-    /// nonnegative by Cauchy–Schwarz while its interval bound goes deeply
-    /// negative — and consulted by the dual-bound engines to clamp
-    /// relaxation bounds (see [`crate::bounds`]).
-    semantic_floors: std::collections::BTreeMap<usize, i64>,
 }
 
 impl Default for Model {
@@ -97,7 +91,6 @@ impl Model {
             propagators: Vec::new(),
             subscriptions: Vec::new(),
             decisions: Vec::new(),
-            semantic_floors: std::collections::BTreeMap::new(),
         }
     }
 
@@ -199,6 +192,7 @@ impl Model {
     /// Indices of the propagators subscribed to the variable at `var_idx`
     /// (used by the search to seed the propagation queue after a branching
     /// decision without rescanning every propagator's dependencies).
+    #[inline]
     pub(crate) fn props_watching(&self, var_idx: usize) -> &[usize] {
         &self.subscriptions[var_idx]
     }
@@ -305,20 +299,6 @@ impl Model {
         z
     }
 
-    /// Returns a fresh variable `z == x²`.
-    pub fn square_var(&mut self, x: VarId) -> VarId {
-        let (l, h) = (self.domain(x).min(), self.domain(x).max());
-        let hi = (l * l).max(h * h);
-        let lo = if l <= 0 && h >= 0 {
-            0
-        } else {
-            (l * l).min(h * h)
-        };
-        let z = self.new_var(lo, hi);
-        self.post(Square::new(z, x));
-        z
-    }
-
     /// Returns a fresh variable equal to `Σ |x_i|` (the `SUMABS` aggregate).
     pub fn sum_abs_var(&mut self, xs: &[VarId]) -> VarId {
         let abs_vars: Vec<VarId> = xs.iter().map(|&x| self.abs_var(x)).collect();
@@ -357,27 +337,18 @@ impl Model {
     ///
     /// Minimizing this integer expression is equivalent to minimizing the
     /// standard deviation of `xs`; it is how the Colog `STDEV` goal of the
-    /// ACloud program (rule `d2`) is lowered onto an integer solver.
+    /// ACloud program (rule `d2`) is lowered onto an integer solver. One
+    /// [`ScaledVariance`] propagator bounds it over all of `xs` at once.
     pub fn scaled_variance_var(&mut self, xs: &[VarId]) -> VarId {
-        assert!(!xs.is_empty());
-        let n = xs.len() as i64;
-        let squares: Vec<VarId> = xs.iter().map(|&x| self.square_var(x)).collect();
-        let sum = self.linear_var(&xs.iter().map(|&x| (1, x)).collect::<Vec<_>>(), 0);
-        let sum_sq = self.square_var(sum);
-        let mut terms: Vec<(i64, VarId)> = squares.into_iter().map(|v| (n, v)).collect();
-        terms.push((-1, sum_sq));
-        let z = self.linear_var(&terms, 0);
-        // n·Σx² ≥ (Σx)² by Cauchy–Schwarz: the scaled variance is
-        // nonnegative even though its interval bound is deeply negative.
-        self.semantic_floors.insert(z.index(), 0);
+        let boxes = xs
+            .iter()
+            .map(|&x| (self.domain(x).min(), self.domain(x).max()));
+        // Root propagation lifts the floor. An overflowing cap stops short of
+        // `i64::MAX`, keeping the domain size representable.
+        let cap = variance_cap(boxes).and_then(|c| i64::try_from(c).ok());
+        let z = self.new_var(0, cap.unwrap_or(i64::MAX - 1));
+        self.post(ScaledVariance::new(z, xs.to_vec()));
         z
-    }
-
-    /// A proven lower bound on a composite variable that interval
-    /// propagation cannot derive (see the `semantic_floors` field), used by
-    /// the [`crate::bounds`] engines to clamp relaxation bounds.
-    pub fn semantic_floor(&self, v: VarId) -> Option<i64> {
-        self.semantic_floors.get(&v.index()).copied()
     }
 
     // ----- propagation -----------------------------------------------------

@@ -45,6 +45,7 @@ pub struct PropagatorContext<'a> {
 }
 
 impl<'a> PropagatorContext<'a> {
+    #[inline]
     pub(crate) fn new(
         store: &'a mut Store,
         changed: &'a mut Vec<VarId>,
@@ -87,6 +88,7 @@ impl<'a> PropagatorContext<'a> {
         self.store.domain(v.index()).fixed_value()
     }
 
+    #[inline]
     fn record(&mut self, v: VarId, changed: Result<bool, ()>) -> Result<bool, Conflict> {
         match changed {
             Ok(true) => {
@@ -100,30 +102,35 @@ impl<'a> PropagatorContext<'a> {
     }
 
     /// Enforce `v >= bound`.
+    #[inline]
     pub fn set_min(&mut self, v: VarId, bound: i64) -> Result<bool, Conflict> {
         let r = self.store.remove_below(v.index(), bound);
         self.record(v, r)
     }
 
     /// Enforce `v <= bound`.
+    #[inline]
     pub fn set_max(&mut self, v: VarId, bound: i64) -> Result<bool, Conflict> {
         let r = self.store.remove_above(v.index(), bound);
         self.record(v, r)
     }
 
     /// Enforce `v == value`.
+    #[inline]
     pub fn assign(&mut self, v: VarId, value: i64) -> Result<bool, Conflict> {
         let r = self.store.assign(v.index(), value);
         self.record(v, r)
     }
 
     /// Enforce `v != value`.
+    #[inline]
     pub fn remove_value(&mut self, v: VarId, value: i64) -> Result<bool, Conflict> {
         let r = self.store.remove_value(v.index(), value);
         self.record(v, r)
     }
 
     /// Enforce `lo <= v <= hi`.
+    #[inline]
     pub fn intersect(&mut self, v: VarId, lo: i64, hi: i64) -> Result<bool, Conflict> {
         let r = self.store.intersect_bounds(v.index(), lo, hi);
         self.record(v, r)

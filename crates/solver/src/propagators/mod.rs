@@ -6,9 +6,9 @@
 //! * [`linear`] — linear equalities/inequalities/disequalities over integer
 //!   variables, the workhorse for `SUM<...>` aggregates and arithmetic
 //!   selection expressions;
-//! * [`arith`] — products, squares and absolute values, used for
-//!   `C == V * Cpu`, the `SUMABS` aggregate and the scaled-variance lowering
-//!   of `STDEV`;
+//! * [`arith`] — products, absolute values and the scaled variance, used
+//!   for `C == V * Cpu`, the `SUMABS` aggregate and the `STDEV` goal (one
+//!   global propagator that bounds `n·Σx² − (Σx)²` over all host loads);
 //! * [`reified`] — boolean reification of linear constraints, used for
 //!   conditional expressions such as `(V==1) == (C==1)` and the interference
 //!   cost `(C==1) == (|C1-C2| < F_mindiff)`;
@@ -25,7 +25,7 @@ pub mod counting;
 pub mod linear;
 pub mod reified;
 
-pub use arith::{AbsVal, MaxOfArray, MinOfArray, MulVar, Square};
+pub use arith::{AbsVal, MaxOfArray, MinOfArray, MulVar, ScaledVariance};
 pub use counting::NValues;
 pub use linear::{LinearEq, LinearLe, LinearNe};
 pub use reified::{ReifLinearEq, ReifLinearLe};

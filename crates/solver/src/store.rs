@@ -125,6 +125,7 @@ impl Store {
 
     /// Current decision level (0 = root; mutations at the root are not
     /// trailed and cannot be undone).
+    #[inline]
     pub fn level(&self) -> usize {
         self.marks.len()
     }
@@ -135,6 +136,7 @@ impl Store {
     }
 
     /// Open a new decision level.
+    #[inline]
     pub fn push_choice(&mut self) {
         self.marks.push(self.trail.len());
         self.entailed_marks.push(self.entailed_trail.len());
@@ -159,6 +161,7 @@ impl Store {
 
     /// Grow the entailment table to cover `num_props` propagators (called by
     /// the propagation loop before draining the queue).
+    #[inline]
     pub(crate) fn ensure_entailed_capacity(&mut self, num_props: usize) {
         if self.entailed.len() < num_props {
             self.entailed.resize(num_props, false);
@@ -176,6 +179,7 @@ impl Store {
     /// Record that propagator `p` is entailed on the current subtree. Undone
     /// by the [`Store::backtrack`] matching the currently open level;
     /// permanent when set at the root.
+    #[inline]
     pub(crate) fn mark_entailed(&mut self, p: usize) {
         if !self.entailed[p] {
             self.entailed[p] = true;
@@ -200,6 +204,7 @@ impl Store {
     }
 
     /// Remove every value `< bound` from the domain of `idx`.
+    #[inline]
     pub fn remove_below(&mut self, idx: usize, bound: i64) -> Result<bool, ()> {
         if bound <= self.domains[idx].min() {
             return Ok(false);
@@ -209,6 +214,7 @@ impl Store {
     }
 
     /// Remove every value `> bound` from the domain of `idx`.
+    #[inline]
     pub fn remove_above(&mut self, idx: usize, bound: i64) -> Result<bool, ()> {
         if bound >= self.domains[idx].max() {
             return Ok(false);
@@ -218,6 +224,7 @@ impl Store {
     }
 
     /// Remove the single value `v` from the domain of `idx`.
+    #[inline]
     pub fn remove_value(&mut self, idx: usize, v: i64) -> Result<bool, ()> {
         if !self.domains[idx].contains(v) {
             return Ok(false);
@@ -230,6 +237,7 @@ impl Store {
     }
 
     /// Reduce the domain of `idx` to the single value `v`.
+    #[inline]
     pub fn assign(&mut self, idx: usize, v: i64) -> Result<bool, ()> {
         if !self.domains[idx].contains(v) {
             return Err(());
@@ -242,6 +250,7 @@ impl Store {
     }
 
     /// Intersect the domain of `idx` with `[lo, hi]`.
+    #[inline]
     pub fn intersect_bounds(&mut self, idx: usize, lo: i64, hi: i64) -> Result<bool, ()> {
         let d = &self.domains[idx];
         if lo <= d.min() && hi >= d.max() {
@@ -279,6 +288,7 @@ impl PropQueue {
     }
 
     /// Grow the dedup table to cover `num_props` propagators.
+    #[inline]
     pub(crate) fn ensure_capacity(&mut self, num_props: usize) {
         if self.queued.len() < num_props {
             self.queued.resize(num_props, false);

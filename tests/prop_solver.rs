@@ -217,4 +217,57 @@ proptest! {
         let diff = (best.value(a) - best.value(b)).abs();
         prop_assert!(diff <= 1, "split {} / {} is not balanced", best.value(a), best.value(b));
     }
+
+    /// ACloud-shaped models (each VM on exactly one host, a per-host VM cap,
+    /// minimize the scaled variance of the host loads) reach the same
+    /// optimum under the trail searcher, the cloning reference searcher and
+    /// brute-force enumeration of every placement.
+    #[test]
+    fn acloud_variance_optimum_matches_reference_and_enumeration(
+        cpus in prop::collection::vec(1i64..40, 1..7),
+        hosts in 2usize..4,
+        base in prop::collection::vec(0i64..30, 3..4),
+        cap in 2i64..7,
+    ) {
+        let mut m = Model::new();
+        let assign: Vec<Vec<_>> = cpus
+            .iter()
+            .map(|_| (0..hosts).map(|_| m.new_bool()).collect())
+            .collect();
+        for row in &assign {
+            m.linear_eq(&row.iter().map(|&a| (1, a)).collect::<Vec<_>>(), 1);
+        }
+        let loads: Vec<_> = (0..hosts)
+            .map(|h| {
+                let terms: Vec<_> = cpus.iter().zip(&assign).map(|(&c, row)| (c, row[h])).collect();
+                m.linear_le(&terms.iter().map(|&(_, a)| (1, a)).collect::<Vec<_>>(), cap);
+                m.linear_var(&terms, base[h])
+            })
+            .collect();
+        let z = m.scaled_variance_var(&loads);
+        let trail = m.minimize(z, &SearchConfig::default());
+        let reference = solve_reference(&m, Objective::Minimize(z), &SearchConfig::default());
+        prop_assert_eq!(trail.best_objective, reference.best_objective);
+
+        // Every placement as a base-`hosts` number, one digit per VM.
+        let n = hosts as i64;
+        let mut best: Option<i64> = None;
+        for code in 0..n.pow(cpus.len() as u32) {
+            let (mut load, mut count) = (base[..hosts].to_vec(), vec![0; hosts]);
+            let mut rest = code;
+            for &c in &cpus {
+                let h = (rest % n) as usize;
+                rest /= n;
+                load[h] += c;
+                count[h] += 1;
+            }
+            if count.iter().any(|&k| k > cap) {
+                continue;
+            }
+            let sum: i64 = load.iter().sum();
+            let value = n * load.iter().map(|l| l * l).sum::<i64>() - sum * sum;
+            best = Some(best.map_or(value, |b| b.min(value)));
+        }
+        prop_assert_eq!(trail.best_objective, best);
+    }
 }

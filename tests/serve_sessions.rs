@@ -196,12 +196,22 @@ fn full_solve_queue_reports_overloaded() {
     // worker is idle, so a second solve while the first runs is refused
     cfg.workers = 1;
     cfg.queue_depth = 0;
+    // the busy solve's length is this node budget, not the solver's speed
+    cfg.budget = TenantBudget {
+        max_nodes: NonZeroU64::new(20_000),
+        max_solve_time: None,
+    };
     let server = Server::bind("127.0.0.1:0", cfg).expect("bind");
     let addr = server.local_addr();
 
-    // a workload big enough to keep the single worker busy after its
-    // first incumbent streams out (exact search, generous node budget)
-    let facts = tenant_facts(10);
+    // 16 VMs over four hosts, too many for the exact search to prove
+    // within the budget: the single worker stays busy after its first
+    // incumbent streams out until the node budget stops it
+    let mut facts = tenant_facts(16);
+    for hid in [102, 103] {
+        facts.push(("host", vec![Value::Int(hid), Value::Int(0), Value::Int(0)]));
+        facts.push(("hostMemThres", vec![Value::Int(hid), Value::Int(16)]));
+    }
     let request = SolveRequest::all().with_events(1024);
     let (started_tx, started_rx) = mpsc::channel();
     let solver_thread = thread::spawn(move || {
@@ -231,7 +241,12 @@ fn full_solve_queue_reports_overloaded() {
     }
 
     let response = solver_thread.join().expect("solver thread");
-    assert!(response.single().expect("one node").feasible);
+    let report = response.single().expect("one node");
+    assert!(report.feasible);
+    assert!(
+        report.stats.limit_reached,
+        "the busy solve must end on its node budget, not by proving its optimum"
+    );
     assert!(server.stats().overloaded >= 1);
     server.shutdown();
 }
