@@ -14,8 +14,8 @@ use cologne::datalog::{NodeId, Value};
 use cologne::{EventOptions, SolveEvent, SolveRequest, SolveResponse, StatsSnapshot};
 
 use crate::wire::{
-    assemble_response, decode_server, encode_client, read_frame, write_frame, ClientMsg, ErrorCode,
-    FrameError, IngestOp, ServerMsg, WireError, DEFAULT_MAX_FRAME,
+    decode_server, encode_client, read_frame, write_frame, ClientMsg, ErrorCode, FrameError,
+    IngestOp, ServerMsg, WireError, DEFAULT_MAX_FRAME,
 };
 
 /// Why a client call failed.
@@ -236,11 +236,11 @@ impl Client {
                     reports,
                     dropped_events,
                 } => {
-                    return Ok(assemble_response(
-                        reports,
+                    return Ok(SolveResponse {
+                        reports: reports.into_iter().collect(),
                         events,
-                        dropped_events + overflow,
-                    ));
+                        dropped_events: dropped_events + overflow,
+                    });
                 }
                 ServerMsg::Error { code, message } => {
                     return Err(ClientError::Server { code, message });

@@ -9,6 +9,11 @@
 //! (node-limit-bounded) searches a remote solve returns a response
 //! byte-identical — elapsed-normalized — to the in-process one.
 //!
+//! The [`Server`] runs each session on a thread of its own, and a
+//! session's solves on that same thread, under one server-wide solve gate
+//! ([`ServerConfig::workers`] running, [`ServerConfig::queue_depth`]
+//! waiting); see [`server`] for the architecture.
+//!
 //! ```no_run
 //! use cologne_serve::{Client, Server, ServerConfig, ACLOUD_DEMO};
 //! use cologne::SolveRequest;
@@ -30,9 +35,9 @@ pub mod wire;
 pub use client::{Client, ClientError};
 pub use server::{ServeError, Server, ServerConfig, ServerStats};
 pub use wire::{
-    assemble_response, decode_client, decode_server, encode_client, encode_server, read_frame,
-    write_frame, ClientMsg, ErrorCode, FrameError, IngestOp, ServerMsg, TenantBudget, WireError,
-    DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
+    decode_client, decode_server, encode_client, encode_server, read_frame, write_frame, ClientMsg,
+    ErrorCode, FrameError, IngestOp, ServerMsg, TenantBudget, WireError, DEFAULT_MAX_FRAME,
+    PROTOCOL_VERSION,
 };
 
 /// The ACloud load-balancing policy of the paper's Sec. 4.2 — the stock

@@ -1,5 +1,5 @@
 //! The multi-tenant server: many concurrent [`Deployment`] sessions over
-//! TCP, solving on a bounded worker pool.
+//! TCP, one thread per session.
 //!
 //! Architecture (all std, no async runtime):
 //!
@@ -7,19 +7,21 @@
 //!   control — a connection beyond [`ServerConfig::max_sessions`] receives
 //!   one [`ErrorCode::Busy`] frame and is closed;
 //! * one **session** thread per connection owns that tenant's
-//!   [`Deployment`] (sessions are fully isolated — no shared state between
-//!   tenants beyond the worker pool) and speaks the frame protocol;
-//! * a fixed pool of **solve workers** executes [`ClientMsg::Solve`] jobs.
-//!   The job queue is bounded ([`ServerConfig::queue_depth`]); a solve
-//!   submitted while the queue is full is refused with a typed
-//!   [`ErrorCode::Overloaded`] frame instead of queueing unboundedly.
+//!   [`Deployment`] and socket (sessions are fully isolated — no shared
+//!   state between tenants beyond the solve gate), speaks the frame
+//!   protocol and runs the tenant's [`ClientMsg::Solve`]s itself;
+//! * a **solve gate** bounds those solves: at most
+//!   [`ServerConfig::workers`] run at once and at most
+//!   [`ServerConfig::queue_depth`] more wait for a free slot. A solve
+//!   beyond that is refused with a typed [`ErrorCode::Overloaded`] frame
+//!   instead of queueing unboundedly.
 //!
-//! Streaming: a solving worker pushes [`SolveEvent`]s into a bounded queue
-//! ([`ServerConfig::event_queue`]); the session thread forwards them as
-//! [`ServerMsg::Event`] frames. A full queue drops events (counted,
-//! reported in `SolveOk`) rather than stalling the search; a failed
-//! socket write marks the client gone and flips the job's cancel flag, so
-//! the search stops cooperatively at its next event — cancel on disconnect.
+//! Streaming: every [`SolveEvent`] is written to the session's socket as a
+//! [`ServerMsg::Event`] frame when the search emits it. Nothing is queued
+//! or dropped, so `SolveOk.dropped_events` is always 0. A client that stops
+//! reading stalls its search for at most a fixed socket write timeout; a
+//! write that fails or times out marks the client gone and cancels the
+//! search cooperatively at that event — cancel on disconnect.
 //!
 //! Budgets: [`ServerConfig::budget`] caps are clamped into every session's
 //! [`ProgramParams`] at build time via
@@ -29,21 +31,25 @@
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use cologne::datalog::NodeId;
 use cologne::net::Topology;
 use cologne::{
-    CologneError, Deployment, DeploymentBuilder, EventOptions, EventSink, ProgramParams,
-    SolveEvent, SolveRequest, SolveResponse,
+    CologneError, Deployment, DeploymentBuilder, EventOptions, EventSink, ProgramParams, SolveEvent,
 };
 
 use crate::wire::{
     decode_client, encode_server, read_frame, write_frame, ClientMsg, ErrorCode, FrameError,
     ServerMsg, TenantBudget, WireError, DEFAULT_MAX_FRAME,
 };
+
+/// How long one write to a session's socket may block before the client
+/// counts as gone. Events are written while the solve holds its gate slot,
+/// so this bounds how long a client that stops reading keeps the slot.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Server configuration: the tenant program plus resource limits.
 #[derive(Debug, Clone)]
@@ -56,15 +62,14 @@ pub struct ServerConfig {
     pub topology: Option<Topology>,
     /// Admission control: maximum concurrent sessions.
     pub max_sessions: usize,
-    /// Solve worker threads.
+    /// Solves running at once, across all sessions (at least 1).
     pub workers: usize,
-    /// Bounded solve-job queue depth; a full queue refuses solves with
-    /// [`ErrorCode::Overloaded`].
+    /// Solves admitted to wait for a running slot; a solve beyond
+    /// `workers + queue_depth` is refused with [`ErrorCode::Overloaded`]
+    /// (`0`: a solve is admitted only while a slot is free).
     pub queue_depth: usize,
     /// Per-tenant node/time budget caps.
     pub budget: TenantBudget,
-    /// Bounded per-solve event queue between worker and session thread.
-    pub event_queue: usize,
     /// Cap on incoming frame payloads.
     pub max_frame: u32,
 }
@@ -82,7 +87,6 @@ impl ServerConfig {
                 .unwrap_or(4),
             queue_depth: 256,
             budget: TenantBudget::default(),
-            event_queue: 256,
             max_frame: DEFAULT_MAX_FRAME,
         }
     }
@@ -147,43 +151,62 @@ struct Counters {
     ingest_ops: AtomicU64,
 }
 
-struct SolveJob {
-    deployment: Deployment,
-    request: SolveRequest,
-    events_tx: SyncSender<(NodeId, SolveEvent)>,
-    cancel: Arc<AtomicBool>,
-    done_tx: SyncSender<JobDone>,
+/// The solve gate: at most `workers` solves run and at most `capacity`
+/// (`workers + queue_depth`) are admitted, counted as `(admitted, running)`
+/// under one mutex. Every update leaves both counts valid before it
+/// unlocks, so a poisoned lock is recovered instead of propagated.
+struct Gate {
+    workers: usize,
+    capacity: usize,
+    counts: Mutex<(usize, usize)>,
+    freed: Condvar,
 }
 
-struct JobDone {
-    deployment: Deployment,
-    result: Result<SolveResponse, CologneError>,
-    dropped: u64,
-}
+/// One running solve's slot; dropping it — on unwind too — frees the slot
+/// and wakes one waiting solve.
+struct Permit<'a>(&'a Gate);
 
-/// The worker-side sink: non-blocking pushes into the bounded event queue,
-/// with the cancel flag checked on every event so a disconnected client
-/// stops the search at its next emission point.
-struct StreamSink<'a> {
-    tx: &'a SyncSender<(NodeId, SolveEvent)>,
-    dropped: &'a mut u64,
-    cancel: &'a AtomicBool,
-}
-
-impl EventSink for StreamSink<'_> {
-    fn event(&mut self, node: NodeId, event: SolveEvent) -> bool {
-        if self.cancel.load(Ordering::Relaxed) {
-            return false;
+impl Gate {
+    fn new(workers: usize, queue_depth: usize) -> Gate {
+        let workers = workers.max(1);
+        Gate {
+            workers,
+            capacity: workers.saturating_add(queue_depth),
+            counts: Mutex::new((0, 0)),
+            freed: Condvar::new(),
         }
-        match self.tx.try_send((node, event)) {
-            Ok(()) => true,
-            Err(TrySendError::Full(_)) => {
-                *self.dropped += 1;
-                true
-            }
-            // the session thread is gone; stop the search
-            Err(TrySendError::Disconnected(_)) => false,
+    }
+
+    fn lock(&self) -> MutexGuard<'_, (usize, usize)> {
+        self.counts.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Admit one solve and block until a slot is free; `None` when
+    /// `capacity` solves are already admitted.
+    fn enter(&self) -> Option<Permit<'_>> {
+        let mut counts = self.lock();
+        if counts.0 >= self.capacity {
+            return None;
         }
+        counts.0 += 1;
+        while counts.1 >= self.workers {
+            counts = self
+                .freed
+                .wait(counts)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        counts.1 += 1;
+        Some(Permit(self))
+    }
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let mut counts = self.0.lock();
+        counts.0 -= 1;
+        counts.1 -= 1;
+        drop(counts);
+        self.0.freed.notify_one();
     }
 }
 
@@ -192,7 +215,7 @@ struct Shared {
     active: AtomicUsize,
     counters: Counters,
     sessions_started: AtomicU64,
-    jobs: Mutex<Option<SyncSender<SolveJob>>>,
+    gate: Gate,
     shutdown: AtomicBool,
 }
 
@@ -211,23 +234,14 @@ impl Server {
         build_deployment(&cfg).map_err(ServeError::Config)?;
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        // queue_depth 0 is a rendezvous queue: a solve is admitted only if
-        // a worker is idle right now — useful for deterministic tests
-        let (job_tx, job_rx) = sync_channel::<SolveJob>(cfg.queue_depth);
-        let workers = cfg.workers.max(1);
         let shared = Arc::new(Shared {
+            gate: Gate::new(cfg.workers, cfg.queue_depth),
             cfg,
             active: AtomicUsize::new(0),
             counters: Counters::default(),
             sessions_started: AtomicU64::new(0),
-            jobs: Mutex::new(Some(job_tx)),
             shutdown: AtomicBool::new(false),
         });
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        for _ in 0..workers {
-            let job_rx = Arc::clone(&job_rx);
-            std::thread::spawn(move || worker_loop(&job_rx));
-        }
         let acceptor = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || acceptor_loop(&listener, &shared))
@@ -259,17 +273,15 @@ impl Server {
         }
     }
 
-    /// Stop accepting connections and retire the worker pool once open
-    /// sessions finish. Sessions still connected keep running until their
-    /// clients disconnect.
+    /// Stop accepting connections. Sessions still connected keep running
+    /// until their clients disconnect, but their next solve is refused with
+    /// [`ErrorCode::Internal`] and the session closed.
     pub fn shutdown(mut self) {
         self.stop();
     }
 
     fn stop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        // closing the job sender lets idle workers exit
-        self.shared.jobs.lock().expect("jobs lock").take();
         // poke the blocking accept() so the acceptor observes shutdown
         let _ = TcpStream::connect(self.addr);
         if let Some(handle) = self.acceptor.take() {
@@ -334,40 +346,32 @@ fn acceptor_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-fn worker_loop(jobs: &Mutex<Receiver<SolveJob>>) {
-    loop {
-        // hold the lock only while waiting for one job, not while solving
-        let job = match jobs.lock() {
-            Ok(rx) => match rx.recv() {
-                Ok(job) => job,
-                Err(_) => return,
-            },
-            Err(_) => return,
-        };
-        let SolveJob {
-            mut deployment,
-            request,
-            events_tx,
-            cancel,
-            done_tx,
-        } = job;
-        let mut dropped = 0u64;
-        let result = {
-            let mut sink = StreamSink {
-                tx: &events_tx,
-                dropped: &mut dropped,
-                cancel: &cancel,
-            };
-            deployment.solve_streaming(&request, &mut sink)
-        };
-        // close the event stream before reporting completion, so the session
-        // thread's forwarding loop terminates first
-        drop(events_tx);
-        let _ = done_tx.send(JobDone {
-            deployment,
-            result,
-            dropped,
-        });
+/// Writes each event straight to the session's socket. A failed or timed
+/// out write means the client is gone: the sink counts one disconnect
+/// cancel and refuses this and every later event, which cancels the
+/// search.
+struct SocketSink<'a> {
+    writer: &'a mut BufWriter<TcpStream>,
+    counters: &'a Counters,
+    client_gone: bool,
+}
+
+impl EventSink for SocketSink<'_> {
+    fn event(&mut self, node: NodeId, event: SolveEvent) -> bool {
+        if self.client_gone {
+            return false;
+        }
+        if send_msg(self.writer, &ServerMsg::Event { node, event }).is_ok() {
+            self.counters
+                .events_streamed
+                .fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.client_gone = true;
+            self.counters
+                .disconnect_cancels
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        !self.client_gone
     }
 }
 
@@ -390,11 +394,12 @@ fn cologne_error_msg(err: &CologneError) -> ServerMsg {
 fn session_loop(shared: &Arc<Shared>, stream: TcpStream) -> io::Result<()> {
     // request/response latency matters more than throughput per byte here
     stream.set_nodelay(true).ok();
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
     let session_id = shared.sessions_started.fetch_add(1, Ordering::Relaxed);
     let mut deployment = match build_deployment(&shared.cfg) {
-        Ok(d) => Some(d),
+        Ok(d) => d,
         Err(e) => {
             let _ = send_msg(&mut writer, &cologne_error_msg(&e));
             return Ok(());
@@ -443,10 +448,9 @@ fn session_loop(shared: &Arc<Shared>, stream: TcpStream) -> io::Result<()> {
                 ops,
                 sync,
             } => {
-                let dep = deployment.as_mut().expect("deployment present");
                 let mut applied = 0u32;
                 let mut failure: Option<CologneError> = None;
-                match dep.handle(node, &relation) {
+                match deployment.handle(node, &relation) {
                     Ok(mut handle) => {
                         for op in ops {
                             let outcome = if op.insert {
@@ -476,7 +480,7 @@ fn session_loop(shared: &Arc<Shared>, stream: TcpStream) -> io::Result<()> {
                     Some(e) => send_msg(&mut writer, &cologne_error_msg(&e))?,
                     None => {
                         if sync {
-                            dep.sync(node);
+                            deployment.sync(node);
                         }
                         send_msg(&mut writer, &ServerMsg::IngestOk { applied })?;
                     }
@@ -490,89 +494,52 @@ fn session_loop(shared: &Arc<Shared>, stream: TcpStream) -> io::Result<()> {
                     send_msg(&mut writer, &cologne_error_msg(&e))?;
                     continue;
                 }
-                let dep = deployment.take().expect("deployment present");
-                let (events_tx, events_rx) = sync_channel(shared.cfg.event_queue.max(1));
-                let (done_tx, done_rx) = sync_channel(1);
-                let cancel = Arc::new(AtomicBool::new(false));
-                let job = SolveJob {
-                    deployment: dep,
-                    request,
-                    events_tx,
-                    cancel: Arc::clone(&cancel),
-                    done_tx,
-                };
-                let submit = {
-                    let guard = shared.jobs.lock().expect("jobs lock");
-                    match guard.as_ref() {
-                        Some(tx) => tx.try_send(job).map_err(|e| match e {
-                            TrySendError::Full(job) => (ErrorCode::Overloaded, job),
-                            TrySendError::Disconnected(job) => (ErrorCode::Internal, job),
-                        }),
-                        None => Err((ErrorCode::Internal, job)),
-                    }
-                };
-                match submit {
-                    Err((code, job)) => {
-                        deployment = Some(job.deployment);
-                        if code == ErrorCode::Overloaded {
-                            shared.counters.overloaded.fetch_add(1, Ordering::Relaxed);
-                            send_msg(
-                                &mut writer,
-                                &error_msg(code, "solve queue full; retry later"),
-                            )?;
-                        } else {
-                            send_msg(&mut writer, &error_msg(code, "server shutting down"))?;
-                            break;
-                        }
-                    }
-                    Ok(()) => {
-                        let mut client_gone = false;
-                        while let Ok((node, event)) = events_rx.recv() {
-                            if client_gone {
-                                continue; // drain so the worker never blocks
-                            }
-                            if send_msg(&mut writer, &ServerMsg::Event { node, event }).is_err() {
-                                client_gone = true;
-                                cancel.store(true, Ordering::Relaxed);
-                                shared
-                                    .counters
-                                    .disconnect_cancels
-                                    .fetch_add(1, Ordering::Relaxed);
-                            } else {
-                                shared
-                                    .counters
-                                    .events_streamed
-                                    .fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        let done = done_rx.recv().expect("worker reports completion");
-                        deployment = Some(done.deployment);
-                        shared.counters.solves.fetch_add(1, Ordering::Relaxed);
-                        let reply = match done.result {
-                            Ok(response) => ServerMsg::SolveOk {
-                                reports: response.reports.into_iter().collect(),
-                                dropped_events: done.dropped,
-                            },
-                            Err(e) => cologne_error_msg(&e),
-                        };
-                        if client_gone || send_msg(&mut writer, &reply).is_err() {
-                            break;
-                        }
-                    }
+                if shared.shutdown.load(Ordering::SeqCst) {
+                    let _ = send_msg(
+                        &mut writer,
+                        &error_msg(ErrorCode::Internal, "server shutting down"),
+                    );
+                    break;
                 }
+                let Some(permit) = shared.gate.enter() else {
+                    shared.counters.overloaded.fetch_add(1, Ordering::Relaxed);
+                    send_msg(
+                        &mut writer,
+                        &error_msg(ErrorCode::Overloaded, "solve queue full; retry later"),
+                    )?;
+                    continue;
+                };
+                let mut sink = SocketSink {
+                    writer: &mut writer,
+                    counters: &shared.counters,
+                    client_gone: false,
+                };
+                let result = deployment.solve_streaming(&request, &mut sink);
+                let client_gone = sink.client_gone;
+                drop(permit);
+                shared.counters.solves.fetch_add(1, Ordering::Relaxed);
+                if client_gone {
+                    break;
+                }
+                let reply = match result {
+                    Ok(response) => ServerMsg::SolveOk {
+                        reports: response.reports.into_iter().collect(),
+                        dropped_events: 0,
+                    },
+                    Err(e) => cologne_error_msg(&e),
+                };
+                send_msg(&mut writer, &reply)?;
             }
             ClientMsg::Subscribe(opts) => {
                 default_events = opts;
                 send_msg(&mut writer, &ServerMsg::SubscribeOk)?;
             }
             ClientMsg::Stats => {
-                let dep = deployment.as_ref().expect("deployment present");
-                send_msg(&mut writer, &ServerMsg::StatsOk(dep.stats()))?;
+                send_msg(&mut writer, &ServerMsg::StatsOk(deployment.stats()))?;
             }
             ClientMsg::Tick { micros } => {
-                let dep = deployment.as_mut().expect("deployment present");
-                let limit = dep.now().plus_us(micros);
-                let handled = dep.run_messages_until(limit);
+                let limit = deployment.now().plus_us(micros);
+                let handled = deployment.run_messages_until(limit);
                 send_msg(&mut writer, &ServerMsg::TickOk { handled })?;
             }
             ClientMsg::Bye => {
@@ -582,4 +549,72 @@ fn session_loop(shared: &Arc<Shared>, stream: TcpStream) -> io::Result<()> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+    use std::thread;
+
+    fn counts(gate: &Gate) -> (usize, usize) {
+        *gate.lock()
+    }
+
+    #[test]
+    fn gate_runs_workers_queues_depth_and_refuses_the_rest() {
+        let gate = &Gate::new(1, 1);
+        let first = gate.enter().expect("a free slot admits and runs");
+        let (ran_tx, ran_rx) = mpsc::channel();
+        thread::scope(|s| {
+            s.spawn(move || {
+                let _permit = gate.enter().expect("the queue admits the second solve");
+                ran_tx.send(()).expect("the test thread listens");
+            });
+            // (admitted 2, running 1) is visible only once the second solve
+            // has released the lock inside its wait for the slot
+            while counts(gate) != (2, 1) {
+                thread::yield_now();
+            }
+            assert!(ran_rx.try_recv().is_err(), "the second solve waits");
+            assert!(gate.enter().is_none(), "the third solve is refused");
+            drop(first);
+            ran_rx
+                .recv()
+                .expect("releasing the first lets the second run");
+        });
+        assert_eq!(counts(gate), (0, 0));
+    }
+
+    #[test]
+    fn a_panicking_solve_frees_its_slot() {
+        let gate = &Gate::new(1, 0);
+        let joined = thread::scope(|s| {
+            s.spawn(|| {
+                let _permit = gate.enter().expect("a free slot");
+                panic!("the solve panics");
+            })
+            .join()
+        });
+        assert!(joined.is_err());
+        assert_eq!(counts(gate), (0, 0), "capacity must not leak");
+        assert!(gate.enter().is_some());
+    }
+
+    #[test]
+    fn a_poisoned_gate_keeps_working() {
+        let gate = &Gate::new(1, 0);
+        let _ = thread::scope(|s| {
+            s.spawn(|| {
+                let _counts = gate.counts.lock();
+                panic!("poison the gate");
+            })
+            .join()
+        });
+        assert!(gate.counts.is_poisoned());
+        let permit = gate.enter().expect("a poisoned gate still admits");
+        assert!(gate.enter().is_none(), "and still counts");
+        drop(permit);
+        assert_eq!(counts(gate), (0, 0));
+    }
 }

@@ -26,7 +26,7 @@ use cologne::datalog::{EngineStats, NodeId, RemoteTuple, Tuple};
 use cologne::solver::SearchStats;
 use cologne::{
     BoundCertificate, CologneError, DeliveryStats, EventOptions, NodeStats, PipelineStats,
-    SolveEvent, SolveReport, SolveRequest, SolveResponse, SolveTarget, StatsSnapshot,
+    SolveEvent, SolveReport, SolveRequest, SolveTarget, StatsSnapshot,
 };
 
 /// Protocol version carried in every payload's first byte.
@@ -57,7 +57,7 @@ pub enum ErrorCode {
     SchemaMismatch = 6,
     /// A request carried an invalid configuration (e.g. parallel + events).
     InvalidConfig = 7,
-    /// The solve queue is full; retry later.
+    /// Every solve slot is busy and the wait queue is full; retry later.
     Overloaded = 8,
     /// The server is at its session limit; the connection is being closed.
     Busy = 9,
@@ -241,7 +241,8 @@ pub enum ServerMsg {
     SolveOk {
         /// Per-node reports in ascending node order.
         reports: Vec<(NodeId, SolveReport)>,
-        /// Events dropped server-side (bounded queue overflow).
+        /// Events dropped server-side (`cologne-serve` streams every
+        /// event and always sends 0).
         dropped_events: u64,
     },
     /// The stats snapshot.
@@ -733,14 +734,7 @@ fn put_request(out: &mut Vec<u8>, r: &SolveRequest) {
         }
     }
     put_bool(out, r.parallel);
-    match &r.events {
-        None => out.push(0),
-        Some(opts) => {
-            out.push(1);
-            put_u64(out, opts.capacity as u64);
-            put_opt_u64(out, opts.cancel_after_incumbents);
-        }
-    }
+    put_opt_events(out, &r.events);
 }
 
 fn dec_request(d: &mut Dec) -> Result<SolveRequest, WireError> {
@@ -755,19 +749,7 @@ fn dec_request(d: &mut Dec) -> Result<SolveRequest, WireError> {
         }
     };
     let parallel = d.bool()?;
-    let events = match d.u8()? {
-        0 => None,
-        1 => Some(EventOptions {
-            capacity: d.u64()?.min(usize::MAX as u64) as usize,
-            cancel_after_incumbents: d.opt_u64()?,
-        }),
-        tag => {
-            return Err(WireError::BadTag {
-                what: "option",
-                tag,
-            })
-        }
-    };
+    let events = dec_opt_events(d)?;
     Ok(SolveRequest {
         target,
         parallel,
@@ -1084,22 +1066,6 @@ pub fn decode_server(payload: &[u8]) -> Result<ServerMsg, WireError> {
     };
     d.finish()?;
     Ok(msg)
-}
-
-/// Reassemble a [`SolveResponse`] from the streamed events and the final
-/// [`ServerMsg::SolveOk`] parts — the client-side inverse of the server's
-/// streaming, chosen so a remote solve returns a response equal to the same
-/// request run in-process with [`cologne::Deployment::solve`].
-pub fn assemble_response(
-    reports: Vec<(NodeId, SolveReport)>,
-    events: Vec<(NodeId, SolveEvent)>,
-    dropped_events: u64,
-) -> SolveResponse {
-    SolveResponse {
-        reports: reports.into_iter().collect(),
-        events,
-        dropped_events,
-    }
 }
 
 /// Per-tenant resource caps enforced by the server (also carried in

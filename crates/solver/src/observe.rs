@@ -29,7 +29,6 @@
 //! sequences.
 
 use std::ops::ControlFlow;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 
 use crate::search::Assignment;
 use crate::stats::SearchStats;
@@ -149,15 +148,14 @@ pub enum SolveEvent {
     },
 }
 
-/// A bounded-channel [`SolveObserver`]: events are pushed into a
-/// [`sync_channel`] of fixed capacity (excess events are counted and
-/// dropped, never blocking the search) and read back with
-/// [`EventLog::drain`]. Optionally cancels the search after a number of
-/// incumbents — the cooperative-cancellation building block used by tests
-/// and examples.
+/// A bounded-buffer [`SolveObserver`]: events are kept up to a fixed
+/// capacity (excess events are counted and dropped, never blocking the
+/// search) and read back with [`EventLog::drain`]. Optionally cancels the
+/// search after a number of incumbents — the cooperative-cancellation
+/// building block used by tests and examples.
 pub struct EventLog {
-    tx: SyncSender<SolveEvent>,
-    rx: Receiver<SolveEvent>,
+    events: Vec<SolveEvent>,
+    capacity: usize,
     dropped: u64,
     incumbents: u64,
     cancel_after: Option<u64>,
@@ -166,10 +164,9 @@ pub struct EventLog {
 impl EventLog {
     /// An event log holding at most `capacity` undrained events.
     pub fn bounded(capacity: usize) -> Self {
-        let (tx, rx) = sync_channel(capacity.max(1));
         EventLog {
-            tx,
-            rx,
+            events: Vec::new(),
+            capacity: capacity.max(1),
             dropped: 0,
             incumbents: 0,
             cancel_after: None,
@@ -182,7 +179,7 @@ impl EventLog {
         self
     }
 
-    /// Number of events dropped because the channel was full.
+    /// Number of events dropped because the buffer was full.
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
@@ -194,19 +191,14 @@ impl EventLog {
 
     /// Drain every buffered event, in emission order.
     pub fn drain(&mut self) -> Vec<SolveEvent> {
-        let mut out = Vec::new();
-        while let Ok(ev) = self.rx.try_recv() {
-            out.push(ev);
-        }
-        out
+        std::mem::take(&mut self.events)
     }
 
     fn push(&mut self, event: SolveEvent) {
-        match self.tx.try_send(event) {
-            Ok(()) => {}
-            Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
-                self.dropped += 1;
-            }
+        if self.events.len() < self.capacity {
+            self.events.push(event);
+        } else {
+            self.dropped += 1;
         }
     }
 }
@@ -402,7 +394,7 @@ mod tests {
             &mut space,
             Some(&mut log),
         );
-        assert!(log.dropped() > 0, "a 1-slot channel must overflow");
+        assert!(log.dropped() > 0, "a 1-slot log must overflow");
         assert_eq!(log.drain().len(), 1);
     }
 

@@ -2,7 +2,8 @@
 //!
 //! The paper reports per-COP solving time, convergence behaviour and the
 //! effect of `SOLVER_MAX_TIME`; these counters are the raw material for the
-//! corresponding rows in `EXPERIMENTS.md`.
+//! paper-figure binaries of `crates/bench` and the `search.*` metrics of the
+//! repository benchmark (`BENCHMARK.json`, `benchmark/`).
 
 use std::time::Duration;
 

@@ -4,9 +4,12 @@
 //! protocol — a remote solve returns a `SolveResponse` byte-identical
 //! (elapsed-normalized) to the same solve executed in-process.
 
+use std::io::{BufReader, BufWriter, Write};
+use std::net::TcpStream;
 use std::num::NonZeroU64;
 use std::sync::mpsc;
 use std::thread;
+use std::time::{Duration, Instant};
 
 use cologne::datalog::{NodeId, Value};
 use cologne::solver::LnsConfig;
@@ -15,7 +18,9 @@ use cologne::{
     SolverMode, VarDomain,
 };
 use cologne_serve::{
-    Client, ClientError, ErrorCode, ServeError, Server, ServerConfig, TenantBudget, ACLOUD_DEMO,
+    decode_server, encode_client, read_frame, write_frame, Client, ClientError, ClientMsg,
+    ErrorCode, IngestOp, ServeError, Server, ServerConfig, ServerMsg, TenantBudget, ACLOUD_DEMO,
+    DEFAULT_MAX_FRAME,
 };
 
 /// Deterministic parameters for the demo program: node-limit-bounded, no
@@ -111,6 +116,11 @@ fn remote_solve_is_byte_identical_to_in_process() {
         remote.normalized(),
         local.normalized(),
         "wire and in-process responses must be byte-identical modulo wall-clock"
+    );
+    assert_eq!(
+        server.stats().events_streamed,
+        remote.events.len() as u64,
+        "the server streams every event, and the client keeps all of them"
     );
     server.shutdown();
 }
@@ -248,6 +258,90 @@ fn full_solve_queue_reports_overloaded() {
         "the busy solve must end on its node budget, not by proving its optimum"
     );
     assert!(server.stats().overloaded >= 1);
+    server.shutdown();
+}
+
+/// Write one client frame on a raw socket.
+fn raw_send(writer: &mut BufWriter<TcpStream>, msg: &ClientMsg) {
+    write_frame(writer, &encode_client(msg)).expect("write frame");
+    writer.flush().expect("flush frame");
+}
+
+/// Read one server frame from a raw socket.
+fn raw_recv(reader: &mut BufReader<TcpStream>) -> ServerMsg {
+    let payload = read_frame(reader, DEFAULT_MAX_FRAME)
+        .expect("read frame")
+        .expect("server frame");
+    decode_server(&payload).expect("server frame decodes")
+}
+
+#[test]
+fn disconnect_mid_solve_cancels_and_frees_the_slot() {
+    let mut cfg = det_config();
+    // one solve slot and no waiting room: another solve is admitted only
+    // once the abandoned one has given its slot back
+    cfg.workers = 1;
+    cfg.queue_depth = 0;
+    // 30 VMs over four hosts do not prove within this budget: uncancelled,
+    // the search runs on for minutes after its first event (200 000 nodes
+    // take ~30 s in a debug build), far past the deadline below
+    cfg.params = det_params().with_solver_node_limit(Some(5_000_000));
+    let server = Server::bind("127.0.0.1:0", cfg).expect("bind");
+    let addr = server.local_addr();
+
+    let mut facts = tenant_facts(30);
+    for hid in [102, 103] {
+        facts.push(("host", vec![Value::Int(hid), Value::Int(0), Value::Int(0)]));
+        facts.push(("hostMemThres", vec![Value::Int(hid), Value::Int(64)]));
+    }
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone socket"));
+    let mut writer = BufWriter::new(stream);
+    let hello = ClientMsg::Hello {
+        tenant: "leaver".into(),
+    };
+    raw_send(&mut writer, &hello);
+    assert!(matches!(raw_recv(&mut reader), ServerMsg::HelloOk { .. }));
+    for (relation, tuple) in facts {
+        let ingest = ClientMsg::Ingest {
+            node: NodeId(0),
+            relation: relation.into(),
+            ops: vec![IngestOp::insert(tuple)],
+            sync: false,
+        };
+        raw_send(&mut writer, &ingest);
+        assert_eq!(raw_recv(&mut reader), ServerMsg::IngestOk { applied: 1 });
+    }
+    let solve = ClientMsg::Solve(SolveRequest::all().with_events(1024));
+    raw_send(&mut writer, &solve);
+    assert!(
+        matches!(raw_recv(&mut reader), ServerMsg::Event { .. }),
+        "the solve streams its first event"
+    );
+    // hang up mid-stream, without reading the rest
+    drop((reader, writer));
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut next = Client::connect(addr).expect("connect next");
+    next.hello("next").expect("hello");
+    loop {
+        match next.solve(&SolveRequest::all()) {
+            Ok(_) => break,
+            Err(ClientError::Server {
+                code: ErrorCode::Overloaded,
+                ..
+            }) => {
+                assert!(
+                    Instant::now() < deadline,
+                    "the abandoned solve still holds the only slot"
+                );
+                thread::sleep(Duration::from_millis(1));
+            }
+            Err(e) => panic!("expected the next solve to run, got {e:?}"),
+        }
+    }
+    assert_eq!(server.stats().disconnect_cancels, 1);
+    next.bye().expect("clean close");
     server.shutdown();
 }
 
