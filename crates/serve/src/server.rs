@@ -219,6 +219,36 @@ struct Shared {
     shutdown: AtomicBool,
 }
 
+impl Shared {
+    fn new(cfg: ServerConfig) -> Shared {
+        Shared {
+            gate: Gate::new(cfg.workers, cfg.queue_depth),
+            cfg,
+            active: AtomicUsize::new(0),
+            counters: Counters::default(),
+            sessions_started: AtomicU64::new(0),
+            shutdown: AtomicBool::new(false),
+        }
+    }
+}
+
+/// One admitted session's slot in `Shared::active`; dropping it — on
+/// unwind too — frees the slot.
+struct SessionSlot(Arc<Shared>);
+
+impl SessionSlot {
+    fn admit(shared: &Arc<Shared>) -> SessionSlot {
+        shared.active.fetch_add(1, Ordering::SeqCst);
+        SessionSlot(Arc::clone(shared))
+    }
+}
+
+impl Drop for SessionSlot {
+    fn drop(&mut self) {
+        self.0.active.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 /// A running server; dropped or [`Server::shutdown`] stops accepting.
 pub struct Server {
     addr: SocketAddr,
@@ -234,14 +264,7 @@ impl Server {
         build_deployment(&cfg).map_err(ServeError::Config)?;
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            gate: Gate::new(cfg.workers, cfg.queue_depth),
-            cfg,
-            active: AtomicUsize::new(0),
-            counters: Counters::default(),
-            sessions_started: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
-        });
+        let shared = Arc::new(Shared::new(cfg));
         let acceptor = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || acceptor_loop(&listener, &shared))
@@ -336,12 +359,10 @@ fn acceptor_loop(listener: &TcpListener, shared: &Arc<Shared>) {
             let _ = writer.flush();
             continue;
         }
-        shared.active.fetch_add(1, Ordering::SeqCst);
+        let slot = SessionSlot::admit(shared);
         shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
-        let shared = Arc::clone(shared);
         std::thread::spawn(move || {
-            let _ = session_loop(&shared, stream);
-            shared.active.fetch_sub(1, Ordering::SeqCst);
+            let _ = session_loop(&slot.0, stream);
         });
     }
 }
@@ -599,6 +620,25 @@ mod tests {
         assert!(joined.is_err());
         assert_eq!(counts(gate), (0, 0), "capacity must not leak");
         assert!(gate.enter().is_some());
+    }
+
+    #[test]
+    fn a_panicking_session_frees_its_slot() {
+        let shared = Arc::new(Shared::new(ServerConfig::new("")));
+        let slot = SessionSlot::admit(&shared);
+        assert_eq!(shared.active.load(Ordering::SeqCst), 1);
+        let joined = thread::spawn(move || {
+            let _slot = slot;
+            panic!("the session panics");
+        })
+        .join();
+        assert!(joined.is_err());
+        // what `Server::stats().active_sessions` reports
+        assert_eq!(
+            shared.active.load(Ordering::SeqCst),
+            0,
+            "sessions must not leak"
+        );
     }
 
     #[test]

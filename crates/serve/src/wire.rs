@@ -15,14 +15,21 @@
 //! [`WireError`] — never a panic, and never an allocation proportional to a
 //! corrupt length field (collection counts are checked against the remaining
 //! input first).
+//!
+//! Each layout is written once, for both directions: a private `Wire` trait
+//! (`put`/`get`) covers the primitives and the generic containers, and two
+//! macros derive every struct from its field list and every tagged enum from
+//! its tag table. Those lists, near the end of the codec section, are the
+//! normative body layouts. Changing a body is one line in its list, a
+//! [`PROTOCOL_VERSION`] bump and new hex in `tests/golden_wire.rs`.
 
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::num::NonZeroU64;
 use std::time::Duration;
 
-use cologne::datalog::serde::{decode_tuple, encode_tuple, DecodeError};
-use cologne::datalog::{EngineStats, NodeId, RemoteTuple, Tuple};
+use cologne::datalog::serde::{decode_value, encode_value, DecodeError};
+use cologne::datalog::{EngineStats, NodeId, RemoteTuple, Tuple, Value};
 use cologne::solver::SearchStats;
 use cologne::{
     BoundCertificate, CologneError, DeliveryStats, EventOptions, NodeStats, PipelineStats,
@@ -343,34 +350,15 @@ pub fn read_frame(r: &mut impl Read, max_frame: u32) -> Result<Option<Vec<u8>>, 
 }
 
 // ---------------------------------------------------------------------------
-// encoding primitives
+// the codec
 // ---------------------------------------------------------------------------
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_bool(out: &mut Vec<u8>, b: bool) {
-    out.push(u8::from(b));
-}
-
-fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        None => out.push(0),
-        Some(v) => {
-            out.push(1);
-            put_u64(out, v);
-        }
-    }
+/// One wire layout: `put` appends a value, `get` reads one back. Bodies are
+/// compositions of these impls, so every layout exists once and serves both
+/// directions.
+trait Wire: Sized {
+    fn put(&self, out: &mut Vec<u8>);
+    fn get(d: &mut Dec<'_>) -> Result<Self, WireError>;
 }
 
 struct Dec<'a> {
@@ -379,10 +367,6 @@ struct Dec<'a> {
 }
 
 impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Dec { buf, pos: 0 }
-    }
-
     fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
@@ -396,676 +380,347 @@ impl<'a> Dec<'a> {
         Ok(slice)
     }
 
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    fn bool(&mut self) -> Result<bool, WireError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            tag => Err(WireError::BadTag { what: "bool", tag }),
-        }
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self) -> Result<i64, WireError> {
-        Ok(i64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
-    }
-
-    fn opt_u64(&mut self) -> Result<Option<u64>, WireError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64()?)),
-            tag => Err(WireError::BadTag {
-                what: "option",
-                tag,
-            }),
-        }
-    }
-
-    fn opt_i64(&mut self) -> Result<Option<i64>, WireError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.i64()?)),
-            tag => Err(WireError::BadTag {
-                what: "option",
-                tag,
-            }),
-        }
-    }
-
-    fn opt_f64(&mut self) -> Result<Option<f64>, WireError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(f64::from_bits(self.u64()?))),
-            tag => Err(WireError::BadTag {
-                what: "option",
-                tag,
-            }),
-        }
-    }
-
-    fn str_(&mut self) -> Result<String, WireError> {
-        let len = self.u32()? as usize;
-        let raw = self.bytes(len)?;
-        std::str::from_utf8(raw)
-            .map(str::to_string)
-            .map_err(|_| WireError::Value(DecodeError::BadUtf8))
-    }
-
     /// A collection count, sanity-checked against the remaining input (every
     /// element takes at least one byte) so corrupt counts cannot force a
     /// huge allocation.
     fn count(&mut self) -> Result<usize, WireError> {
-        let n = self.u32()? as usize;
+        let n = u32::get(self)? as usize;
         if n > self.remaining() {
             return Err(WireError::Truncated);
         }
         Ok(n)
     }
-
-    fn tuple(&mut self) -> Result<Tuple, WireError> {
-        Ok(decode_tuple(self.buf, &mut self.pos)?)
-    }
-
-    fn finish(self) -> Result<(), WireError> {
-        match self.remaining() {
-            0 => Ok(()),
-            n => Err(WireError::TrailingBytes(n)),
-        }
-    }
 }
 
-// ---------------------------------------------------------------------------
-// domain-type encodings
-// ---------------------------------------------------------------------------
+macro_rules! wire_ints {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
 
-fn put_opt_i64(out: &mut Vec<u8>, v: Option<i64>) {
-    match v {
-        None => out.push(0),
-        Some(v) => {
-            out.push(1);
-            out.extend_from_slice(&v.to_le_bytes());
+            fn get(d: &mut Dec<'_>) -> Result<Self, WireError> {
+                let raw = d.bytes(std::mem::size_of::<$t>())?;
+                Ok(<$t>::from_le_bytes(raw.try_into().expect("bytes(n) is n bytes long")))
+            }
+        }
+    )*};
+}
+
+wire_ints!(u8, u32, u64, i64);
+
+impl Wire for bool {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
+
+    fn get(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        match u8::get(d)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            tag => Err(WireError::BadTag { what: "bool", tag }),
         }
     }
 }
 
 /// Floats travel as their IEEE-754 bit pattern so the round trip is exact.
-fn put_opt_f64(out: &mut Vec<u8>, v: Option<f64>) {
-    match v {
-        None => out.push(0),
-        Some(v) => {
-            out.push(1);
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
+impl Wire for f64 {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.to_bits().put(out);
+    }
+
+    fn get(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        Ok(f64::from_bits(u64::get(d)?))
     }
 }
 
-fn put_certificate(out: &mut Vec<u8>, cert: &Option<BoundCertificate>) {
-    match cert {
-        None => out.push(0),
-        Some(cert) => {
-            out.push(1);
-            put_str(out, &cert.engine);
-            out.extend_from_slice(&cert.dual_bound.to_le_bytes());
-            put_u32(out, cert.binding.len() as u32);
-            for name in &cert.binding {
-                put_str(out, name);
-            }
-        }
+/// Capacities travel as `u64`; one this platform cannot hold saturates.
+impl Wire for usize {
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self as u64).put(out);
+    }
+
+    fn get(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        Ok(usize::try_from(u64::get(d)?).unwrap_or(usize::MAX))
     }
 }
 
-fn put_event(out: &mut Vec<u8>, event: &SolveEvent) {
-    match event {
-        SolveEvent::Incumbent { objective } => {
-            out.push(0);
-            put_opt_i64(out, *objective);
-        }
-        SolveEvent::Restart {
-            restarts,
-            next_budget,
-        } => {
-            out.push(1);
-            put_u64(out, *restarts);
-            put_u64(out, *next_budget);
-        }
-        SolveEvent::LnsIteration {
-            iteration,
-            improved,
-            best_objective,
-        } => {
-            out.push(2);
-            put_u64(out, *iteration);
-            put_bool(out, *improved);
-            put_opt_i64(out, *best_objective);
-        }
-        SolveEvent::NodeBudget { nodes, fails } => {
-            out.push(3);
-            put_u64(out, *nodes);
-            put_u64(out, *fails);
-        }
-        SolveEvent::Progress {
-            nodes,
-            fails,
-            solutions,
-            dual_bound,
-            gap,
-        } => {
-            out.push(4);
-            put_u64(out, *nodes);
-            put_u64(out, *fails);
-            put_u64(out, *solutions);
-            put_opt_i64(out, *dual_bound);
-            put_opt_f64(out, *gap);
-        }
+impl Wire for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        out.extend_from_slice(self.as_bytes());
+    }
+
+    fn get(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        let len = u32::get(d)? as usize;
+        std::str::from_utf8(d.bytes(len)?)
+            .map(str::to_string)
+            .map_err(|_| WireError::Value(DecodeError::BadUtf8))
     }
 }
 
-fn dec_event(d: &mut Dec) -> Result<SolveEvent, WireError> {
-    Ok(match d.u8()? {
-        0 => SolveEvent::Incumbent {
-            objective: d.opt_i64()?,
-        },
-        1 => SolveEvent::Restart {
-            restarts: d.u64()?,
-            next_budget: d.u64()?,
-        },
-        2 => SolveEvent::LnsIteration {
-            iteration: d.u64()?,
-            improved: d.bool()?,
-            best_objective: d.opt_i64()?,
-        },
-        3 => SolveEvent::NodeBudget {
-            nodes: d.u64()?,
-            fails: d.u64()?,
-        },
-        4 => SolveEvent::Progress {
-            nodes: d.u64()?,
-            fails: d.u64()?,
-            solutions: d.u64()?,
-            dual_bound: d.opt_i64()?,
-            gap: d.opt_f64()?,
-        },
-        tag => return Err(WireError::BadTag { what: "event", tag }),
-    })
+impl Wire for NodeId {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+    }
+
+    fn get(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        Ok(NodeId(u32::get(d)?))
+    }
 }
 
-fn put_search_stats(out: &mut Vec<u8>, s: &SearchStats) {
-    put_u64(out, s.nodes);
-    put_u64(out, s.fails);
-    put_u64(out, s.propagations);
-    put_u64(out, s.prunings);
-    put_u64(out, s.solutions);
-    put_u64(out, s.max_depth);
-    put_u64(out, s.lns_iterations);
-    put_u64(out, s.lns_improvements);
-    put_u64(out, s.elapsed_micros);
-    put_bool(out, s.limit_reached);
-    put_bool(out, s.cancelled);
-    put_bool(out, s.warm_start);
-    put_u64(out, s.parallel_workers);
-    put_u64(out, s.subtrees);
-    put_u64(out, s.portfolio_rounds);
-    put_opt_i64(out, s.dual_bound);
-    put_opt_f64(out, s.gap);
+impl Wire for Value {
+    fn put(&self, out: &mut Vec<u8>) {
+        encode_value(self, out);
+    }
+
+    fn get(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        Ok(decode_value(d.buf, &mut d.pos)?)
+    }
 }
 
-fn dec_search_stats(d: &mut Dec) -> Result<SearchStats, WireError> {
-    Ok(SearchStats {
-        nodes: d.u64()?,
-        fails: d.u64()?,
-        propagations: d.u64()?,
-        prunings: d.u64()?,
-        solutions: d.u64()?,
-        max_depth: d.u64()?,
-        lns_iterations: d.u64()?,
-        lns_improvements: d.u64()?,
-        elapsed_micros: d.u64()?,
-        limit_reached: d.bool()?,
-        cancelled: d.bool()?,
-        warm_start: d.bool()?,
-        parallel_workers: d.u64()?,
-        subtrees: d.u64()?,
-        portfolio_rounds: d.u64()?,
-        dual_bound: d.opt_i64()?,
-        gap: d.opt_f64()?,
-    })
-}
+impl Wire for ErrorCode {
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self as u8).put(out);
+    }
 
-fn dec_certificate(d: &mut Dec) -> Result<Option<BoundCertificate>, WireError> {
-    match d.u8()? {
-        0 => Ok(None),
-        1 => {
-            let engine = d.str_()?;
-            let dual_bound = d.i64()?;
-            let mut binding = Vec::new();
-            for _ in 0..d.count()? {
-                binding.push(d.str_()?);
-            }
-            Ok(Some(BoundCertificate {
-                engine,
-                dual_bound,
-                binding,
-            }))
-        }
-        tag => Err(WireError::BadTag {
-            what: "option",
+    fn get(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        let tag = u8::get(d)?;
+        ErrorCode::from_u8(tag).ok_or(WireError::BadTag {
+            what: "error code",
             tag,
-        }),
+        })
     }
 }
 
-fn put_report(out: &mut Vec<u8>, r: &SolveReport) {
-    put_bool(out, r.feasible);
-    put_bool(out, r.trivial);
-    put_opt_i64(out, r.objective);
-    put_bool(out, r.proven_optimal);
-    put_search_stats(out, &r.stats);
-    put_certificate(out, &r.certificate);
-    put_u32(out, r.assignments.len() as u32);
-    for (name, rows) in &r.assignments {
-        put_str(out, name);
-        put_u32(out, rows.len() as u32);
-        for row in rows {
-            encode_tuple(row, out);
-        }
-    }
-    put_u32(out, r.outgoing.len() as u32);
-    for remote in &r.outgoing {
-        put_u32(out, remote.dest.0);
-        put_str(out, &remote.relation);
-        encode_tuple(&remote.tuple, out);
-        put_bool(out, remote.insert);
-    }
-}
-
-fn dec_report(d: &mut Dec) -> Result<SolveReport, WireError> {
-    let feasible = d.bool()?;
-    let trivial = d.bool()?;
-    let objective = d.opt_i64()?;
-    let proven_optimal = d.bool()?;
-    let stats = dec_search_stats(d)?;
-    let certificate = dec_certificate(d)?;
-    let mut assignments = BTreeMap::new();
-    for _ in 0..d.count()? {
-        let name = d.str_()?;
-        let mut rows = Vec::new();
-        for _ in 0..d.count()? {
-            rows.push(d.tuple()?);
-        }
-        assignments.insert(name, rows);
-    }
-    let mut outgoing = Vec::new();
-    for _ in 0..d.count()? {
-        outgoing.push(RemoteTuple {
-            dest: NodeId(d.u32()?),
-            relation: d.str_()?,
-            tuple: d.tuple()?,
-            insert: d.bool()?,
-        });
-    }
-    Ok(SolveReport {
-        feasible,
-        trivial,
-        objective,
-        proven_optimal,
-        stats,
-        certificate,
-        assignments,
-        outgoing,
-    })
-}
-
-fn put_request(out: &mut Vec<u8>, r: &SolveRequest) {
-    match r.target {
-        SolveTarget::All => out.push(0),
-        SolveTarget::Node(n) => {
-            out.push(1);
-            put_u32(out, n.0);
-        }
-    }
-    put_bool(out, r.parallel);
-    put_opt_events(out, &r.events);
-}
-
-fn dec_request(d: &mut Dec) -> Result<SolveRequest, WireError> {
-    let target = match d.u8()? {
-        0 => SolveTarget::All,
-        1 => SolveTarget::Node(NodeId(d.u32()?)),
-        tag => {
-            return Err(WireError::BadTag {
-                what: "solve target",
-                tag,
-            })
-        }
-    };
-    let parallel = d.bool()?;
-    let events = dec_opt_events(d)?;
-    Ok(SolveRequest {
-        target,
-        parallel,
-        events,
-    })
-}
-
-fn put_opt_events(out: &mut Vec<u8>, opts: &Option<EventOptions>) {
-    match opts {
-        None => out.push(0),
-        Some(opts) => {
-            out.push(1);
-            put_u64(out, opts.capacity as u64);
-            put_opt_u64(out, opts.cancel_after_incumbents);
-        }
-    }
-}
-
-fn dec_opt_events(d: &mut Dec) -> Result<Option<EventOptions>, WireError> {
-    match d.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(EventOptions {
-            capacity: d.u64()?.min(usize::MAX as u64) as usize,
-            cancel_after_incumbents: d.opt_u64()?,
-        })),
-        tag => Err(WireError::BadTag {
-            what: "option",
-            tag,
-        }),
-    }
-}
-
-fn put_snapshot(out: &mut Vec<u8>, s: &StatsSnapshot) {
-    put_u32(out, s.nodes.len() as u32);
-    for row in &s.nodes {
-        put_u32(out, row.node.0);
-        put_u64(out, row.solver_invocations);
-        put_u64(out, row.pipeline.plan_builds);
-        put_u64(out, row.pipeline.full_rebuilds);
-        put_u64(out, row.pipeline.incremental_builds);
-        put_u64(out, row.engine.external_deltas);
-        put_u64(out, row.engine.derivations);
-        put_u64(out, row.engine.updates);
-        put_u64(out, row.engine.remote_sends);
-        put_u64(out, row.engine.aggregate_recomputes);
-        put_u64(out, row.engine.unknown_relation_inserts);
-        put_search_stats(out, &row.search_total);
-        match &row.last_search {
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
             None => out.push(0),
-            Some(last) => {
+            Some(v) => {
                 out.push(1);
-                put_search_stats(out, last);
+                v.put(out);
             }
         }
     }
-    put_u64(out, s.delivery.data_packets_sent);
-    put_u64(out, s.delivery.retransmits);
-    put_u64(out, s.delivery.acks_sent);
-    put_u64(out, s.delivery.duplicates_dropped);
-    put_u64(out, s.delivery.stale_epoch_dropped);
-    put_u64(out, s.delivery.out_of_order_buffered);
-    put_u64(out, s.delivery.crashes);
-    put_u64(out, s.delivery.rejoins);
-    put_u64(out, s.delivery.resync_tuples);
-    put_u64(out, s.rejected_remote_tuples);
+
+    fn get(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        match u8::get(d)? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(d)?)),
+            tag => Err(WireError::BadTag {
+                what: "option",
+                tag,
+            }),
+        }
+    }
 }
 
-fn dec_snapshot(d: &mut Dec) -> Result<StatsSnapshot, WireError> {
-    let mut nodes = Vec::new();
-    for _ in 0..d.count()? {
-        let node = NodeId(d.u32()?);
-        let solver_invocations = d.u64()?;
-        let pipeline = PipelineStats {
-            plan_builds: d.u64()?,
-            full_rebuilds: d.u64()?,
-            incremental_builds: d.u64()?,
-        };
-        let engine = EngineStats {
-            external_deltas: d.u64()?,
-            derivations: d.u64()?,
-            updates: d.u64()?,
-            remote_sends: d.u64()?,
-            aggregate_recomputes: d.u64()?,
-            unknown_relation_inserts: d.u64()?,
-        };
-        let search_total = dec_search_stats(d)?;
-        let last_search = match d.u8()? {
-            0 => None,
-            1 => Some(dec_search_stats(d)?),
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "option",
-                    tag,
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        for item in self {
+            item.put(out);
+        }
+    }
+
+    fn get(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        let mut items = Vec::new();
+        for _ in 0..d.count()? {
+            items.push(T::get(d)?);
+        }
+        Ok(items)
+    }
+}
+
+impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        for (key, value) in self {
+            key.put(out);
+            value.put(out);
+        }
+    }
+
+    fn get(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        let mut map = BTreeMap::new();
+        for _ in 0..d.count()? {
+            map.insert(K::get(d)?, V::get(d)?);
+        }
+        Ok(map)
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+
+    fn get(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        Ok((A::get(d)?, B::get(d)?))
+    }
+}
+
+/// A struct is its fields in list order. The decoder builds the struct
+/// literal from the same list, so a missing field does not compile.
+macro_rules! wire_structs {
+    ($($ty:ident { $($field:ident),* })*) => {$(
+        impl Wire for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$field.put(out);)*
+            }
+
+            fn get(d: &mut Dec<'_>) -> Result<Self, WireError> {
+                Ok($ty { $($field: Wire::get(d)?),* })
+            }
+        }
+    )*};
+}
+
+/// A tagged enum is one tag byte, then the variant's fields in list order;
+/// `$unknown` names the error for a tag the table lacks. The encoder's
+/// match is exhaustive, so a variant missing from the table does not
+/// compile.
+macro_rules! wire_enum {
+    ($ty:ident, $unknown:expr;
+     $($tag:literal => $var:ident $({ $($field:ident),* })? $(( $($pos:ident),* ))?,)*) => {
+        impl Wire for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($ty::$var $({ $($field),* })? $(( $($pos),* ))? => {
+                        out.push($tag);
+                        $($($field.put(out);)*)?
+                        $($($pos.put(out);)*)?
+                    })*
+                }
+            }
+
+            fn get(d: &mut Dec<'_>) -> Result<Self, WireError> {
+                Ok(match u8::get(d)? {
+                    $($tag => {
+                        $($(let $field = Wire::get(d)?;)*)?
+                        $($(let $pos = Wire::get(d)?;)*)?
+                        $ty::$var $({ $($field),* })? $(( $($pos),* ))?
+                    })*
+                    tag => {
+                        let unknown: fn(u8) -> WireError = $unknown;
+                        return Err(unknown(tag));
+                    }
                 })
             }
-        };
-        nodes.push(NodeStats {
-            node,
-            solver_invocations,
-            pipeline,
-            engine,
-            search_total,
-            last_search,
-        });
-    }
-    let delivery = DeliveryStats {
-        data_packets_sent: d.u64()?,
-        retransmits: d.u64()?,
-        acks_sent: d.u64()?,
-        duplicates_dropped: d.u64()?,
-        stale_epoch_dropped: d.u64()?,
-        out_of_order_buffered: d.u64()?,
-        crashes: d.u64()?,
-        rejoins: d.u64()?,
-        resync_tuples: d.u64()?,
+        }
     };
-    let rejected_remote_tuples = d.u64()?;
-    Ok(StatsSnapshot {
-        nodes,
-        delivery,
-        rejected_remote_tuples,
-    })
+}
+
+// The normative body layouts of PROTOCOL v2 (docs/PROTOCOL.md).
+
+wire_structs! {
+    IngestOp { insert, tuple }
+    EventOptions { capacity, cancel_after_incumbents }
+    SolveRequest { target, parallel, events }
+    BoundCertificate { engine, dual_bound, binding }
+    RemoteTuple { dest, relation, tuple, insert }
+    SearchStats {
+        nodes, fails, propagations, prunings, solutions, max_depth, lns_iterations,
+        lns_improvements, elapsed_micros, limit_reached, cancelled, warm_start,
+        parallel_workers, subtrees, portfolio_rounds, dual_bound, gap
+    }
+    SolveReport {
+        feasible, trivial, objective, proven_optimal, stats, certificate, assignments, outgoing
+    }
+    PipelineStats { plan_builds, full_rebuilds, incremental_builds }
+    EngineStats {
+        external_deltas, derivations, updates, remote_sends, aggregate_recomputes,
+        unknown_relation_inserts
+    }
+    NodeStats { node, solver_invocations, pipeline, engine, search_total, last_search }
+    DeliveryStats {
+        data_packets_sent, retransmits, acks_sent, duplicates_dropped, stale_epoch_dropped,
+        out_of_order_buffered, crashes, rejoins, resync_tuples
+    }
+    StatsSnapshot { nodes, delivery, rejected_remote_tuples }
+}
+
+wire_enum! { SolveTarget, |tag| WireError::BadTag { what: "solve target", tag };
+    0 => All,
+    1 => Node(node),
+}
+
+wire_enum! { SolveEvent, |tag| WireError::BadTag { what: "event", tag };
+    0 => Incumbent { objective },
+    1 => Restart { restarts, next_budget },
+    2 => LnsIteration { iteration, improved, best_objective },
+    3 => NodeBudget { nodes, fails },
+    4 => Progress { nodes, fails, solutions, dual_bound, gap },
+}
+
+wire_enum! { ClientMsg, WireError::BadOpcode;
+    0x01 => Hello { tenant },
+    0x02 => Ingest { node, relation, ops, sync },
+    0x03 => Solve(request),
+    0x04 => Subscribe(events),
+    0x05 => Stats,
+    0x06 => Tick { micros },
+    0x07 => Bye,
+}
+
+wire_enum! { ServerMsg, WireError::BadOpcode;
+    0x81 => HelloOk { session },
+    0x82 => IngestOk { applied },
+    0x83 => Event { node, event },
+    0x84 => SolveOk { reports, dropped_events },
+    0x85 => StatsOk(snapshot),
+    0x86 => TickOk { handled },
+    0x87 => Error { code, message },
+    0x88 => ByeOk,
+    0x89 => SubscribeOk,
 }
 
 // ---------------------------------------------------------------------------
 // message encode/decode
 // ---------------------------------------------------------------------------
 
-fn header(opcode: u8) -> Vec<u8> {
-    vec![PROTOCOL_VERSION, opcode]
+fn encode(msg: &impl Wire) -> Vec<u8> {
+    let mut out = vec![PROTOCOL_VERSION];
+    msg.put(&mut out);
+    out
+}
+
+fn decode<M: Wire>(payload: &[u8]) -> Result<M, WireError> {
+    let mut d = Dec {
+        buf: payload,
+        pos: 0,
+    };
+    match u8::get(&mut d)? {
+        PROTOCOL_VERSION => {}
+        v => return Err(WireError::BadVersion(v)),
+    }
+    let msg = M::get(&mut d)?;
+    match d.remaining() {
+        0 => Ok(msg),
+        n => Err(WireError::TrailingBytes(n)),
+    }
 }
 
 /// Encode one client message into a frame payload.
 pub fn encode_client(msg: &ClientMsg) -> Vec<u8> {
-    match msg {
-        ClientMsg::Hello { tenant } => {
-            let mut out = header(0x01);
-            put_str(&mut out, tenant);
-            out
-        }
-        ClientMsg::Ingest {
-            node,
-            relation,
-            ops,
-            sync,
-        } => {
-            let mut out = header(0x02);
-            put_u32(&mut out, node.0);
-            put_str(&mut out, relation);
-            put_u32(&mut out, ops.len() as u32);
-            for op in ops {
-                put_bool(&mut out, op.insert);
-                encode_tuple(&op.tuple, &mut out);
-            }
-            put_bool(&mut out, *sync);
-            out
-        }
-        ClientMsg::Solve(request) => {
-            let mut out = header(0x03);
-            put_request(&mut out, request);
-            out
-        }
-        ClientMsg::Subscribe(opts) => {
-            let mut out = header(0x04);
-            put_opt_events(&mut out, opts);
-            out
-        }
-        ClientMsg::Stats => header(0x05),
-        ClientMsg::Tick { micros } => {
-            let mut out = header(0x06);
-            put_u64(&mut out, *micros);
-            out
-        }
-        ClientMsg::Bye => header(0x07),
-    }
-}
-
-fn check_version(d: &mut Dec) -> Result<(), WireError> {
-    match d.u8()? {
-        PROTOCOL_VERSION => Ok(()),
-        v => Err(WireError::BadVersion(v)),
-    }
+    encode(msg)
 }
 
 /// Decode one client-message payload.
 pub fn decode_client(payload: &[u8]) -> Result<ClientMsg, WireError> {
-    let mut d = Dec::new(payload);
-    check_version(&mut d)?;
-    let opcode = d.u8()?;
-    let msg = match opcode {
-        0x01 => ClientMsg::Hello { tenant: d.str_()? },
-        0x02 => {
-            let node = NodeId(d.u32()?);
-            let relation = d.str_()?;
-            let mut ops = Vec::new();
-            for _ in 0..d.count()? {
-                ops.push(IngestOp {
-                    insert: d.bool()?,
-                    tuple: d.tuple()?,
-                });
-            }
-            let sync = d.bool()?;
-            ClientMsg::Ingest {
-                node,
-                relation,
-                ops,
-                sync,
-            }
-        }
-        0x03 => ClientMsg::Solve(dec_request(&mut d)?),
-        0x04 => ClientMsg::Subscribe(dec_opt_events(&mut d)?),
-        0x05 => ClientMsg::Stats,
-        0x06 => ClientMsg::Tick { micros: d.u64()? },
-        0x07 => ClientMsg::Bye,
-        op => return Err(WireError::BadOpcode(op)),
-    };
-    d.finish()?;
-    Ok(msg)
+    decode(payload)
 }
 
 /// Encode one server message into a frame payload.
 pub fn encode_server(msg: &ServerMsg) -> Vec<u8> {
-    match msg {
-        ServerMsg::HelloOk { session } => {
-            let mut out = header(0x81);
-            put_u64(&mut out, *session);
-            out
-        }
-        ServerMsg::IngestOk { applied } => {
-            let mut out = header(0x82);
-            put_u32(&mut out, *applied);
-            out
-        }
-        ServerMsg::Event { node, event } => {
-            let mut out = header(0x83);
-            put_u32(&mut out, node.0);
-            put_event(&mut out, event);
-            out
-        }
-        ServerMsg::SolveOk {
-            reports,
-            dropped_events,
-        } => {
-            let mut out = header(0x84);
-            put_u32(&mut out, reports.len() as u32);
-            for (node, report) in reports {
-                put_u32(&mut out, node.0);
-                put_report(&mut out, report);
-            }
-            put_u64(&mut out, *dropped_events);
-            out
-        }
-        ServerMsg::StatsOk(snapshot) => {
-            let mut out = header(0x85);
-            put_snapshot(&mut out, snapshot);
-            out
-        }
-        ServerMsg::TickOk { handled } => {
-            let mut out = header(0x86);
-            put_u64(&mut out, *handled);
-            out
-        }
-        ServerMsg::SubscribeOk => header(0x89),
-        ServerMsg::Error { code, message } => {
-            let mut out = header(0x87);
-            out.push(*code as u8);
-            put_str(&mut out, message);
-            out
-        }
-        ServerMsg::ByeOk => header(0x88),
-    }
+    encode(msg)
 }
 
 /// Decode one server-message payload.
 pub fn decode_server(payload: &[u8]) -> Result<ServerMsg, WireError> {
-    let mut d = Dec::new(payload);
-    check_version(&mut d)?;
-    let opcode = d.u8()?;
-    let msg = match opcode {
-        0x81 => ServerMsg::HelloOk { session: d.u64()? },
-        0x82 => ServerMsg::IngestOk { applied: d.u32()? },
-        0x83 => ServerMsg::Event {
-            node: NodeId(d.u32()?),
-            event: dec_event(&mut d)?,
-        },
-        0x84 => {
-            let mut reports = Vec::new();
-            for _ in 0..d.count()? {
-                let node = NodeId(d.u32()?);
-                reports.push((node, dec_report(&mut d)?));
-            }
-            let dropped_events = d.u64()?;
-            ServerMsg::SolveOk {
-                reports,
-                dropped_events,
-            }
-        }
-        0x85 => ServerMsg::StatsOk(dec_snapshot(&mut d)?),
-        0x86 => ServerMsg::TickOk { handled: d.u64()? },
-        0x89 => ServerMsg::SubscribeOk,
-        0x87 => {
-            let code_byte = d.u8()?;
-            let code = ErrorCode::from_u8(code_byte).ok_or(WireError::BadTag {
-                what: "error code",
-                tag: code_byte,
-            })?;
-            ServerMsg::Error {
-                code,
-                message: d.str_()?,
-            }
-        }
-        0x88 => ServerMsg::ByeOk,
-        op => return Err(WireError::BadOpcode(op)),
-    };
-    d.finish()?;
-    Ok(msg)
+    decode(payload)
 }
 
 /// Per-tenant resource caps enforced by the server (also carried in
@@ -1082,7 +737,6 @@ pub struct TenantBudget {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cologne::datalog::Value;
 
     fn sample_report() -> SolveReport {
         let stats = SearchStats {
