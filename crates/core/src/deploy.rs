@@ -15,10 +15,12 @@
 //! `impl Deployment` block, in [`crate::distributed`].
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use cologne_datalog::{NodeId, Tuple};
 use cologne_net::{Simulator, Topology};
 
+use crate::compiled::CompiledProgram;
 use crate::distributed::{CrashEvent, ReliableDelivery, Wire};
 use crate::error::CologneError;
 use crate::handle::RelationHandle;
@@ -31,9 +33,15 @@ use crate::stats::{NodeStats, StatsSnapshot};
 
 /// Builder for a [`Deployment`] — the one way to stand up Cologne, single
 /// node or distributed.
+///
+/// The program is compiled once, when the builder is created; every node of
+/// the deployment, and of every deployment built from a clone of the
+/// builder, shares that compiled program.
 #[derive(Debug, Clone)]
 pub struct DeploymentBuilder {
-    source: String,
+    /// The compiled program, or why the source does not compile (reported
+    /// by [`DeploymentBuilder::build`]).
+    compiled: Result<Arc<CompiledProgram>, CologneError>,
     params: ProgramParams,
     topology: Option<Topology>,
     node_params: BTreeMap<NodeId, ProgramParams>,
@@ -41,10 +49,10 @@ pub struct DeploymentBuilder {
 }
 
 impl DeploymentBuilder {
-    /// Start a builder for the given Colog program source.
+    /// Start a builder for the given Colog program source, compiling it.
     pub fn new(source: &str) -> Self {
         DeploymentBuilder {
-            source: source.to_string(),
+            compiled: CompiledProgram::compile(source),
             params: ProgramParams::new(),
             topology: None,
             node_params: BTreeMap::new(),
@@ -84,9 +92,9 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Compile the program on every topology node and wire the instances to
-    /// the simulated network. Fails eagerly on an invalid configuration or a
-    /// program that does not compile.
+    /// Set up the compiled program on every topology node and wire the
+    /// instances to the simulated network. Fails eagerly on an invalid
+    /// configuration or a program that does not compile.
     pub fn build(self) -> Result<Deployment, CologneError> {
         let topology = self.topology.unwrap_or_else(Topology::single);
         if topology.num_nodes() == 0 {
@@ -101,13 +109,14 @@ impl DeploymentBuilder {
                 )));
             }
         }
+        let compiled = self.compiled?;
         let mut instances = BTreeMap::new();
         for n in topology.nodes() {
             let node = NodeId(n);
             let params = self.node_params.get(&node).unwrap_or(&self.params);
             instances.insert(
                 node,
-                CologneInstance::new(node, &self.source, params.clone())?,
+                CologneInstance::from_compiled(node, Arc::clone(&compiled), params.clone())?,
             );
         }
         let mut sim = Simulator::new(topology);
@@ -428,12 +437,11 @@ mod tests {
             .clone()
             .with_constant("tag", 7)
             .with_solver_node_limit(Some(99));
-        let d = DeploymentBuilder::new(ACLOUD)
+        let builder = DeploymentBuilder::new(ACLOUD)
             .topology(Topology::line(3, LinkProps::default()))
             .params(base.clone())
-            .node_params(NodeId(1), special.clone())
-            .build()
-            .unwrap();
+            .node_params(NodeId(1), special.clone());
+        let d = builder.clone().build().unwrap();
         // nodes without an override run the base parameters — and the search
         // configuration derived from them — unchanged
         for node in [NodeId(0), NodeId(2)] {
@@ -454,6 +462,35 @@ mod tests {
         assert_eq!(inst.params().constant("tag"), Some(7));
         assert_eq!(inst.search_config().node_limit, Some(99));
         assert_eq!(inst.search_config().value_choice, ValueChoice::Max);
+
+        // the program is compiled once: every node, the overridden one
+        // included, and every node of a second deployment built from a
+        // clone of the builder share one compiled program
+        let compiled = &d.instance(NodeId(0)).unwrap().compiled;
+        let again = builder.build().unwrap();
+        assert_eq!(d.instances.len() + again.instances.len(), 6);
+        for inst in d.instances.values().chain(again.instances.values()) {
+            assert!(Arc::ptr_eq(&inst.compiled, compiled));
+        }
+        // ... while a regular rule reading a constant sees each node's own
+        // value, resolved into that node's engine
+        let tagged = ProgramParams::new().with_constant("tag", 1);
+        let mut d = DeploymentBuilder::new("r1 big(X) <- load(X), X>tag.")
+            .topology(Topology::line(2, LinkProps::default()))
+            .params(tagged.clone())
+            .node_params(NodeId(1), tagged.with_constant("tag", 7))
+            .build()
+            .unwrap();
+        for node in [NodeId(0), NodeId(1)] {
+            d.insert(node, "load", vec![Value::Int(5)]).unwrap();
+        }
+        let (n0, n1) = (
+            d.instance(NodeId(0)).unwrap(),
+            d.instance(NodeId(1)).unwrap(),
+        );
+        assert!(Arc::ptr_eq(&n0.compiled, &n1.compiled));
+        assert!(n0.contains("big", &vec![Value::Int(5)]));
+        assert!(!n1.contains("big", &vec![Value::Int(5)]));
 
         // validation happens at build: bad solver knobs in the base or in an
         // override, an empty topology, an override for an absent node, a

@@ -13,24 +13,23 @@
 //! Solver invocations recur on every monitoring epoch and after every input
 //! delta, so grounding is staged into two explicit phases:
 //!
-//! * [`GroundingPlan`] — the **per-program** stage, built once per compiled
-//!   program (at [`crate::CologneInstance::new`] time) from the static
-//!   [`Analysis`]. It caches everything that does not depend on table
-//!   contents: the topological evaluation order of the solver derivation
-//!   rules, the pre-assembled `head + body` element lists of the constraint
-//!   rules, the solver-variable layout of each `var` declaration (which
-//!   argument positions are solver attributes, and their domain from
+//! * `GroundingPlan` — the **per-program** stage, built at instance
+//!   construction from the shared compiled program, which it holds. It
+//!   caches everything that does not depend on table contents: the
+//!   topological evaluation order of the solver derivation rules, the
+//!   pre-assembled `head + body` element lists of the constraint rules, the
+//!   solver-variable layout of each `var` declaration (which argument
+//!   positions are solver attributes, and their domain from
 //!   [`ProgramParams`]), and the goal relation/position. The plan is only
 //!   rebuilt when the parameters change.
-//! * `GroundingRun` (private) — the **per-invocation** stage: joins the rule bodies
+//! * `GroundingRun` — the **per-invocation** stage: joins the rule bodies
 //!   against the current engine state, allocates solver variables and posts
 //!   constraints, producing a [`GroundedCop`]. Its model and symbol table are
-//!   taken from a [`GroundingScratch`], which recycles the solver arena
+//!   taken from a `GroundingScratch`, which recycles the solver arena
 //!   (via [`Model::reset`]) across invocations instead of reallocating it.
 //!
-//! The free function [`ground`] composes the stages for one-shot callers;
-//! [`crate::SolvePipeline`] holds plan + scratch for the repeated-invocation
-//! hot path.
+//! The solve pipeline ([`crate::pipeline`]) holds plan + scratch for the
+//! repeated-invocation hot path.
 //!
 //! # Delta-aware grounding
 //!
@@ -41,16 +40,16 @@
 //! body predicates of the solver derivation and constraint rules, and the
 //! goal relation when it is a regular table. Together with the engine's
 //! [`DeltaSummary`] (what changed since the previous grounding) this drives
-//! two reuse levels in [`GroundingPlan::ground`]:
+//! two reuse levels:
 //!
 //! * **Whole-COP reuse** — when no relevant relation is dirty, the previous
 //!   [`GroundedCop`] is byte-identical to what a re-grounding would produce;
-//!   [`crate::SolvePipeline`] retains it across invocations and hands it
+//!   the solve pipeline retains it across invocations and hands it
 //!   back without running any stage (see
 //!   [`crate::PipelineStats::incremental_builds`]).
 //! * **Clean `var`-declaration replay** — a declaration whose `forall`
 //!   relation is clean produces exactly the rows and variables of the
-//!   previous run. The [`GroundingScratch`] caches each declaration's rows
+//!   previous run. The `GroundingScratch` caches each declaration's rows
 //!   and variable names; a clean declaration is replayed from the cache
 //!   (re-allocating its variables in the same order, patching the symbolic
 //!   row attributes) instead of re-joining the `forall` table and
@@ -70,6 +69,7 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::rc::Rc;
+use std::sync::Arc;
 
 use cologne_colog::{
     Analysis, Arg, BodyElem, CExpr, COp, GoalKind, Predicate, Program, RuleClass, RuleDecl,
@@ -77,6 +77,7 @@ use cologne_colog::{
 use cologne_datalog::{AggFunc, Bindings, DeltaSummary, Engine, SymId, Tuple, Value};
 use cologne_solver::{LinExpr, Model, SearchConfig, SearchOutcome, SearchSpace, VarId};
 
+use crate::compiled::CompiledProgram;
 use crate::error::CologneError;
 use crate::params::{ProgramParams, VarDomain};
 
@@ -120,9 +121,9 @@ impl GroundedCop {
 
     /// [`GroundedCop::solve`] reusing a caller-provided [`SearchSpace`]
     /// (trail-backed domain store, propagation queue, decision stack), so
-    /// repeated COP invocations share one set of search allocations.
-    /// [`crate::SolvePipeline::solve`] drives this with the space held by
-    /// its [`GroundingScratch`].
+    /// repeated COP invocations share one set of search allocations. The
+    /// solve pipeline drives this with the space held by its grounding
+    /// scratch.
     pub fn solve_in(&self, config: &SearchConfig, space: &mut SearchSpace) -> SearchOutcome {
         self.solve_in_observed(config, space, None)
     }
@@ -158,29 +159,6 @@ impl GroundedCop {
     }
 }
 
-/// Ground the solver rules of `program` against the current state of
-/// `engine`, producing a constraint model.
-///
-/// One-shot convenience composing the two stages: builds a fresh
-/// [`GroundingPlan`] and runs it with a fresh [`GroundingScratch`]. Repeated
-/// callers (the `invokeSolver` hot path) should hold a
-/// [`crate::SolvePipeline`] instead, which reuses both across invocations.
-pub fn ground(
-    program: &Program,
-    analysis: &Analysis,
-    params: &ProgramParams,
-    engine: &Engine,
-) -> Result<GroundedCop, CologneError> {
-    let plan = GroundingPlan::build(program, analysis, params);
-    plan.ground(
-        program,
-        analysis,
-        params,
-        engine,
-        &mut GroundingScratch::default(),
-    )
-}
-
 // ---------------------------------------------------------------------------
 // Per-program stage: the grounding plan
 // ---------------------------------------------------------------------------
@@ -213,10 +191,12 @@ struct GoalPlan {
 }
 
 /// The per-program grounding stage: everything the per-invocation run needs that
-/// does not depend on the current table contents. Built once per compiled
-/// program and reused across `invokeSolver` executions.
+/// does not depend on the current table contents. Built from a compiled
+/// program, which it holds, and reused across `invokeSolver` executions.
 #[derive(Debug, Clone)]
-pub struct GroundingPlan {
+pub(crate) struct GroundingPlan {
+    /// The program every rule index and var-decl layout below refers to.
+    pub(crate) compiled: Arc<CompiledProgram>,
     /// Solver derivation rules, topologically ordered by head/body relation
     /// dependencies (source order inside cycles).
     deriv_order: Vec<usize>,
@@ -234,8 +214,11 @@ pub struct GroundingPlan {
 }
 
 impl GroundingPlan {
-    /// Build the plan for a program from its static analysis.
-    pub fn build(program: &Program, analysis: &Analysis, params: &ProgramParams) -> Self {
+    /// Build the plan for a compiled program from its static analysis.
+    pub fn build(compiled: &Arc<CompiledProgram>, params: &ProgramParams) -> Self {
+        let CompiledProgram {
+            program, analysis, ..
+        } = &**compiled;
         let var_plans = program
             .vars
             .iter()
@@ -297,19 +280,13 @@ impl GroundingPlan {
             }),
         });
         GroundingPlan {
+            compiled: Arc::clone(compiled),
             deriv_order: derivation_rule_order(program, analysis),
             constraint_elems,
             var_plans,
             goal,
             relevant_relations,
         }
-    }
-
-    /// Engine relations whose contents the grounding depends on. A delta
-    /// summary touching none of them means a re-grounding would reproduce
-    /// the previous [`GroundedCop`] byte for byte.
-    pub fn relevant_relations(&self) -> impl Iterator<Item = &str> {
-        self.relevant_relations.iter().map(String::as_str)
     }
 
     /// True when any relation the grounding reads is dirty in `delta` — a
@@ -322,25 +299,18 @@ impl GroundingPlan {
     }
 
     /// Run the per-invocation stage against the current engine state,
-    /// drawing the model and symbol table from `scratch`.
-    ///
-    /// `program`, `analysis` and `params` must be the exact values this plan
-    /// was [`GroundingPlan::build`]t from: the plan caches rule indices,
-    /// var-decl layouts and parameter-derived domains, so passing a
-    /// different program panics (index out of bounds) or grounds stale
-    /// cached layouts. [`crate::SolvePipeline`] maintains this invariant
-    /// automatically — prefer it over calling this directly.
+    /// drawing the model and symbol table from `scratch`. `params` are the
+    /// parameters the plan was built with (the solve pipeline rebuilds the
+    /// plan whenever they change).
     pub fn ground(
         &self,
-        program: &Program,
-        analysis: &Analysis,
         params: &ProgramParams,
         engine: &Engine,
         scratch: &mut GroundingScratch,
     ) -> Result<GroundedCop, CologneError> {
         // One-shot callers never replay, so capturing replay caches would
         // be pure overhead: skip it.
-        self.ground_inner(program, analysis, params, engine, scratch, None, false)
+        self.ground_inner(params, engine, scratch, None, false)
     }
 
     /// [`GroundingPlan::ground`] with a delta summary covering everything
@@ -352,44 +322,30 @@ impl GroundingPlan {
     /// output is identical either way.
     pub fn ground_delta(
         &self,
-        program: &Program,
-        analysis: &Analysis,
         params: &ProgramParams,
         engine: &Engine,
         scratch: &mut GroundingScratch,
         delta: Option<&DeltaSummary>,
     ) -> Result<GroundedCop, CologneError> {
-        self.ground_inner(program, analysis, params, engine, scratch, delta, true)
+        self.ground_inner(params, engine, scratch, delta, true)
     }
 
     /// Shared body of [`GroundingPlan::ground`] / [`GroundingPlan::ground_delta`]:
     /// `capture` controls whether `var`-declaration replay caches are
     /// maintained in `scratch` (only delta-aware callers ever read them).
-    #[allow(clippy::too_many_arguments)]
     fn ground_inner(
         &self,
-        program: &Program,
-        analysis: &Analysis,
         params: &ProgramParams,
         engine: &Engine,
         scratch: &mut GroundingScratch,
         delta: Option<&DeltaSummary>,
         capture: bool,
     ) -> Result<GroundedCop, CologneError> {
-        debug_assert!(
-            self.var_plans.len() == program.vars.len()
-                && self
-                    .deriv_order
-                    .iter()
-                    .chain(self.constraint_elems.iter().map(|(i, _)| i))
-                    .all(|&i| i < program.rules.len()),
-            "GroundingPlan used with a program it was not built from"
-        );
-        scratch.var_caches.resize_with(program.vars.len(), || None);
+        scratch
+            .var_caches
+            .resize_with(self.var_plans.len(), || None);
         let mut run = GroundingRun {
             plan: self,
-            program,
-            analysis,
             params,
             engine,
             delta,
@@ -454,10 +410,10 @@ fn derivation_rule_order(program: &Program, analysis: &Analysis) -> Vec<usize> {
 /// The grounding run takes the model and symbol table at the start of an
 /// invocation; [`GroundingScratch::recycle`] reclaims them (resetting the
 /// model in place) once the caller is done with the [`GroundedCop`]. The
-/// search space is lent out per solve by [`crate::SolvePipeline::solve`] and
-/// keeps its trail, store and queue allocations across invocations.
+/// search space is lent out per solve by the solve pipeline and keeps its
+/// trail, store and queue allocations across invocations.
 #[derive(Default)]
-pub struct GroundingScratch {
+pub(crate) struct GroundingScratch {
     model: Model,
     syms: Vec<VarId>,
     pub(crate) space: SearchSpace,
@@ -528,8 +484,6 @@ enum SymVal {
 /// and solver tables. Short-lived — one value per `invokeSolver` execution.
 struct GroundingRun<'a> {
     plan: &'a GroundingPlan,
-    program: &'a Program,
-    analysis: &'a Analysis,
     params: &'a ProgramParams,
     engine: &'a Engine,
     /// What changed since the previous grounding (`None` = assume everything
@@ -562,7 +516,11 @@ impl<'a> GroundingRun<'a> {
     }
 
     fn is_solver_table(&self, relation: &str) -> bool {
-        self.analysis.solver_tables.is_solver_table(relation)
+        self.plan
+            .compiled
+            .analysis
+            .solver_tables
+            .is_solver_table(relation)
             || self.solver_tables.contains_key(relation)
     }
 
@@ -590,7 +548,7 @@ impl<'a> GroundingRun<'a> {
 
     fn ground_var_decls(&mut self) -> Result<(), CologneError> {
         let plan = self.plan;
-        let program = self.program;
+        let program = &plan.compiled.program;
         for vp in &plan.var_plans {
             // A declaration whose forall relation saw no visible change since
             // the previous grounding reproduces last run's output exactly:
@@ -737,7 +695,7 @@ impl<'a> GroundingRun<'a> {
 
     fn ground_derivation_rules(&mut self) -> Result<(), CologneError> {
         let plan = self.plan;
-        let program = self.program;
+        let program = &plan.compiled.program;
         for &idx in &plan.deriv_order {
             self.ground_derivation(&program.rules[idx])?;
         }
@@ -907,7 +865,7 @@ impl<'a> GroundingRun<'a> {
 
     fn ground_constraint_rules(&mut self) -> Result<(), CologneError> {
         let plan = self.plan;
-        let program = self.program;
+        let program = &plan.compiled.program;
         for (idx, elems) in &plan.constraint_elems {
             let rule = &program.rules[*idx];
             // Expressions are posted as hard constraints during the join
@@ -1357,7 +1315,6 @@ fn match_predicate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cologne_colog::{analyze, parse_program};
     use cologne_datalog::NodeId;
     use cologne_solver::SearchConfig;
 
@@ -1389,18 +1346,30 @@ mod tests {
         e
     }
 
-    fn ground_mini_acloud(engine: &mut Engine, program_src: &str) -> GroundedCop {
-        let program = parse_program(program_src).unwrap();
-        let analysis = analyze(&program).unwrap();
-        let params = ProgramParams::new().with_var_domain("assign", VarDomain::BOOL);
-        // install the regular rule so toAssign is materialized
-        for (idx, rule) in program.rules.iter().enumerate() {
-            if analysis.class_of(idx) == RuleClass::Regular {
-                engine.add_rule(crate::translate::rule_to_datalog(rule, &params).unwrap());
+    /// Install the regular rules of `src` on `engine`, run them to a
+    /// fixpoint and ground the solver rules once with a fresh plan.
+    fn ground(
+        engine: &mut Engine,
+        src: &str,
+        params: &ProgramParams,
+    ) -> Result<GroundedCop, CologneError> {
+        let compiled = CompiledProgram::compile(src).unwrap();
+        for (idx, rule) in compiled.program.rules.iter().enumerate() {
+            if compiled.analysis.class_of(idx) == RuleClass::Regular {
+                engine.add_rule(crate::translate::rule_to_datalog(rule, params).unwrap());
             }
         }
         engine.run();
-        ground(&program, &analysis, &params, engine).unwrap()
+        GroundingPlan::build(&compiled, params).ground(
+            params,
+            engine,
+            &mut GroundingScratch::default(),
+        )
+    }
+
+    fn ground_mini_acloud(engine: &mut Engine, program_src: &str) -> GroundedCop {
+        let params = ProgramParams::new().with_var_domain("assign", VarDomain::BOOL);
+        ground(engine, program_src, &params).unwrap()
     }
 
     #[test]
@@ -1488,8 +1457,6 @@ mod tests {
             c3 migrateCount(C) -> C<=max_migrates.
             "
         );
-        let program = parse_program(&src).unwrap();
-        let analysis = analyze(&program).unwrap();
         let params = ProgramParams::new()
             .with_var_domain("assign", VarDomain::BOOL)
             .with_constant("max_migrates", 0);
@@ -1497,13 +1464,7 @@ mod tests {
         // both VMs currently on host 10
         engine.insert("origin", vec![Value::Int(1), Value::Int(10)]);
         engine.insert("origin", vec![Value::Int(2), Value::Int(10)]);
-        for (idx, rule) in program.rules.iter().enumerate() {
-            if analysis.class_of(idx) == RuleClass::Regular {
-                engine.add_rule(crate::translate::rule_to_datalog(rule, &params).unwrap());
-            }
-        }
-        engine.run();
-        let cop = ground(&program, &analysis, &params, &engine).unwrap();
+        let cop = ground(&mut engine, &src, &params).unwrap();
         let (_, obj) = cop.objective.unwrap();
         let best = cop
             .model
@@ -1526,17 +1487,8 @@ mod tests {
             c3 migrateCount(C) -> C<=max_migrates.
             "
         );
-        let program = parse_program(&src).unwrap();
-        let analysis = analyze(&program).unwrap();
-        let params = ProgramParams::new();
         let mut engine = mini_acloud_engine();
-        for (idx, rule) in program.rules.iter().enumerate() {
-            if analysis.class_of(idx) == RuleClass::Regular {
-                engine.add_rule(crate::translate::rule_to_datalog(rule, &params).unwrap());
-            }
-        }
-        engine.run();
-        let err = match ground(&program, &analysis, &params, &engine) {
+        let err = match ground(&mut engine, &src, &ProgramParams::new()) {
             Err(e) => e,
             Ok(_) => panic!("grounding should fail without max_migrates"),
         };

@@ -11,13 +11,13 @@
 //! further rule evaluation and distributed messages.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
-use cologne_colog::{
-    analyze, localize_rules, parse_program, Analysis, Program, RuleClass, SchemaCatalog,
-};
+use cologne_colog::{Analysis, Program, RuleClass, SchemaCatalog};
 use cologne_datalog::{Engine, NodeId, RemoteTuple, Tuple};
 use cologne_solver::{BoundCertificate, SearchStats, SolveObserver, StopReason};
 
+use crate::compiled::CompiledProgram;
 use crate::error::CologneError;
 use crate::ground::GroundedCop;
 use crate::handle::RelationHandle;
@@ -77,9 +77,9 @@ impl SolveReport {
 /// A single Cologne node: compiled program + Datalog engine + solver glue.
 pub struct CologneInstance {
     node: NodeId,
-    program: Program,
-    analysis: Analysis,
-    catalog: SchemaCatalog,
+    /// The compiled program, shared with every instance built from the same
+    /// source (and with this instance's grounding plan).
+    pub(crate) compiled: Arc<CompiledProgram>,
     params: ProgramParams,
     pub(crate) engine: Engine,
     pipeline: SolvePipeline,
@@ -111,29 +111,28 @@ impl CologneInstance {
     /// grounding. Parameters that fail [`ProgramParams::validate`] are
     /// rejected with [`CologneError::InvalidConfig`].
     pub fn new(node: NodeId, source: &str, params: ProgramParams) -> Result<Self, CologneError> {
+        Self::from_compiled(node, CompiledProgram::compile(source)?, params)
+    }
+
+    /// Set up the engine for `node` on an already compiled program: install
+    /// its regular rules with the constants of `params` resolved into them.
+    pub(crate) fn from_compiled(
+        node: NodeId,
+        compiled: Arc<CompiledProgram>,
+        params: ProgramParams,
+    ) -> Result<Self, CologneError> {
         params.validate()?;
-        let parsed = parse_program(source)?;
-        let localized_rules = localize_rules(&parsed.rules)?;
-        let program = Program {
-            goal: parsed.goal,
-            vars: parsed.vars,
-            rules: localized_rules,
-        };
-        let analysis = analyze(&program)?;
-        let catalog = SchemaCatalog::derive(&program, &analysis);
         let mut engine = Engine::new(node);
-        engine.set_schemas(catalog.schema_set());
-        for (idx, rule) in program.rules.iter().enumerate() {
-            if analysis.class_of(idx) == RuleClass::Regular {
+        engine.set_schemas(compiled.catalog.schema_set());
+        for (idx, rule) in compiled.program.rules.iter().enumerate() {
+            if compiled.analysis.class_of(idx) == RuleClass::Regular {
                 engine.add_rule(rule_to_datalog(rule, &params)?);
             }
         }
-        let pipeline = SolvePipeline::new(&program, &analysis, &params);
+        let pipeline = SolvePipeline::new(&compiled, &params);
         Ok(CologneInstance {
             node,
-            program,
-            analysis,
-            catalog,
+            compiled,
             params,
             engine,
             pipeline,
@@ -152,12 +151,12 @@ impl CologneInstance {
 
     /// The compiled program (after localization).
     pub fn program(&self) -> &Program {
-        &self.program
+        &self.compiled.program
     }
 
     /// The program analysis (rule classes, solver tables).
     pub fn analysis(&self) -> &Analysis {
-        &self.analysis
+        &self.compiled.analysis
     }
 
     /// Program parameters in effect.
@@ -167,9 +166,13 @@ impl CologneInstance {
 
     /// Mutable access to the parameters (e.g. to change thresholds or
     /// solver knobs between invocations when exploring policy variants).
-    /// Invalidates the cached [`crate::GroundingPlan`]; the next solver
-    /// invocation re-validates the parameters and rebuilds the plan and the
-    /// search configuration from them.
+    /// Invalidates the cached grounding plan; the next solver invocation
+    /// re-validates the parameters and rebuilds the plan and the search
+    /// configuration from them.
+    ///
+    /// Constants read by regular rules were resolved into the engine's
+    /// rules at construction, so a changed constant reaches only the solver
+    /// rules.
     pub fn params_mut(&mut self) -> &mut ProgramParams {
         self.pipeline.invalidate();
         self.last_report = None;
@@ -178,8 +181,7 @@ impl CologneInstance {
 
     /// Snapshot of the grounding-pipeline counters (plan builds, full
     /// rebuilds, incremental builds) — the one observability surface for
-    /// plan caching and incremental re-optimization, shared with
-    /// [`SolvePipeline::stats`].
+    /// plan caching and incremental re-optimization.
     pub fn pipeline_stats(&self) -> PipelineStats {
         self.pipeline.stats()
     }
@@ -226,7 +228,7 @@ impl CologneInstance {
     /// one entry per relation the program mentions, with per-column kinds,
     /// the location-specifier position and the solver-attribute columns.
     pub fn schema_catalog(&self) -> &SchemaCatalog {
-        &self.catalog
+        &self.compiled.catalog
     }
 
     /// A schema-checked handle on one relation — the typed write surface.
@@ -237,11 +239,11 @@ impl CologneInstance {
     /// rule will ever read. All writes through the handle validate arity and
     /// column kinds against the derived schema.
     pub fn relation(&mut self, relation: &str) -> Result<RelationHandle<'_>, CologneError> {
-        if !self.catalog.contains(relation) {
+        let catalog = &self.compiled.catalog;
+        if !catalog.contains(relation) {
             return Err(CologneError::UnknownRelation {
                 relation: relation.to_string(),
-                suggestion: self
-                    .catalog
+                suggestion: catalog
                     .suggest(relation)
                     .or_else(|| self.engine.suggest_relation(relation)),
             });
@@ -251,7 +253,7 @@ impl CologneInstance {
 
     /// Validate one tuple against the derived schema of `relation`.
     pub(crate) fn check_tuple(&self, relation: &str, tuple: &Tuple) -> Result<(), CologneError> {
-        if let Some(schema) = self.catalog.get(relation) {
+        if let Some(schema) = self.compiled.catalog.get(relation) {
             schema
                 .check(tuple)
                 .map_err(cologne_datalog::IngestError::from)?;
@@ -364,13 +366,8 @@ impl CologneInstance {
         // report of the last invoke_solver no longer matches what the next
         // clean-delta invocation would reuse: drop it.
         self.last_report = None;
-        self.pipeline.ground(
-            &self.program,
-            &self.analysis,
-            &self.params,
-            &self.engine,
-            Some(&delta),
-        )
+        self.pipeline
+            .ground(&self.params, &self.engine, Some(&delta))
     }
 
     /// Reclaim a [`GroundedCop`] obtained from
@@ -381,7 +378,7 @@ impl CologneInstance {
         self.pipeline.recycle(cop);
     }
 
-    /// The paper's `invokeSolver`, staged through the [`SolvePipeline`]:
+    /// The paper's `invokeSolver`, staged through the solve pipeline:
     /// ground the COP (reusing the cached plan and recycled model arena), run
     /// branch-and-bound in the pipeline's reused search space under the
     /// configured limits, materialize the result and re-run the rules.
@@ -416,13 +413,9 @@ impl CologneInstance {
     ) -> Result<SolveReport, CologneError> {
         self.engine.run();
         let delta = self.engine.take_delta_summary();
-        let cop = self.pipeline.ground(
-            &self.program,
-            &self.analysis,
-            &self.params,
-            &self.engine,
-            Some(&delta),
-        )?;
+        let cop = self
+            .pipeline
+            .ground(&self.params, &self.engine, Some(&delta))?;
         self.solver_invocations += 1;
 
         // Memoized re-solve: the grounding handed back the previous COP
@@ -546,6 +539,7 @@ impl CologneInstance {
         goal_relation: &Option<String>,
     ) -> Vec<RemoteTuple> {
         let mut to_materialize: Vec<String> = self
+            .compiled
             .program
             .vars
             .iter()

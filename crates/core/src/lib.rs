@@ -13,7 +13,7 @@
 //! This crate is the runtime that glues those pieces together:
 //!
 //! * [`CologneInstance`] — a per-node engine+solver pair: compiles a Colog
-//!   program, runs its regular rules incrementally, and on `invokeSolver`
+//!   program (or shares one compiled program with its deployment), runs its regular rules incrementally, and on `invokeSolver`
 //!   grounds the solver rules into a COP, solves it under the configured
 //!   time budget and materializes the result back into the tables
 //!   (Sec. 5.1–5.4 of the paper).
@@ -78,6 +78,7 @@
 //! }
 //! ```
 
+mod compiled;
 pub mod deploy;
 pub mod distributed;
 pub mod error;
@@ -93,11 +94,11 @@ pub mod translate;
 pub use deploy::{Deployment, DeploymentBuilder};
 pub use distributed::{CrashEvent, DeliveryStats, TimerOutcome, RETX_TIMER_TAG};
 pub use error::CologneError;
-pub use ground::{ground, GroundedCop, GroundingPlan, GroundingScratch};
+pub use ground::GroundedCop;
 pub use handle::RelationHandle;
 pub use instance::{CologneInstance, SolveReport};
 pub use params::{ProgramParams, VarDomain};
-pub use pipeline::{PipelineStats, SolvePipeline};
+pub use pipeline::PipelineStats;
 pub use solve_api::{EventOptions, EventSink, SolveRequest, SolveResponse, SolveTarget};
 pub use stats::{NodeStats, StatsSnapshot};
 

@@ -8,15 +8,17 @@
 //!
 //! | stage | lifetime | held by |
 //! |---|---|---|
-//! | [`GroundingPlan`] | per program (until params change) | `SolvePipeline` |
-//! | [`GroundingScratch`] (model arena + [`cologne_solver::SearchSpace`] + replay caches) | across invocations (recycled) | `SolvePipeline` |
+//! | compiled program (localized program, analysis, schemas) | per source | every instance and plan built from it, behind an `Arc` |
+//! | grounding plan | per instance (until params change) | the pipeline |
+//! | grounding scratch (model arena + [`cologne_solver::SearchSpace`] + replay caches) | across invocations (recycled) | the pipeline |
 //! | grounding run → [`GroundedCop`] | one invocation (retained when clean) | caller |
 //!
-//! [`crate::CologneInstance`] owns one `SolvePipeline`; the plan is built
-//! once at construction, reused by every invocation, and only rebuilt after
+//! [`crate::CologneInstance`] owns one pipeline; its plan is built from the
+//! shared compiled program once at construction, reused by every
+//! invocation, and only rebuilt after
 //! [`crate::CologneInstance::params_mut`] invalidates it. The number of plan
-//! builds is observable through [`SolvePipeline::stats`] so tests and
-//! benchmarks can assert that the cache actually hits.
+//! builds is observable through [`crate::CologneInstance::pipeline_stats`]
+//! so tests and benchmarks can assert that the cache actually hits.
 //!
 //! # Incremental re-optimization
 //!
@@ -24,11 +26,11 @@
 //! across invocations — the machinery behind the paper's *continuous*
 //! optimization story:
 //!
-//! * **Grounding reuse.** [`SolvePipeline::ground`] accepts the engine's
-//!   [`DeltaSummary`] since the previous grounding. When no relation the
-//!   plan marks relevant is dirty, the previous [`GroundedCop`] (retained at
-//!   [`SolvePipeline::recycle`] time) is returned as-is; otherwise the COP
-//!   is re-grounded with clean `var` declarations replayed from the
+//! * **Grounding reuse.** The pipeline's grounding stage accepts the
+//!   engine's [`DeltaSummary`] since the previous grounding. When no
+//!   relation the plan marks relevant is dirty, the previous [`GroundedCop`]
+//!   (retained when the instance hands it back) is returned as-is; otherwise
+//!   the COP is re-grounded with clean `var` declarations replayed from the
 //!   scratch's caches (see [`crate::ground`](mod@crate::ground)'s module docs). Either way the
 //!   run counts as an *incremental build*; runs without usable delta
 //!   information (first invocation, parameter change, a previous error)
@@ -51,13 +53,15 @@
 //! an invalidated plan is rebuilt.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use cologne_colog::{Analysis, GoalKind, Program};
+use cologne_colog::GoalKind;
 use cologne_datalog::{DeltaSummary, Engine, Value};
 use cologne_solver::{
     complete_hints, Objective, SearchConfig, SearchOutcome, SolveObserver, VarId,
 };
 
+use crate::compiled::CompiledProgram;
 use crate::error::CologneError;
 use crate::ground::{GroundedCop, GroundingPlan, GroundingScratch};
 use crate::params::ProgramParams;
@@ -71,8 +75,8 @@ use crate::params::ProgramParams;
 type WarmMemory = BTreeMap<(usize, usize), BTreeMap<Vec<Value>, i64>>;
 
 /// Snapshot of the pipeline's grounding counters — the single observability
-/// surface for plan caching and incremental re-optimization, shared by
-/// [`SolvePipeline::stats`] and [`crate::CologneInstance::pipeline_stats`].
+/// surface for plan caching and incremental re-optimization, returned by
+/// [`crate::CologneInstance::pipeline_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipelineStats {
     /// Grounding-plan builds over the pipeline's lifetime: 1 after
@@ -92,7 +96,7 @@ pub struct PipelineStats {
 
 /// Cached grounding + search state for repeated solver invocations on one
 /// program.
-pub struct SolvePipeline {
+pub(crate) struct SolvePipeline {
     plan: GroundingPlan,
     scratch: GroundingScratch,
     plan_builds: u64,
@@ -120,9 +124,9 @@ pub struct SolvePipeline {
 impl SolvePipeline {
     /// Build the pipeline (its first plan and search configuration) for a
     /// compiled program.
-    pub fn new(program: &Program, analysis: &Analysis, params: &ProgramParams) -> Self {
+    pub fn new(compiled: &Arc<CompiledProgram>, params: &ProgramParams) -> Self {
         SolvePipeline {
-            plan: GroundingPlan::build(program, analysis, params),
+            plan: GroundingPlan::build(compiled, params),
             scratch: GroundingScratch::default(),
             plan_builds: 1,
             dirty: false,
@@ -184,13 +188,8 @@ impl SolvePipeline {
         self.last_was_reuse
     }
 
-    /// The current grounding plan.
-    pub fn plan(&self) -> &GroundingPlan {
-        &self.plan
-    }
-
-    /// The search configuration [`SolvePipeline::solve`] runs under, as
-    /// derived from the parameters of the current plan.
+    /// The search configuration [`SolvePipeline::solve_observed`] runs
+    /// under, as derived from the parameters of the current plan.
     pub fn search_config(&self) -> &SearchConfig {
         &self.search
     }
@@ -208,15 +207,13 @@ impl SolvePipeline {
     /// every case.
     pub fn ground(
         &mut self,
-        program: &Program,
-        analysis: &Analysis,
         params: &ProgramParams,
         engine: &Engine,
         delta: Option<&DeltaSummary>,
     ) -> Result<GroundedCop, CologneError> {
         if self.dirty {
             params.validate()?;
-            self.plan = GroundingPlan::build(program, analysis, params);
+            self.plan = GroundingPlan::build(&self.plan.compiled, params);
             self.search = params.search_config();
             self.plan_builds += 1;
             self.dirty = false;
@@ -244,12 +241,11 @@ impl SolvePipeline {
         }
         let result = if enabled {
             self.plan
-                .ground_delta(program, analysis, params, engine, &mut self.scratch, delta)
+                .ground_delta(params, engine, &mut self.scratch, delta)
         } else {
             // Delta grounding is off: ground without maintaining the replay
             // caches the delta-aware path would consume.
-            self.plan
-                .ground(program, analysis, params, engine, &mut self.scratch)
+            self.plan.ground(params, engine, &mut self.scratch)
         };
         match &result {
             Ok(_) => self.grounded_before = true,
@@ -267,20 +263,15 @@ impl SolvePipeline {
 
     /// Solve a grounded COP with the pipeline's search configuration,
     /// reusing the scratch's [`cologne_solver::SearchSpace`] so repeated
-    /// invocations share one trail/store/queue allocation.
+    /// invocations share one trail/store/queue allocation, with an optional
+    /// streaming [`cologne_solver::SolveObserver`] threaded into the search
+    /// (exact and LNS alike).
     ///
     /// When [`ProgramParams::warm_start`] is on and a previous solution is
     /// remembered, the remembered values are mapped onto the COP's decision
     /// variables by row identity, completed into a full assignment and
     /// passed to the search as its warm start; a feasible outcome refreshes
-    /// the memory.
-    pub fn solve(&mut self, cop: &GroundedCop, params: &ProgramParams) -> SearchOutcome {
-        self.solve_observed(cop, params, None)
-    }
-
-    /// [`SolvePipeline::solve`] with a streaming
-    /// [`cologne_solver::SolveObserver`] threaded into the search (exact and
-    /// LNS alike). The warm-start completion probe runs unobserved — its
+    /// the memory. The warm-start completion probe runs unobserved — its
     /// incumbents are hint candidates, not solutions of this solve.
     pub fn solve_observed(
         &mut self,

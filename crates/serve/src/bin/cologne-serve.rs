@@ -33,11 +33,7 @@ fn main() -> ExitCode {
             "--program" => {
                 let path = value("--program");
                 match std::fs::read_to_string(&path) {
-                    Ok(src) => {
-                        let params = cfg.params.clone();
-                        cfg = ServerConfig::new(&src);
-                        cfg.params = params;
-                    }
+                    Ok(src) => cfg.program = src,
                     Err(e) => {
                         eprintln!("cologne-serve: cannot read {path}: {e}");
                         return ExitCode::FAILURE;

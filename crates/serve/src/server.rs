@@ -1,5 +1,6 @@
-//! The multi-tenant server: many concurrent [`Deployment`] sessions over
-//! TCP, one thread per session.
+//! The multi-tenant server: many concurrent
+//! [`Deployment`](cologne::Deployment) sessions over TCP, one thread per
+//! session.
 //!
 //! Architecture (all std, no async runtime):
 //!
@@ -7,9 +8,10 @@
 //!   control — a connection beyond [`ServerConfig::max_sessions`] receives
 //!   one [`ErrorCode::Busy`] frame and is closed;
 //! * one **session** thread per connection owns that tenant's
-//!   [`Deployment`] and socket (sessions are fully isolated — no shared
-//!   state between tenants beyond the solve gate), speaks the frame
-//!   protocol and runs the tenant's [`ClientMsg::Solve`]s itself;
+//!   [`Deployment`](cologne::Deployment) and socket (sessions are fully
+//!   isolated — no shared state between tenants beyond the solve gate and
+//!   the program compiled once at bind), speaks the frame protocol and runs
+//!   the tenant's [`ClientMsg::Solve`]s itself;
 //! * a **solve gate** bounds those solves: at most
 //!   [`ServerConfig::workers`] run at once and at most
 //!   [`ServerConfig::queue_depth`] more wait for a free slot. A solve
@@ -23,8 +25,8 @@
 //! write that fails or times out marks the client gone and cancels the
 //! search cooperatively at that event — cancel on disconnect.
 //!
-//! Budgets: [`ServerConfig::budget`] caps are clamped into every session's
-//! [`ProgramParams`] at build time via
+//! Budgets: [`ServerConfig::budget`] caps are clamped into the sessions'
+//! [`ProgramParams`] once, at [`Server::bind`], via
 //! [`ProgramParams::clamp_solver_budget`], so no tenant can request more
 //! search per COP execution than its quota.
 
@@ -38,7 +40,7 @@ use std::time::Duration;
 use cologne::datalog::NodeId;
 use cologne::net::Topology;
 use cologne::{
-    CologneError, Deployment, DeploymentBuilder, EventOptions, EventSink, ProgramParams, SolveEvent,
+    CologneError, DeploymentBuilder, EventOptions, EventSink, ProgramParams, SolveEvent,
 };
 
 use crate::wire::{
@@ -54,7 +56,8 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 /// Server configuration: the tenant program plus resource limits.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Colog source compiled for every session.
+    /// Colog source served to every session, compiled once at
+    /// [`Server::bind`].
     pub program: String,
     /// Base program parameters per session (budget caps clamp into these).
     pub params: ProgramParams,
@@ -212,6 +215,9 @@ impl Drop for Permit<'_> {
 
 struct Shared {
     cfg: ServerConfig,
+    /// Every session's deployment is built from a clone of this builder,
+    /// which holds the program compiled once at bind.
+    builder: DeploymentBuilder,
     active: AtomicUsize,
     counters: Counters,
     sessions_started: AtomicU64,
@@ -220,10 +226,22 @@ struct Shared {
 }
 
 impl Shared {
+    /// Compile the program into the session builder, with the budget caps
+    /// clamped into its parameters.
     fn new(cfg: ServerConfig) -> Shared {
+        let mut params = cfg.params.clone();
+        params.clamp_solver_budget(
+            cfg.budget.max_nodes.map(|n| n.get()),
+            cfg.budget.max_solve_time,
+        );
+        let mut builder = DeploymentBuilder::new(&cfg.program).params(params);
+        if let Some(topology) = &cfg.topology {
+            builder = builder.topology(topology.clone());
+        }
         Shared {
             gate: Gate::new(cfg.workers, cfg.queue_depth),
             cfg,
+            builder,
             active: AtomicUsize::new(0),
             counters: Counters::default(),
             sessions_started: AtomicU64::new(0),
@@ -257,14 +275,16 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind and start serving. The configuration is validated eagerly by
-    /// building one throwaway deployment, so a broken program or solver
-    /// setting fails here instead of on every connection.
+    /// Bind and start serving. The program is compiled once, into the
+    /// builder every session clones, and the configuration is validated
+    /// eagerly by building one deployment from it, so a broken program or
+    /// solver setting fails here instead of on every connection.
     pub fn bind(addr: impl ToSocketAddrs, cfg: ServerConfig) -> Result<Server, ServeError> {
-        build_deployment(&cfg).map_err(ServeError::Config)?;
+        let shared = Shared::new(cfg);
+        shared.builder.clone().build().map_err(ServeError::Config)?;
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared::new(cfg));
+        let shared = Arc::new(shared);
         let acceptor = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || acceptor_loop(&listener, &shared))
@@ -319,21 +339,6 @@ impl Drop for Server {
             self.stop();
         }
     }
-}
-
-/// Build one tenant deployment from the server configuration, with the
-/// budget caps clamped into its parameters.
-fn build_deployment(cfg: &ServerConfig) -> Result<Deployment, CologneError> {
-    let mut params = cfg.params.clone();
-    params.clamp_solver_budget(
-        cfg.budget.max_nodes.map(|n| n.get()),
-        cfg.budget.max_solve_time,
-    );
-    let mut builder = DeploymentBuilder::new(&cfg.program).params(params);
-    if let Some(topology) = &cfg.topology {
-        builder = builder.topology(topology.clone());
-    }
-    builder.build()
 }
 
 fn acceptor_loop(listener: &TcpListener, shared: &Arc<Shared>) {
@@ -419,7 +424,7 @@ fn session_loop(shared: &Arc<Shared>, stream: TcpStream) -> io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
     let session_id = shared.sessions_started.fetch_add(1, Ordering::Relaxed);
-    let mut deployment = match build_deployment(&shared.cfg) {
+    let mut deployment = match shared.builder.clone().build() {
         Ok(d) => d,
         Err(e) => {
             let _ = send_msg(&mut writer, &cologne_error_msg(&e));

@@ -12,6 +12,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use cologne::datalog::{NodeId, Value};
+use cologne::net::Topology;
 use cologne::solver::LnsConfig;
 use cologne::{
     CologneError, CologneInstance, DeploymentBuilder, ProgramParams, SolveRequest, SolveResponse,
@@ -464,4 +465,45 @@ fn invalid_solver_params_are_rejected_on_every_construction_path() {
     }
     // the same parameters without a bad knob are accepted
     assert!(CologneInstance::new(NodeId(0), ACLOUD_DEMO, det_params()).is_ok());
+}
+
+/// `Server::bind` compiles the program once and builds one deployment from
+/// it, so a program that does not compile, a regular rule reading a
+/// constant the parameters lack, and an empty topology all fail at bind.
+#[test]
+fn broken_programs_and_topologies_are_rejected_at_bind() {
+    let unparsable = ServerConfig {
+        program: "goal bogus".into(),
+        ..det_config()
+    };
+    let missing_constant = ServerConfig {
+        program: format!("{ACLOUD_DEMO} r9 bigVm(Vid) <- vm(Vid,Cpu,Mem), Cpu>cpu_cap."),
+        ..det_config()
+    };
+    let empty_topology = ServerConfig {
+        topology: Some(Topology::new()),
+        ..det_config()
+    };
+    let bind = |cfg| Server::bind("127.0.0.1:0", cfg).map(|_| ());
+    assert!(
+        matches!(
+            bind(unparsable),
+            Err(ServeError::Config(CologneError::Parse(_)))
+        ),
+        "unparsable program"
+    );
+    assert!(
+        matches!(
+            bind(missing_constant),
+            Err(ServeError::Config(CologneError::MissingParameter(p))) if p == "cpu_cap"
+        ),
+        "regular rule reading an absent constant"
+    );
+    assert!(
+        matches!(
+            bind(empty_topology),
+            Err(ServeError::Config(CologneError::InvalidConfig(_)))
+        ),
+        "empty topology"
+    );
 }
