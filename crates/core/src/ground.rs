@@ -38,32 +38,18 @@
 //! relations** of the program — every engine relation the grounding reads:
 //! the `forall` relations of the `var` declarations, the non-solver-table
 //! body predicates of the solver derivation and constraint rules, and the
-//! goal relation when it is a regular table. Together with the engine's
-//! [`DeltaSummary`] (what changed since the previous grounding) this drives
-//! two reuse levels:
+//! goal relation when it is a regular table. When the engine's
+//! [`DeltaSummary`] (what changed since the previous grounding) leaves every
+//! relevant relation clean, the previous [`GroundedCop`] is byte-identical
+//! to what a re-grounding would produce: the solve pipeline retains it
+//! across invocations and hands it back without running any stage (see
+//! [`crate::PipelineStats::incremental_builds`]). Anything else is grounded
+//! live, every `var` declaration and rule against the current tables; the
+//! engine's incremental fixpoint already did the per-tuple work.
 //!
-//! * **Whole-COP reuse** — when no relevant relation is dirty, the previous
-//!   [`GroundedCop`] is byte-identical to what a re-grounding would produce;
-//!   the solve pipeline retains it across invocations and hands it
-//!   back without running any stage (see
-//!   [`crate::PipelineStats::incremental_builds`]).
-//! * **Clean `var`-declaration replay** — a declaration whose `forall`
-//!   relation is clean produces exactly the rows and variables of the
-//!   previous run. The `GroundingScratch` caches each declaration's rows
-//!   and variable names; a clean declaration is replayed from the cache
-//!   (re-allocating its variables in the same order, patching the symbolic
-//!   row attributes) instead of re-joining the `forall` table and
-//!   re-formatting variable names. Dirty declarations and all derivation /
-//!   constraint rules are re-grounded live.
-//!
-//! Both levels preserve a hard invariant: **an incremental grounding
-//! produces a model byte-identical to a from-scratch grounding** of the same
-//! engine state — same variables in the same order with the same names and
-//! domains, same constraints, same solver tables. The delta summary only
-//! decides which work can be skipped, never what is produced. Cleanliness is
-//! tracked per relation by visibility (multiplicity-only changes stay
-//! clean), and a parameter change invalidates every cache because domains,
-//! constants and rule layouts may shift (see
+//! Cleanliness is tracked per relation by visibility (multiplicity-only
+//! changes stay clean), and a parameter change drops the retained COP
+//! because domains, constants and rule layouts may shift (see
 //! [`crate::PipelineStats::full_rebuilds`]).
 
 use std::cell::RefCell;
@@ -111,19 +97,12 @@ impl GroundedCop {
         }
     }
 
-    /// Run the search stage appropriate for the grounded objective:
-    /// branch-and-bound for `minimize`/`maximize`, satisfaction search
-    /// otherwise.
-    pub fn solve(&self, config: &SearchConfig) -> SearchOutcome {
-        let mut space = SearchSpace::new();
-        self.solve_in(config, &mut space)
-    }
-
-    /// [`GroundedCop::solve`] reusing a caller-provided [`SearchSpace`]
-    /// (trail-backed domain store, propagation queue, decision stack), so
-    /// repeated COP invocations share one set of search allocations. The
-    /// solve pipeline drives this with the space held by its grounding
-    /// scratch.
+    /// Run the search stage appropriate for the grounded objective
+    /// (branch-and-bound for `minimize`/`maximize`, satisfaction search
+    /// otherwise) in a caller-provided [`SearchSpace`] (trail-backed domain
+    /// store, propagation queue, decision stack), so repeated COP
+    /// invocations share one set of search allocations. The solve pipeline
+    /// drives this with the space held by its grounding scratch.
     pub fn solve_in(&self, config: &SearchConfig, space: &mut SearchSpace) -> SearchOutcome {
         self.solve_in_observed(config, space, None)
     }
@@ -170,9 +149,6 @@ pub(crate) struct VarPlan {
     decl: usize,
     /// Name of the declared solver table.
     pub(crate) table: String,
-    /// Name of the `forall` relation the declaration joins against (its
-    /// cleanliness decides whether the declaration can be replayed).
-    forall_relation: String,
     /// Domain of the declared solver variables (from [`ProgramParams`]).
     domain: VarDomain,
     /// For every argument position of the declared table: is it a solver
@@ -228,7 +204,6 @@ impl GroundingPlan {
                 VarPlan {
                     decl,
                     table: vd.table.name.clone(),
-                    forall_relation: vd.forall.name.clone(),
                     domain: params.var_domain(&vd.table.name),
                     is_solver_position: (0..vd.table.args.len())
                         .map(|i| solver_positions.contains(&i))
@@ -308,49 +283,10 @@ impl GroundingPlan {
         engine: &Engine,
         scratch: &mut GroundingScratch,
     ) -> Result<GroundedCop, CologneError> {
-        // One-shot callers never replay, so capturing replay caches would
-        // be pure overhead: skip it.
-        self.ground_inner(params, engine, scratch, None, false)
-    }
-
-    /// [`GroundingPlan::ground`] with a delta summary covering everything
-    /// that changed in `engine` since the previous grounding with this same
-    /// `scratch`: `var` declarations whose `forall` relation is clean are
-    /// replayed from the scratch's caches instead of re-joined (see the
-    /// module docs), and the caches are refreshed for the next run. Passing
-    /// `None` (or a scratch without caches) grounds everything live; the
-    /// output is identical either way.
-    pub fn ground_delta(
-        &self,
-        params: &ProgramParams,
-        engine: &Engine,
-        scratch: &mut GroundingScratch,
-        delta: Option<&DeltaSummary>,
-    ) -> Result<GroundedCop, CologneError> {
-        self.ground_inner(params, engine, scratch, delta, true)
-    }
-
-    /// Shared body of [`GroundingPlan::ground`] / [`GroundingPlan::ground_delta`]:
-    /// `capture` controls whether `var`-declaration replay caches are
-    /// maintained in `scratch` (only delta-aware callers ever read them).
-    fn ground_inner(
-        &self,
-        params: &ProgramParams,
-        engine: &Engine,
-        scratch: &mut GroundingScratch,
-        delta: Option<&DeltaSummary>,
-        capture: bool,
-    ) -> Result<GroundedCop, CologneError> {
-        scratch
-            .var_caches
-            .resize_with(self.var_plans.len(), || None);
         let mut run = GroundingRun {
             plan: self,
             params,
             engine,
-            delta,
-            capture,
-            var_caches: &mut scratch.var_caches,
             model: std::mem::take(&mut scratch.model),
             syms: std::mem::take(&mut scratch.syms),
             solver_tables: BTreeMap::new(),
@@ -417,10 +353,6 @@ pub(crate) struct GroundingScratch {
     model: Model,
     syms: Vec<VarId>,
     pub(crate) space: SearchSpace,
-    /// Per-`var`-declaration replay caches (see [`VarDeclCache`]), refreshed
-    /// on every grounding. Cleared whenever the parameters change — a cache
-    /// is only meaningful against the plan it was captured under.
-    pub(crate) var_caches: Vec<Option<VarDeclCache>>,
 }
 
 impl GroundingScratch {
@@ -439,29 +371,6 @@ impl GroundingScratch {
         self.model = model;
         self.syms = syms;
     }
-
-    /// Drop every cross-invocation replay cache (parameters changed, or an
-    /// aborted grounding left them out of sync with the engine checkpoint).
-    pub(crate) fn clear_caches(&mut self) {
-        self.var_caches.clear();
-    }
-}
-
-/// Replay cache of one `var` declaration: everything its grounding produced
-/// last time — the variable names (in allocation order) and the emitted
-/// solver-table rows, whose [`Value::Sym`] attributes index the contiguous
-/// symbol block starting at `sym_start`. Replaying allocates the same
-/// variables in the same order (so the model stays byte-identical to a live
-/// grounding) while skipping the `forall` join and the per-variable name
-/// formatting.
-#[derive(Debug, Clone)]
-pub(crate) struct VarDeclCache {
-    /// First symbol id the declaration allocated when the cache was taken.
-    sym_start: usize,
-    /// Names of the declaration's variables, in allocation order.
-    names: Vec<String>,
-    /// Rows emitted into the declared solver table.
-    rows: Vec<Tuple>,
 }
 
 /// Objective of a grounded COP (`None` when there is nothing to optimize)
@@ -486,14 +395,6 @@ struct GroundingRun<'a> {
     plan: &'a GroundingPlan,
     params: &'a ProgramParams,
     engine: &'a Engine,
-    /// What changed since the previous grounding (`None` = assume everything
-    /// did). Only consulted for `var`-declaration replay.
-    delta: Option<&'a DeltaSummary>,
-    /// Whether to maintain the replay caches (false for one-shot callers
-    /// that will never replay them).
-    capture: bool,
-    /// Replay caches, one slot per `var` declaration (refreshed as we go).
-    var_caches: &'a mut Vec<Option<VarDeclCache>>,
     model: Model,
     syms: Vec<VarId>,
     solver_tables: BTreeMap<String, Vec<Tuple>>,
@@ -550,37 +451,18 @@ impl<'a> GroundingRun<'a> {
         let plan = self.plan;
         let program = &plan.compiled.program;
         for vp in &plan.var_plans {
-            // A declaration whose forall relation saw no visible change since
-            // the previous grounding reproduces last run's output exactly:
-            // replay it from the cache instead of re-joining.
-            let clean = self.delta.is_some_and(|d| d.is_clean(&vp.forall_relation));
-            if clean && self.var_caches[vp.decl].is_some() {
-                self.replay_var_decl(vp);
-                continue;
-            }
             let vd = &program.vars[vp.decl];
             let domain = vp.domain;
-            let sym_start = self.syms.len();
-            let row_start = self.solver_tables.get(&vd.table.name).map_or(0, Vec::len);
             let forall_tuples = self.table_tuples(&vd.forall.name);
             for tuple in forall_tuples.iter() {
                 let mut bindings = Bindings::new();
-                if !match_predicate(&vd.forall, tuple, &mut bindings, self.params) {
+                if !self.match_with_symbolic(&vd.forall, tuple, &mut bindings, false) {
                     continue;
                 }
                 let mut row = Vec::with_capacity(vd.table.args.len());
                 for (i, arg) in vd.table.args.iter().enumerate() {
                     if vp.is_solver_position[i] {
-                        let name = format!(
-                            "{}[{}]",
-                            vd.table.name,
-                            tuple
-                                .iter()
-                                .map(|v| v.to_string())
-                                .collect::<Vec<_>>()
-                                .join(",")
-                        );
-                        let var = self.model.new_named_var(domain.lo, domain.hi, Some(name));
+                        let var = self.model.new_var(domain.lo, domain.hi);
                         // `var`-declared solver attributes are the COP's
                         // decision variables; the LNS mode builds its
                         // neighborhoods from them (auxiliary variables made
@@ -618,77 +500,8 @@ impl<'a> GroundingRun<'a> {
             }
             // Make sure the table exists even if the forall relation is empty.
             self.solver_tables.entry(vd.table.name.clone()).or_default();
-            if self.capture {
-                self.capture_var_decl(vp, sym_start, row_start);
-            }
         }
         Ok(())
-    }
-
-    /// Refresh the replay cache of a declaration that was just grounded
-    /// live: its rows sit at the tail of its solver table (from `row_start`)
-    /// and its variables occupy the contiguous symbol block starting at
-    /// `sym_start`.
-    fn capture_var_decl(&mut self, vp: &VarPlan, sym_start: usize, row_start: usize) {
-        let names: Vec<String> = self.syms[sym_start..]
-            .iter()
-            .map(|&var| {
-                self.model
-                    .var_name(var)
-                    .expect("var-declared solver variables are named")
-                    .to_string()
-            })
-            .collect();
-        let rows = self
-            .solver_tables
-            .get(&vp.table)
-            .map(|rows| rows[row_start..].to_vec())
-            .unwrap_or_default();
-        self.var_caches[vp.decl] = Some(VarDeclCache {
-            sym_start,
-            names,
-            rows,
-        });
-    }
-
-    /// Replay a clean declaration from its cache: allocate the cached
-    /// variables in order (identical names, domain and decision marking to a
-    /// live grounding) and re-emit the cached rows with their symbolic
-    /// attributes shifted onto the freshly allocated symbol block.
-    fn replay_var_decl(&mut self, vp: &VarPlan) {
-        let cache = self.var_caches[vp.decl]
-            .take()
-            .expect("replay requires a cache");
-        let new_start = self.syms.len();
-        let domain = vp.domain;
-        for name in &cache.names {
-            let var = self
-                .model
-                .new_named_var(domain.lo, domain.hi, Some(name.clone()));
-            self.model.mark_decision(var);
-            self.syms.push(var);
-        }
-        let shift = |v: &Value| match v {
-            Value::Sym(s) => {
-                let local = s.0 as usize - cache.sym_start;
-                Value::Sym(SymId((new_start + local) as u32))
-            }
-            other => other.clone(),
-        };
-        let rows: Vec<Tuple> = cache
-            .rows
-            .iter()
-            .map(|row| row.iter().map(shift).collect())
-            .collect();
-        self.solver_tables
-            .entry(vp.table.clone())
-            .or_default()
-            .extend(rows.iter().cloned());
-        self.var_caches[vp.decl] = Some(VarDeclCache {
-            sym_start: new_start,
-            names: cache.names,
-            rows,
-        });
     }
 
     // ----- solver derivation rules -------------------------------------------
@@ -1282,34 +1095,6 @@ impl<'a> GroundingRun<'a> {
         };
         Ok((Some((goal.kind, objective)), Some(goal.relation.clone())))
     }
-}
-
-/// Match a predicate's arguments against a concrete tuple (no symbolic
-/// handling; used for `forall` bindings).
-fn match_predicate(
-    pred: &Predicate,
-    tuple: &Tuple,
-    bindings: &mut Bindings,
-    params: &ProgramParams,
-) -> bool {
-    if tuple.len() != pred.args.len() {
-        return false;
-    }
-    for (arg, value) in pred.args.iter().zip(tuple.iter()) {
-        match arg {
-            Arg::Const(lit) => match crate::translate::literal_to_value(lit, params) {
-                Ok(expected) if &expected == value => {}
-                _ => return false,
-            },
-            Arg::Loc(v) | Arg::Var(v) => match bindings.get(v).cloned() {
-                None => bindings.set(v, value.clone()),
-                Some(existing) if &existing == value => {}
-                Some(_) => return false,
-            },
-            Arg::Agg(_, _) => return false,
-        }
-    }
-    true
 }
 
 #[cfg(test)]

@@ -357,7 +357,7 @@ impl CologneInstance {
     /// Ground the solver rules against the current tables without solving
     /// (useful for inspection and benchmarking of the grounding step alone).
     /// The returned COP owns its model and can be solved directly with
-    /// [`GroundedCop::solve`]; hand it back via
+    /// [`GroundedCop::solve_in`]; hand it back via
     /// [`CologneInstance::recycle`] to keep the arena reuse of the pipeline.
     pub fn ground_only(&mut self) -> Result<GroundedCop, CologneError> {
         self.engine.run();
@@ -396,7 +396,7 @@ impl CologneInstance {
     /// [`cologne_solver::SearchStats::cancelled`]).
     ///
     /// Cancellation never poisons the instance: every cross-invocation cache
-    /// (retained COP, replay caches, warm memory, memoized report) is
+    /// (retained COP, warm memory, memoized report) is
     /// dropped, so the next invocation is a clean full rebuild.
     pub fn invoke_solver_with_observer(
         &mut self,

@@ -97,14 +97,6 @@ pub struct ProgramParams {
     /// initial incumbent for LNS. On by default; disable to force every
     /// invocation to cold-start (e.g. for baseline benchmarking).
     pub warm_start: bool,
-    /// Consult the engine's delta summary when grounding (the grounding half
-    /// of incremental re-optimization): an invocation whose relevant inputs
-    /// are unchanged reuses the previous grounded COP, and clean `var`
-    /// declarations are replayed instead of re-joined. On by default;
-    /// disabling forces a full re-grounding per invocation. Either way the
-    /// grounded COP is identical — this knob only selects how much work it
-    /// takes to build it.
-    pub delta_grounding: bool,
 }
 
 impl Default for ProgramParams {
@@ -123,7 +115,6 @@ impl Default for ProgramParams {
             solver_bound_mode: BoundMode::default(),
             solver_gap_limit: None,
             warm_start: true,
-            delta_grounding: true,
         }
     }
 }
@@ -207,12 +198,6 @@ impl ProgramParams {
     /// Enable or disable warm-started solving (builder style).
     pub fn with_warm_start(mut self, on: bool) -> Self {
         self.warm_start = on;
-        self
-    }
-
-    /// Enable or disable delta-aware grounding (builder style).
-    pub fn with_delta_grounding(mut self, on: bool) -> Self {
-        self.delta_grounding = on;
         self
     }
 
@@ -328,7 +313,6 @@ mod tests {
         assert_eq!(p.solver_bound_mode, BoundMode::Off);
         assert_eq!(p.solver_gap_limit, None);
         assert!(p.warm_start);
-        assert!(p.delta_grounding);
         assert_eq!(p.validate(), Ok(()));
     }
 
@@ -345,11 +329,8 @@ mod tests {
 
     #[test]
     fn reoptimization_knobs_toggle() {
-        let p = ProgramParams::new()
-            .with_warm_start(false)
-            .with_delta_grounding(false);
+        let p = ProgramParams::new().with_warm_start(false);
         assert!(!p.warm_start);
-        assert!(!p.delta_grounding);
     }
 
     #[test]
@@ -449,7 +430,6 @@ mod tests {
             constants: _,
             var_domains: _,
             warm_start: _,
-            delta_grounding: _,
             solver_max_time,
             solver_node_limit,
             solver_branching,

@@ -10,7 +10,7 @@
 //! |---|---|---|
 //! | compiled program (localized program, analysis, schemas) | per source | every instance and plan built from it, behind an `Arc` |
 //! | grounding plan | per instance (until params change) | the pipeline |
-//! | grounding scratch (model arena + [`cologne_solver::SearchSpace`] + replay caches) | across invocations (recycled) | the pipeline |
+//! | grounding scratch (model arena + [`cologne_solver::SearchSpace`]) | across invocations (recycled) | the pipeline |
 //! | grounding run → [`GroundedCop`] | one invocation (retained when clean) | caller |
 //!
 //! [`crate::CologneInstance`] owns one pipeline; its plan is built from the
@@ -30,13 +30,13 @@
 //!   engine's [`DeltaSummary`] since the previous grounding. When no
 //!   relation the plan marks relevant is dirty, the previous [`GroundedCop`]
 //!   (retained when the instance hands it back) is returned as-is; otherwise
-//!   the COP is re-grounded with clean `var` declarations replayed from the
-//!   scratch's caches (see [`crate::ground`](mod@crate::ground)'s module docs). Either way the
-//!   run counts as an *incremental build*; runs without usable delta
-//!   information (first invocation, parameter change, a previous error)
-//!   count as *full rebuilds*. The [`PipelineStats::full_rebuilds`] /
-//!   [`PipelineStats::incremental_builds`] counter pair is the observable
-//!   analogue of [`PipelineStats::plan_builds`].
+//!   the COP is re-grounded live (see [`crate::ground`](mod@crate::ground)'s
+//!   module docs). Either way the run counts as an *incremental build*;
+//!   runs without usable delta information (first invocation, parameter
+//!   change, a previous error) count as *full rebuilds*. The
+//!   [`PipelineStats::full_rebuilds`] / [`PipelineStats::incremental_builds`]
+//!   counter pair is the observable analogue of
+//!   [`PipelineStats::plan_builds`].
 //! * **Warm-started solving.** After every feasible solve the pipeline
 //!   remembers the best assignment of each `var`-declared row, keyed by the
 //!   row's concrete attributes (so the memory survives structural change:
@@ -142,32 +142,25 @@ impl SolvePipeline {
 
     /// Mark the cached plan stale (parameters changed); it is rebuilt lazily
     /// on the next [`SolvePipeline::ground`]. Every cross-invocation cache —
-    /// the retained COP, the replay caches, the warm-start memory — is
-    /// dropped with it: a parameter change may alter domains, constants or
-    /// rule layouts, so the next grounding is a forced full rebuild.
+    /// the retained COP and the warm-start memory — is dropped with it: a
+    /// parameter change may alter domains, constants or rule layouts, so the
+    /// next grounding is a forced full rebuild.
     pub fn invalidate(&mut self) {
         self.dirty = true;
-        self.grounded_before = false;
-        self.last_was_reuse = false;
-        if let Some(cop) = self.retained.take() {
-            self.scratch.recycle(cop);
-        }
-        self.scratch.clear_caches();
-        self.warm.clear();
+        self.forget();
     }
 
-    /// Drop every cross-invocation cache — the retained COP, the replay
-    /// caches, the warm memory and the incremental precondition — without
-    /// invalidating the grounding plan. Called after an observer cancelled a
-    /// solve: the cancelled run is not reproducible, so the next grounding
-    /// must be a clean full rebuild.
+    /// Drop every cross-invocation cache — the retained COP, the warm
+    /// memory and the incremental precondition — without invalidating the
+    /// grounding plan. Called after an observer cancelled a solve: the
+    /// cancelled run is not reproducible, so the next grounding must be a
+    /// clean full rebuild.
     pub fn forget(&mut self) {
         self.grounded_before = false;
         self.last_was_reuse = false;
         if let Some(cop) = self.retained.take() {
             self.scratch.recycle(cop);
         }
-        self.scratch.clear_caches();
         self.warm.clear();
     }
 
@@ -202,9 +195,8 @@ impl SolvePipeline {
     /// a full rebuild. With a summary and a previous grounding to reuse, the
     /// run counts as incremental: a summary touching none of the plan's
     /// relevant relations hands back the retained [`GroundedCop`] without
-    /// re-grounding, anything else re-grounds with clean `var` declarations
-    /// replayed. The produced COP is byte-identical to a full rebuild in
-    /// every case.
+    /// re-grounding, anything else re-grounds live. The produced COP is
+    /// byte-identical to a full rebuild in every case.
     pub fn ground(
         &mut self,
         params: &ProgramParams,
@@ -219,12 +211,7 @@ impl SolvePipeline {
             self.dirty = false;
         }
         self.last_was_reuse = false;
-        let enabled = params.delta_grounding;
-        let delta = if enabled && self.grounded_before {
-            delta
-        } else {
-            None
-        };
+        let delta = delta.filter(|_| self.grounded_before);
         if let Some(delta) = delta {
             self.incremental_builds += 1;
             if !self.plan.is_affected_by(delta) {
@@ -239,24 +226,14 @@ impl SolvePipeline {
         if let Some(cop) = self.retained.take() {
             self.scratch.recycle(cop);
         }
-        let result = if enabled {
-            self.plan
-                .ground_delta(params, engine, &mut self.scratch, delta)
+        let result = self.plan.ground(params, engine, &mut self.scratch);
+        if result.is_ok() {
+            self.grounded_before = true;
         } else {
-            // Delta grounding is off: ground without maintaining the replay
-            // caches the delta-aware path would consume.
-            self.plan.ground(params, engine, &mut self.scratch)
-        };
-        match &result {
-            Ok(_) => self.grounded_before = true,
-            Err(_) => {
-                // The replay caches may be half-refreshed and the engine's
-                // delta checkpoint was already consumed: drop everything so
-                // the next grounding starts from scratch.
-                self.grounded_before = false;
-                self.scratch.clear_caches();
-                self.warm.clear();
-            }
+            // The engine's delta checkpoint was already consumed: drop
+            // everything so the next grounding starts from scratch.
+            self.grounded_before = false;
+            self.warm.clear();
         }
         result
     }

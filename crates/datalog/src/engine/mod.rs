@@ -49,10 +49,9 @@ pub mod reference;
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
 
-use crate::expr::Bindings;
 use crate::intern::{Interner, SymbolTable};
 use crate::plan::{self, ExecBuf, HeadCol, HeadPlan, RulePlan};
-use crate::rule::{BodyItem, Rule};
+use crate::rule::Rule;
 use crate::schema::{did_you_mean, IngestError, SchemaSet};
 use crate::tuple::{IRow, IVal, RelStore, Tuple};
 use crate::value::NodeId;
@@ -832,53 +831,6 @@ impl Engine {
         let rel = head.rel;
         self.pending.push_back(IDelta { rel, row, insert });
     }
-
-    /// Evaluate an ad-hoc body (query) against the current database and
-    /// return the resulting bindings. Used by the Cologne runtime when
-    /// grounding solver rules.
-    ///
-    /// Queries are interpreted (reference-style) over the public tuple
-    /// forms: they are rare, ad-hoc and uncompiled, so plan compilation
-    /// would cost more than it saves.
-    pub fn query(&self, body: &[BodyItem]) -> Vec<Bindings> {
-        let mut frontier = vec![Bindings::new()];
-        for item in body {
-            if frontier.is_empty() {
-                return frontier;
-            }
-            let mut next = Vec::with_capacity(frontier.len());
-            match item {
-                BodyItem::Atom(atom) => {
-                    for b in &frontier {
-                        for t in self.scan(&atom.relation) {
-                            let mut nb = b.clone();
-                            if atom.match_tuple(t, &mut nb) {
-                                next.push(nb);
-                            }
-                        }
-                    }
-                }
-                BodyItem::Filter(expr) => {
-                    for b in &frontier {
-                        if expr.eval_bool(b).unwrap_or(false) {
-                            next.push(b.clone());
-                        }
-                    }
-                }
-                BodyItem::Assign(var, expr) => {
-                    for b in &frontier {
-                        if let Ok(v) = expr.eval(b) {
-                            let mut nb = b.clone();
-                            nb.set(var, v);
-                            next.push(nb);
-                        }
-                    }
-                }
-            }
-            frontier = next;
-        }
-        frontier
-    }
 }
 
 /// Rows of `prev` missing from `new` go to `dels`, rows of `new` missing
@@ -933,7 +885,7 @@ fn build_head_row(head: &HeadPlan, chunk: &[IVal]) -> Option<IRow> {
 mod tests {
     use super::*;
     use crate::expr::{Expr, Op, Term};
-    use crate::rule::{AggFunc, Atom, Head, HeadArg};
+    use crate::rule::{AggFunc, Atom, BodyItem, Head, HeadArg};
     use crate::schema::SchemaError;
     use crate::value::Value;
 
@@ -1252,22 +1204,6 @@ mod tests {
         e.run();
         let tuples = e.tuples("vm");
         assert_eq!(tuples, vec![int_tuple(&[2, 65]), int_tuple(&[3, 10])]);
-    }
-
-    #[test]
-    fn query_evaluates_ad_hoc_bodies() {
-        let mut e = engine();
-        e.insert("vm", int_tuple(&[1, 50]));
-        e.insert("host", int_tuple(&[10, 20]));
-        e.run();
-        let body = vec![
-            BodyItem::Atom(Atom::new("vm", vec![Term::var("V"), Term::var("C")])),
-            BodyItem::Atom(Atom::new("host", vec![Term::var("H"), Term::var("HC")])),
-        ];
-        let results = e.query(&body);
-        assert_eq!(results.len(), 1);
-        assert_eq!(results[0].get("V"), Some(&Value::Int(1)));
-        assert_eq!(results[0].get("H"), Some(&Value::Int(10)));
     }
 
     #[test]

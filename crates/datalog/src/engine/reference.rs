@@ -611,11 +611,4 @@ impl ReferenceEngine {
         }
         frontier
     }
-
-    /// Evaluate an ad-hoc body (query) against the current database and
-    /// return the resulting bindings. Used by the Cologne runtime when
-    /// grounding solver rules.
-    pub fn query(&self, body: &[BodyItem]) -> Vec<Bindings> {
-        self.join_body(body, None)
-    }
 }

@@ -66,7 +66,6 @@ impl VarId {
 /// derived from the Colog program, then runs branch-and-bound search.
 pub struct Model {
     domains: Vec<Domain>,
-    names: Vec<Option<String>>,
     propagators: Vec<Box<dyn Propagator>>,
     /// var index -> propagator indices subscribed to it
     subscriptions: Vec<Vec<usize>>,
@@ -87,7 +86,6 @@ impl Model {
     pub fn new() -> Self {
         Model {
             domains: Vec::new(),
-            names: Vec::new(),
             propagators: Vec::new(),
             subscriptions: Vec::new(),
             decisions: Vec::new(),
@@ -105,12 +103,11 @@ impl Model {
     }
 
     /// Clear all variables and propagators while keeping the backing
-    /// allocations (domain/name/propagator vectors and the per-variable
+    /// allocations (domain/propagator vectors and the per-variable
     /// subscription lists), so the arena is recycled across repeated COP
     /// invocations instead of being reallocated from scratch.
     pub fn reset(&mut self) {
         self.domains.clear();
-        self.names.clear();
         self.propagators.clear();
         self.decisions.clear();
         for subs in &mut self.subscriptions {
@@ -118,10 +115,9 @@ impl Model {
         }
     }
 
-    fn push_var_storage(&mut self, domain: Domain, name: Option<String>) -> VarId {
+    fn push_var_storage(&mut self, domain: Domain) -> VarId {
         let id = VarId(self.domains.len() as u32);
         self.domains.push(domain);
-        self.names.push(name);
         // After a reset, cleared subscription slots from the previous
         // generation are reused in place.
         if self.subscriptions.len() < self.domains.len() {
@@ -132,13 +128,7 @@ impl Model {
 
     /// Create a new variable with domain `[lo, hi]`.
     pub fn new_var(&mut self, lo: i64, hi: i64) -> VarId {
-        self.new_named_var(lo, hi, None)
-    }
-
-    /// Create a new variable with an explicit name (useful for debugging and
-    /// for mapping Colog solver attributes back to tuples).
-    pub fn new_named_var(&mut self, lo: i64, hi: i64, name: Option<String>) -> VarId {
-        self.push_var_storage(Domain::new(lo, hi), name)
+        self.push_var_storage(Domain::new(lo, hi))
     }
 
     /// Create a 0/1 boolean variable.
@@ -148,17 +138,12 @@ impl Model {
 
     /// Create a variable constrained to an explicit value set.
     pub fn new_var_from_values(&mut self, values: &[i64]) -> VarId {
-        self.push_var_storage(Domain::from_values(values), None)
+        self.push_var_storage(Domain::from_values(values))
     }
 
     /// Create a variable already fixed to `v`.
     pub fn new_const(&mut self, v: i64) -> VarId {
         self.new_var(v, v)
-    }
-
-    /// Name of a variable, if set.
-    pub fn var_name(&self, v: VarId) -> Option<&str> {
-        self.names[v.index()].as_deref()
     }
 
     /// Mark `v` as a *decision* variable: part of the neighborhood pool the
@@ -492,13 +477,13 @@ mod tests {
     #[test]
     fn var_creation_and_lookup() {
         let mut m = Model::new();
-        let a = m.new_named_var(0, 5, Some("a".into()));
+        let a = m.new_var(0, 5);
         let b = m.new_bool();
         let c = m.new_const(42);
         let d = m.new_var_from_values(&[2, 4, 8]);
         assert_eq!(m.num_vars(), 4);
-        assert_eq!(m.var_name(a), Some("a"));
-        assert_eq!(m.var_name(b), None);
+        assert_eq!(m.domain(a).size(), 6);
+        assert_eq!(m.domain(b).size(), 2);
         assert_eq!(m.domain(c).fixed_value(), Some(42));
         assert_eq!(m.domain(d).size(), 3);
     }

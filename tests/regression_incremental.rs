@@ -1,5 +1,5 @@
 //! Regression tests for the incremental re-optimization path: after a
-//! single-tuple delta, `invoke_solver` must take the delta-aware grounding
+//! single-row delta, `invoke_solver` must take the delta-aware grounding
 //! path (`incremental_builds`, not `full_rebuilds`) and still produce a
 //! report byte-for-byte identical — outcome flags, objective, materialized
 //! tables — to a from-scratch solve of the same database. Search statistics
@@ -81,85 +81,112 @@ fn assert_same_result(incremental: &SolveReport, cold: &SolveReport, context: &s
 
 /// Drive `program` through the incremental path (solve, apply one delta,
 /// re-solve) and compare the re-solve against a from-scratch solve of the
-/// final database.
-fn check_single_tuple_delta(
+/// final database, with warm starts on and off. The delta inserts one row
+/// and then, when `replaced` is given, deletes the row it replaces.
+fn check_single_row_delta(
     context: &str,
     program: &str,
     params: &ProgramParams,
     base_facts: &[(&str, Tuple)],
+    replaced: Option<Tuple>,
     delta: (&str, Tuple),
 ) {
-    let mut warm = instance(program, params, base_facts);
-    let first = warm.invoke_solver().unwrap();
-    assert!(first.feasible, "{context}: base problem must be feasible");
-    assert_eq!(
-        warm.pipeline_stats().full_rebuilds,
-        1,
-        "{context}: first grounding is cold"
-    );
-    assert_eq!(warm.pipeline_stats().incremental_builds, 0, "{context}");
-
     let (rel, tuple) = &delta;
-    warm.relation(rel).unwrap().insert(tuple.clone()).unwrap();
-    let incremental = warm.invoke_solver().unwrap();
-    assert_eq!(
-        warm.pipeline_stats().full_rebuilds,
-        1,
-        "{context}: the delta re-solve must not be a full rebuild"
-    );
-    assert_eq!(
-        warm.pipeline_stats().incremental_builds,
-        1,
-        "{context}: the delta re-solve must take the incremental path"
-    );
-    assert!(
-        incremental.stats.warm_start,
-        "{context}: the re-solve must be warm-started"
-    );
+    let resolve_after_delta = |params: &ProgramParams| {
+        let mut inst = instance(program, params, base_facts);
+        let first = inst.invoke_solver().unwrap();
+        assert!(first.feasible, "{context}: base problem must be feasible");
+        assert_eq!(
+            inst.pipeline_stats().full_rebuilds,
+            1,
+            "{context}: first grounding is cold"
+        );
+        assert_eq!(inst.pipeline_stats().incremental_builds, 0, "{context}");
+
+        inst.relation(rel).unwrap().insert(tuple.clone()).unwrap();
+        if let Some(old) = &replaced {
+            inst.relation(rel).unwrap().delete(old.clone()).unwrap();
+        }
+        let report = inst.invoke_solver().unwrap();
+        assert_eq!(
+            inst.pipeline_stats().full_rebuilds,
+            1,
+            "{context}: the delta re-solve must not be a full rebuild"
+        );
+        assert_eq!(
+            inst.pipeline_stats().incremental_builds,
+            1,
+            "{context}: the delta re-solve must take the incremental path"
+        );
+        assert_eq!(
+            report.stats.warm_start, params.warm_start,
+            "{context}: the re-solve is warm-started exactly when asked"
+        );
+        report
+    };
 
     // From-scratch reference: a brand-new instance over the final database.
-    let mut all_facts = base_facts.to_vec();
+    let mut all_facts: Vec<(&str, Tuple)> = base_facts
+        .iter()
+        .filter(|(r, t)| !(r == rel && replaced.as_ref() == Some(t)))
+        .cloned()
+        .collect();
     all_facts.push((rel, tuple.clone()));
     let mut cold = instance(program, params, &all_facts);
     let reference = cold.invoke_solver().unwrap();
-    assert_same_result(&incremental, &reference, context);
 
-    // The same equivalence must hold with the re-optimization machinery
-    // disabled outright — pinning that the knobs only change how much work
-    // a solve takes, never its result.
-    let disabled_params = params
-        .clone()
-        .with_warm_start(false)
-        .with_delta_grounding(false);
-    let mut disabled = instance(program, &disabled_params, &all_facts);
-    let plain = disabled.invoke_solver().unwrap();
-    assert_eq!(
-        disabled.pipeline_stats().full_rebuilds,
-        1,
-        "{context}: knobs off = cold"
+    let incremental = resolve_after_delta(params);
+    assert_same_result(&incremental, &reference, context);
+    // Warm starts only change how much work a solve takes, never its result.
+    let plain = resolve_after_delta(&params.clone().with_warm_start(false));
+    assert_same_result(&plain, &reference, &format!("{context} (cold start)"));
+}
+
+/// One VM's cpu changes: its `vm` row is replaced. Inserting the new row
+/// before deleting the old one keeps every `toAssign` row (the `forall`
+/// relation of `assign`) visible throughout, so `toAssign` stays clean
+/// while `vm`, which the cost rules read, is dirty.
+fn check_acloud_cpu_change(context: &str, params: &ProgramParams) {
+    let mut probe = instance(ACLOUD_CENTRALIZED, params, &acloud_base_facts());
+    probe.invoke_solver().unwrap();
+    let mut vm = probe.relation("vm").unwrap();
+    vm.insert(ints(&[1, 25, 4])).unwrap();
+    vm.delete(ints(&[1, 40, 4])).unwrap();
+    probe.run_rules();
+    let delta = probe.pending_delta();
+    assert!(delta.is_clean("toAssign"), "{context}: {delta:?}");
+    assert!(!delta.is_clean("vm"), "{context}: {delta:?}");
+
+    check_single_row_delta(
+        context,
+        ACLOUD_CENTRALIZED,
+        params,
+        &acloud_base_facts(),
+        Some(ints(&[1, 40, 4])),
+        ("vm", ints(&[1, 25, 4])),
     );
-    assert_eq!(disabled.pipeline_stats().incremental_builds, 0, "{context}");
-    assert_same_result(&plain, &reference, &format!("{context} (knobs off)"));
 }
 
 #[test]
 fn acloud_single_vm_arrival_matches_cold_solve() {
-    check_single_tuple_delta(
+    check_single_row_delta(
         "acloud insert",
         ACLOUD_CENTRALIZED,
         &acloud_params(),
         &acloud_base_facts(),
+        None,
         ("vm", ints(&[4, 50, 4])),
     );
 }
 
 #[test]
 fn wireless_single_link_arrival_matches_cold_solve() {
-    check_single_tuple_delta(
+    check_single_row_delta(
         "wireless insert",
         WIRELESS_CENTRALIZED,
         &wireless_params(),
         &wireless_base_facts(),
+        None,
         ("link", ints(&[3, 4])),
     );
 }
@@ -168,23 +195,38 @@ fn wireless_single_link_arrival_matches_cold_solve() {
 fn acloud_first_fail_single_vm_arrival_matches_cold_solve() {
     // The ACloud controllers run with first-fail branching; pin the
     // incremental/cold equivalence under that heuristic too.
-    check_single_tuple_delta(
+    check_single_row_delta(
         "acloud first-fail insert",
         ACLOUD_CENTRALIZED,
         &acloud_params().with_solver_branching(Branching::SmallestDomain),
         &acloud_base_facts(),
+        None,
         ("vm", ints(&[4, 50, 4])),
     );
 }
 
 #[test]
 fn wireless_first_fail_single_link_arrival_matches_cold_solve() {
-    check_single_tuple_delta(
+    check_single_row_delta(
         "wireless first-fail insert",
         WIRELESS_CENTRALIZED,
         &wireless_params().with_solver_branching(Branching::SmallestDomain),
         &wireless_base_facts(),
+        None,
         ("link", ints(&[3, 4])),
+    );
+}
+
+#[test]
+fn acloud_single_vm_cpu_change_matches_cold_solve() {
+    check_acloud_cpu_change("acloud cpu change", &acloud_params());
+}
+
+#[test]
+fn acloud_first_fail_single_vm_cpu_change_matches_cold_solve() {
+    check_acloud_cpu_change(
+        "acloud first-fail cpu change",
+        &acloud_params().with_solver_branching(Branching::SmallestDomain),
     );
 }
 
