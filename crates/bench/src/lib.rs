@@ -7,7 +7,7 @@
 //!
 //! | Paper artifact | Binary |
 //! |---|---|
-//! | Table 2 (code compactness) | `cargo run -p cologne-bench --bin table2_compactness` |
+//! | Table 2 (rule counts; the paper's C++ LOC quoted) | `cargo run -p cologne-bench --bin table2_compactness` |
 //! | Fig. 2 / Fig. 3 (ACloud)   | `cargo run --release -p cologne-bench --bin fig2_3_acloud` |
 //! | Fig. 4 / Fig. 5 (Follow-the-Sun) | `cargo run --release -p cologne-bench --bin fig4_5_followsun` |
 //! | Fig. 6 / Fig. 7 (wireless) | `cargo run --release -p cologne-bench --bin fig6_7_wireless` |

@@ -1,7 +1,7 @@
 //! # cologne-colog
 //!
-//! The Colog language: lexer, parser, static analysis, localization rewrite
-//! and imperative code generation.
+//! The Colog language: lexer, parser, static analysis and localization
+//! rewrite.
 //!
 //! Colog (Sec. 4 of the Cologne paper, Liu et al., VLDB 2012) extends
 //! distributed Datalog with constructs for constraint optimization:
@@ -16,7 +16,7 @@
 //! The typical pipeline is:
 //!
 //! ```
-//! use cologne_colog::{parse_program, analyze, localize_rules, generate_cpp};
+//! use cologne_colog::{parse_program, analyze, localize_rules};
 //!
 //! let source = r#"
 //!     goal minimize C in hostStdevCpu(C).
@@ -29,8 +29,6 @@
 //! assert!(analysis.solver_tables.is_solver_table("assign"));
 //! let localized = localize_rules(&program.rules).expect("localizable");
 //! assert_eq!(localized.len(), program.rules.len()); // nothing distributed here
-//! let cpp = generate_cpp(&program, &analysis, "quickstart");
-//! assert!(cpp.loc() > 100); // Table 2: orders of magnitude more C++
 //! ```
 //!
 //! Execution of analysed programs (grounding solver rules, invoking the
@@ -39,7 +37,6 @@
 
 pub mod analysis;
 pub mod ast;
-pub mod codegen;
 pub mod lexer;
 pub mod localize;
 pub mod parser;
@@ -50,7 +47,6 @@ pub use ast::{
     Arg, BodyElem, CExpr, COp, GoalDecl, GoalKind, Literal, Predicate, Program, RuleArrow,
     RuleDecl, VarDecl,
 };
-pub use codegen::{count_loc, generate_cpp, GeneratedCode};
 pub use lexer::{tokenize, LexError, Token};
 pub use localize::{localize_rule, localize_rules, LocalizeError};
 pub use parser::{parse_program, ParseError};

@@ -430,7 +430,7 @@ mod tests {
             .with_solver_node_limit(Some(1234))
             .with_solver_max_time(None)
             .with_solver_branching(Branching::SmallestDomain)
-            .with_solver_value_choice(ValueChoice::Max)
+            .with_solver_value_choice(ValueChoice::ClosestToZero)
             .with_solver_split_threshold(None)
             .with_solver_workers(std::num::NonZeroUsize::new(2));
         let special = base
@@ -452,7 +452,7 @@ mod tests {
             assert_eq!(search.node_limit, Some(1234));
             assert_eq!(search.time_limit, None);
             assert_eq!(search.branching, Branching::SmallestDomain);
-            assert_eq!(search.value_choice, ValueChoice::Max);
+            assert_eq!(search.value_choice, ValueChoice::ClosestToZero);
             assert_eq!(search.split_threshold, None);
             assert_eq!(search.workers, std::num::NonZeroUsize::new(2));
         }
@@ -461,7 +461,10 @@ mod tests {
         assert_eq!(inst.params(), &special);
         assert_eq!(inst.params().constant("tag"), Some(7));
         assert_eq!(inst.search_config().node_limit, Some(99));
-        assert_eq!(inst.search_config().value_choice, ValueChoice::Max);
+        assert_eq!(
+            inst.search_config().value_choice,
+            ValueChoice::ClosestToZero
+        );
 
         // the program is compiled once: every node, the overridden one
         // included, and every node of a second deployment built from a

@@ -949,15 +949,15 @@ impl<'a> GroundingRun<'a> {
             }
             CExpr::Neg(inner) => {
                 let v = self.translate(rule, inner, bindings)?;
-                Ok(match v {
-                    SymVal::Concrete(c) => SymVal::Concrete(-c),
-                    other => SymVal::Linear(self.symval_to_linear(other).scale(-1)),
-                })
+                match v {
+                    SymVal::Concrete(c) => fold(rule, c.checked_neg(), || format!("-({c})")),
+                    other => Ok(SymVal::Linear(self.symval_to_linear(other).scale(-1))),
+                }
             }
             CExpr::Abs(inner) => {
                 let v = self.translate(rule, inner, bindings)?;
                 match v {
-                    SymVal::Concrete(c) => Ok(SymVal::Concrete(c.abs())),
+                    SymVal::Concrete(c) => fold(rule, c.checked_abs(), || format!("|{c}|")),
                     other => {
                         let lin = self.symval_to_linear(other);
                         let base = self.model.expr_var(&lin);
@@ -984,8 +984,12 @@ impl<'a> GroundingRun<'a> {
         use COp::*;
         match op {
             Add | Sub => {
-                if let (SymVal::Concrete(a), SymVal::Concrete(b)) = (&lhs, &rhs) {
-                    return Ok(SymVal::Concrete(if op == Add { a + b } else { a - b }));
+                if let (&SymVal::Concrete(a), &SymVal::Concrete(b)) = (&lhs, &rhs) {
+                    return if op == Add {
+                        fold(rule, a.checked_add(b), || format!("{a} + {b}"))
+                    } else {
+                        fold(rule, a.checked_sub(b), || format!("{a} - {b}"))
+                    };
                 }
                 let l = self.symval_to_linear(lhs);
                 let r = self.symval_to_linear(rhs);
@@ -996,7 +1000,9 @@ impl<'a> GroundingRun<'a> {
                 }))
             }
             Mul => match (lhs, rhs) {
-                (SymVal::Concrete(a), SymVal::Concrete(b)) => Ok(SymVal::Concrete(a * b)),
+                (SymVal::Concrete(a), SymVal::Concrete(b)) => {
+                    fold(rule, a.checked_mul(b), || format!("{a} * {b}"))
+                }
                 (SymVal::Concrete(a), other) | (other, SymVal::Concrete(a)) => {
                     let l = self.symval_to_linear(other);
                     Ok(SymVal::Linear(l.scale(a)))
@@ -1011,7 +1017,15 @@ impl<'a> GroundingRun<'a> {
                 }
             },
             Div => match (lhs, rhs) {
-                (SymVal::Concrete(a), SymVal::Concrete(b)) if b != 0 => Ok(SymVal::Concrete(a / b)),
+                (SymVal::Concrete(a), SymVal::Concrete(0)) => {
+                    Err(CologneError::UnsupportedExpression {
+                        rule: rule.label.clone(),
+                        detail: format!("division by zero in constant {a} / 0"),
+                    })
+                }
+                (SymVal::Concrete(a), SymVal::Concrete(b)) => {
+                    fold(rule, a.checked_div(b), || format!("{a} / {b}"))
+                }
                 _ => Err(CologneError::UnsupportedExpression {
                     rule: rule.label.clone(),
                     detail: "division involving solver variables".into(),
@@ -1097,6 +1111,21 @@ impl<'a> GroundingRun<'a> {
     }
 }
 
+/// A folded constant, or an error naming the operation `expr` describes
+/// when its `i64` result overflows.
+fn fold(
+    rule: &RuleDecl,
+    result: Option<i64>,
+    expr: impl FnOnce() -> String,
+) -> Result<SymVal, CologneError> {
+    result
+        .map(SymVal::Concrete)
+        .ok_or_else(|| CologneError::UnsupportedExpression {
+            rule: rule.label.clone(),
+            detail: format!("constant {} overflows i64", expr()),
+        })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1155,6 +1184,44 @@ mod tests {
     fn ground_mini_acloud(engine: &mut Engine, program_src: &str) -> GroundedCop {
         let params = ProgramParams::new().with_var_domain("assign", VarDomain::BOOL);
         ground(engine, program_src, &params).unwrap()
+    }
+
+    /// Constant folding over fact values reports overflow and division by
+    /// zero as unsupported expressions instead of panicking or wrapping.
+    #[test]
+    fn constant_folding_rejects_overflow_and_division_by_zero() {
+        let overflows = [
+            ("Cpu+Base", i64::MAX, 1, "9223372036854775807 + 1"),
+            ("Cpu-Base", i64::MIN, 1, "-9223372036854775808 - 1"),
+            ("Cpu*Base", i64::MAX, 2, "9223372036854775807 * 2"),
+            ("Cpu/Base", i64::MIN, -1, "-9223372036854775808 / -1"),
+            ("-Cpu", i64::MIN, 0, "-(-9223372036854775808)"),
+            ("|Cpu|", i64::MIN, 0, "|-9223372036854775808|"),
+        ]
+        .map(|(expr, cpu, base, op)| (expr, cpu, base, format!("constant {op} overflows i64")));
+        let division_by_zero = (
+            "Cpu/Base",
+            7,
+            0,
+            "division by zero in constant 7 / 0".into(),
+        );
+        let params = ProgramParams::new().with_var_domain("assign", VarDomain::BOOL);
+        for (expr, cpu, base, detail) in overflows.into_iter().chain([division_by_zero]) {
+            let src = format!(
+                "goal minimize C in total(C).
+                 var assign(Vid,V) forall toAssign(Vid).
+                 r1 toAssign(Vid) <- vm(Vid,Cpu,Base).
+                 d1 total(SUM<C>) <- assign(Vid,V), vm(Vid,Cpu,Base), C==V*({expr})."
+            );
+            let mut engine = Engine::new(NodeId(0));
+            engine.insert("vm", vec![Value::Int(1), Value::Int(cpu), Value::Int(base)]);
+            match ground(&mut engine, &src, &params).err() {
+                Some(CologneError::UnsupportedExpression { rule, detail: got }) => {
+                    assert_eq!((rule.as_str(), got), ("d1", detail), "{expr}");
+                }
+                other => panic!("{expr}: expected an unsupported expression, got {other:?}"),
+            }
+        }
     }
 
     #[test]

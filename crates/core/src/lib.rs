@@ -128,7 +128,7 @@ pub mod net {
     pub use cologne_net::*;
 }
 
-/// Re-export of the Colog compiler (parser, analysis, localization, codegen).
+/// Re-export of the Colog compiler (parser, analysis, localization).
 pub mod colog {
     pub use cologne_colog::*;
 }

@@ -417,7 +417,7 @@ mod tests {
         let params = ProgramParams::new()
             .with_solver_max_time(Some(Duration::from_millis(1234)))
             .with_solver_node_limit(Some(4321))
-            .with_solver_branching(Branching::LargestDomain)
+            .with_solver_branching(Branching::SmallestDomain)
             .with_solver_value_choice(ValueChoice::ClosestToZero)
             .with_solver_split_threshold(Some(5))
             .with_solver_mode(SolverMode::Lns(lns))

@@ -1111,24 +1111,27 @@ mod tests {
     #[test]
     fn parallel_maximize_and_heuristics_match_sequential() {
         for branching in [Branching::InputOrder, Branching::SmallestDomain] {
-            for value_choice in [ValueChoice::Min, ValueChoice::Max, ValueChoice::Split] {
-                let (m, obj) = chain_model(7, 5);
-                let base = SearchConfig {
-                    branching,
-                    value_choice,
-                    ..Default::default()
-                };
-                let sequential =
-                    solve_in(&m, Objective::Maximize(obj), &base, &mut SearchSpace::new());
-                let cfg = SearchConfig {
-                    workers: workers(4),
-                    ..base
-                };
-                let par = solve_in(&m, Objective::Maximize(obj), &cfg, &mut SearchSpace::new());
-                let ctx = format!("{branching:?}/{value_choice:?}");
-                assert_eq!(par.best_objective, sequential.best_objective, "{ctx}");
-                assert_eq!(par.best, sequential.best, "{ctx}");
-                assert_eq!(par.solutions, sequential.solutions, "{ctx}");
+            for value_choice in [ValueChoice::Min, ValueChoice::ClosestToZero] {
+                for split_threshold in [None, Some(2)] {
+                    let (m, obj) = chain_model(7, 5);
+                    let base = SearchConfig {
+                        branching,
+                        value_choice,
+                        split_threshold,
+                        ..Default::default()
+                    };
+                    let sequential =
+                        solve_in(&m, Objective::Maximize(obj), &base, &mut SearchSpace::new());
+                    let cfg = SearchConfig {
+                        workers: workers(4),
+                        ..base
+                    };
+                    let par = solve_in(&m, Objective::Maximize(obj), &cfg, &mut SearchSpace::new());
+                    let ctx = format!("{branching:?}/{value_choice:?}/{split_threshold:?}");
+                    assert_eq!(par.best_objective, sequential.best_objective, "{ctx}");
+                    assert_eq!(par.best, sequential.best, "{ctx}");
+                    assert_eq!(par.solutions, sequential.solutions, "{ctx}");
+                }
             }
         }
     }

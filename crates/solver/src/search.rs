@@ -60,8 +60,6 @@ pub enum Branching {
     /// (first-fail, Gecode's `INT_VAR_SIZE_MIN`). Domain sizes are O(1)
     /// lookups on the store, so this scan is cheap even on large models.
     SmallestDomain,
-    /// Branch on the unfixed variable with the largest domain first.
-    LargestDomain,
 }
 
 /// Value-selection heuristic.
@@ -70,10 +68,6 @@ pub enum ValueChoice {
     /// Try the smallest value first (Gecode's `INT_VAL_MIN`).
     #[default]
     Min,
-    /// Try the largest value first.
-    Max,
-    /// Split the domain at its median (domain bisection).
-    Split,
     /// Try the value with the smallest absolute magnitude first (ties break
     /// toward the negative value); bisection branches descend into the half
     /// nearer to zero. On cost models built from absolute values — the
@@ -89,8 +83,7 @@ pub enum ValueChoice {
 /// order) according to the configured value choice.
 fn order_values(choice: ValueChoice, values: &mut [i64]) {
     match choice {
-        ValueChoice::Min | ValueChoice::Split => {}
-        ValueChoice::Max => values.reverse(),
+        ValueChoice::Min => {}
         ValueChoice::ClosestToZero => values.sort_by_key(|&v| (v.unsigned_abs(), v)),
     }
 }
@@ -99,11 +92,10 @@ fn order_values(choice: ValueChoice, values: &mut [i64]) {
 /// before `<= mid`.
 fn split_hi_first(choice: ValueChoice, mid: i64) -> bool {
     match choice {
-        ValueChoice::Max => true,
         // The half nearer zero: `<= mid` contains zero (or is uniformly
         // closer to it) exactly when the median is non-negative.
         ValueChoice::ClosestToZero => mid < 0,
-        ValueChoice::Min | ValueChoice::Split => false,
+        ValueChoice::Min => false,
     }
 }
 
@@ -118,9 +110,8 @@ pub enum Objective {
     Satisfy,
 }
 
-/// Domain size above which [`ValueChoice::Min`]/[`ValueChoice::Max`] fall
-/// back to domain bisection, unless [`SearchConfig::split_threshold`]
-/// overrides it.
+/// Domain size above which value enumeration falls back to domain
+/// bisection, unless [`SearchConfig::split_threshold`] overrides it.
 pub const DEFAULT_SPLIT_THRESHOLD: u64 = 16;
 
 /// Search configuration; the defaults match the paper's setup (input-order
@@ -137,14 +128,13 @@ pub struct SearchConfig {
     /// Value selection heuristic.
     pub value_choice: ValueChoice,
     /// Domain size above which value enumeration switches to domain
-    /// bisection even when [`SearchConfig::value_choice`] is `Min`/`Max`.
+    /// bisection.
     ///
     /// Enumerating a huge domain value-by-value makes the branching factor
     /// of a single node explode, so by default domains larger than
     /// [`DEFAULT_SPLIT_THRESHOLD`] are bisected instead. Set to `None` to
-    /// always honor the configured `value_choice` exactly, or pick
-    /// [`ValueChoice::Split`] to bisect unconditionally. (This used to be a
-    /// hidden constant that silently overrode the configured value choice.)
+    /// always enumerate values, or `Some(2)` to bisect every domain of more
+    /// than two values.
     pub split_threshold: Option<u64>,
     /// Wall-clock limit for the whole search (the paper's `SOLVER_MAX_TIME`).
     pub time_limit: Option<Duration>,
@@ -287,9 +277,9 @@ enum BranchKind {
     /// Branch `i` assigns the `i`-th value of the frame's arena slice.
     Values,
     /// Domain bisection at `mid`: one branch keeps `<= mid`, the other
-    /// `> mid`; `hi_first` tries the upper half first ([`ValueChoice::Max`]
-    /// always; [`ValueChoice::ClosestToZero`] when the upper half is the one
-    /// nearer zero).
+    /// `> mid`; `hi_first` tries the upper half first
+    /// ([`ValueChoice::ClosestToZero`] when the upper half is the one nearer
+    /// zero).
     Split { mid: i64, hi_first: bool },
 }
 
@@ -351,15 +341,25 @@ fn select_var_with(branching: Branching, domains: &[Domain]) -> Option<usize> {
     let unfixed = domains.iter().enumerate().filter(|(_, d)| !d.is_fixed());
     match branching {
         Branching::InputOrder => unfixed.map(|(i, _)| i).next(),
-        Branching::SmallestDomain => unfixed.min_by_key(|(_, d)| d.size()).map(|(i, _)| i),
-        Branching::LargestDomain => unfixed.max_by_key(|(_, d)| d.size()).map(|(i, _)| i),
+        Branching::SmallestDomain => {
+            // The first unfixed variable of minimum size, as `min_by_key`
+            // would pick it. A plain loop, because `min_by_key` here can
+            // compile to an outlined fold that keeps its accumulator on the
+            // stack, which slows every node of a first-fail search.
+            let (mut best, mut best_size) = (None, u64::MAX);
+            for (i, d) in unfixed {
+                if d.size() < best_size {
+                    (best, best_size) = (Some(i), d.size());
+                }
+            }
+            best
+        }
     }
 }
 
 /// Should a node with this domain size bisect instead of enumerating values?
 fn use_split_with(config: &SearchConfig, size: u64) -> bool {
-    let forced = matches!(config.value_choice, ValueChoice::Split);
-    (forced || config.split_threshold.is_some_and(|t| size > t)) && size > 2
+    config.split_threshold.is_some_and(|t| size > t) && size > 2
 }
 
 /// The initial branch-and-bound bound seeded by a warm assignment's
@@ -1240,6 +1240,16 @@ mod tests {
         (m, x, y, obj)
     }
 
+    /// [`sum_model`] shifted to `x, y in -9..0` with `x + y == -9`.
+    fn negative_sum_model() -> (Model, VarId, VarId, VarId) {
+        let mut m = Model::new();
+        let x = m.new_var(-9, 0);
+        let y = m.new_var(-9, 0);
+        m.linear_eq(&[(1, x), (1, y)], -9);
+        let obj = m.linear_var(&[(3, x), (1, y)], 0);
+        (m, x, y, obj)
+    }
+
     #[test]
     fn minimize_finds_optimum_and_proves_it() {
         let (m, x, y, obj) = sum_model();
@@ -1273,24 +1283,23 @@ mod tests {
 
     #[test]
     fn branching_heuristics_agree_on_optimum() {
-        for branching in [
-            Branching::InputOrder,
-            Branching::SmallestDomain,
-            Branching::LargestDomain,
-        ] {
-            for value_choice in [ValueChoice::Min, ValueChoice::Max, ValueChoice::Split] {
-                let (m, _, _, obj) = sum_model();
-                let cfg = SearchConfig {
-                    branching,
-                    value_choice,
-                    ..Default::default()
-                };
-                let out = m.minimize(obj, &cfg);
-                assert_eq!(
-                    out.best_objective,
-                    Some(9),
-                    "{branching:?}/{value_choice:?}"
-                );
+        for branching in [Branching::InputOrder, Branching::SmallestDomain] {
+            for value_choice in [ValueChoice::Min, ValueChoice::ClosestToZero] {
+                for split_threshold in [None, Some(2)] {
+                    let (m, _, _, obj) = sum_model();
+                    let cfg = SearchConfig {
+                        branching,
+                        value_choice,
+                        split_threshold,
+                        ..Default::default()
+                    };
+                    let out = m.minimize(obj, &cfg);
+                    assert_eq!(
+                        out.best_objective,
+                        Some(9),
+                        "{branching:?}/{value_choice:?}/{split_threshold:?}"
+                    );
+                }
             }
         }
     }
@@ -1564,26 +1573,31 @@ mod tests {
 
     #[test]
     fn reference_and_trail_searchers_agree() {
-        for branching in [
-            Branching::InputOrder,
-            Branching::SmallestDomain,
-            Branching::LargestDomain,
-        ] {
-            for value_choice in [ValueChoice::Min, ValueChoice::Max, ValueChoice::Split] {
-                let (m, _, _, obj) = sum_model();
-                let cfg = SearchConfig {
-                    branching,
-                    value_choice,
-                    ..Default::default()
-                };
-                let trail = solve(&m, Objective::Minimize(obj), &cfg);
-                let reference = solve_reference(&m, Objective::Minimize(obj), &cfg);
-                let ctx = format!("{branching:?}/{value_choice:?}");
-                assert_eq!(trail.best_objective, reference.best_objective, "{ctx}");
-                assert_eq!(trail.solutions, reference.solutions, "{ctx}");
-                assert_eq!(trail.stats.nodes, reference.stats.nodes, "{ctx}");
-                assert_eq!(trail.stats.fails, reference.stats.fails, "{ctx}");
-                assert_eq!(trail.stats.max_depth, reference.stats.max_depth, "{ctx}");
+        for branching in [Branching::InputOrder, Branching::SmallestDomain] {
+            for value_choice in [ValueChoice::Min, ValueChoice::ClosestToZero] {
+                for split_threshold in [None, Some(2)] {
+                    // `sum_model` bisects at non-negative medians;
+                    // `negative_sum_model` at negative ones, where
+                    // `ClosestToZero` tries the upper half first.
+                    for (m, obj) in
+                        [sum_model(), negative_sum_model()].map(|(m, _, _, obj)| (m, obj))
+                    {
+                        let cfg = SearchConfig {
+                            branching,
+                            value_choice,
+                            split_threshold,
+                            ..Default::default()
+                        };
+                        let trail = solve(&m, Objective::Minimize(obj), &cfg);
+                        let reference = solve_reference(&m, Objective::Minimize(obj), &cfg);
+                        let ctx = format!("{branching:?}/{value_choice:?}/{split_threshold:?}");
+                        assert_eq!(trail.best_objective, reference.best_objective, "{ctx}");
+                        assert_eq!(trail.solutions, reference.solutions, "{ctx}");
+                        assert_eq!(trail.stats.nodes, reference.stats.nodes, "{ctx}");
+                        assert_eq!(trail.stats.fails, reference.stats.fails, "{ctx}");
+                        assert_eq!(trail.stats.max_depth, reference.stats.max_depth, "{ctx}");
+                    }
+                }
             }
         }
     }

@@ -14,7 +14,9 @@ use std::num::NonZeroUsize;
 use proptest::prelude::*;
 
 use cologne::datalog::{NodeId, Value};
-use cologne::solver::{Branching, Model, SearchConfig, SearchOutcome, ValueChoice};
+use cologne::solver::{
+    Branching, Model, SearchConfig, SearchOutcome, ValueChoice, DEFAULT_SPLIT_THRESHOLD,
+};
 use cologne::{CologneInstance, ProgramParams, SolveReport, SolverMode, VarDomain};
 use cologne_usecases::programs::{ACLOUD_CENTRALIZED, WIRELESS_CENTRALIZED};
 use cologne_usecases::{
@@ -74,7 +76,7 @@ proptest! {
             1..6
         ),
         objective_coeffs in prop::collection::vec(-3i64..4, 2..6),
-        heuristics in (0u8..3, 0u8..3),
+        heuristics in (0u8..2, 0u8..2, 0u8..2),
         maximize in prop::bool::ANY,
     ) {
         let mut m = Model::new();
@@ -104,13 +106,9 @@ proptest! {
             .collect();
         let obj = m.linear_var(&obj_terms, 0);
         let base = SearchConfig {
-            branching: [
-                Branching::InputOrder,
-                Branching::SmallestDomain,
-                Branching::LargestDomain,
-            ][heuristics.0 as usize % 3],
-            value_choice: [ValueChoice::Min, ValueChoice::Max, ValueChoice::Split]
-                [heuristics.1 as usize % 3],
+            branching: [Branching::InputOrder, Branching::SmallestDomain][heuristics.0 as usize],
+            value_choice: [ValueChoice::Min, ValueChoice::ClosestToZero][heuristics.1 as usize],
+            split_threshold: [Some(DEFAULT_SPLIT_THRESHOLD), Some(2)][heuristics.2 as usize],
             ..Default::default()
         };
         let solve = |workers: Option<NonZeroUsize>| {

@@ -134,7 +134,7 @@ proptest! {
             1..6
         ),
         objective_coeffs in prop::collection::vec(-3i64..4, 2..5),
-        heuristics in (0u8..3, 0u8..3, 0u8..3),
+        heuristics in (0u8..2, 0u8..2, 0u8..4),
         maximize in prop::bool::ANY,
     ) {
         let build = || {
@@ -168,18 +168,9 @@ proptest! {
         };
         let (m, obj) = build();
         let cfg = SearchConfig {
-            branching: [
-                Branching::InputOrder,
-                Branching::SmallestDomain,
-                Branching::LargestDomain,
-            ][heuristics.0 as usize % 3],
-            value_choice: [
-                ValueChoice::Min,
-                ValueChoice::Max,
-                ValueChoice::Split,
-                ValueChoice::ClosestToZero,
-            ][heuristics.1 as usize % 4],
-            split_threshold: [None, Some(4), Some(16)][heuristics.2 as usize % 3],
+            branching: [Branching::InputOrder, Branching::SmallestDomain][heuristics.0 as usize],
+            value_choice: [ValueChoice::Min, ValueChoice::ClosestToZero][heuristics.1 as usize],
+            split_threshold: [None, Some(2), Some(4), Some(16)][heuristics.2 as usize],
             ..Default::default()
         };
         let objective = if maximize {

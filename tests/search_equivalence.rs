@@ -127,9 +127,12 @@ fn branching_param_change_applies_on_next_invocation() {
     inst.invoke_solver().unwrap();
     assert_eq!(inst.search_config().branching, Branching::InputOrder);
     // Every solver knob takes the same path, and the rebuild re-validates.
-    inst.params_mut().solver_value_choice = ValueChoice::Max;
+    inst.params_mut().solver_value_choice = ValueChoice::ClosestToZero;
     inst.invoke_solver().unwrap();
-    assert_eq!(inst.search_config().value_choice, ValueChoice::Max);
+    assert_eq!(
+        inst.search_config().value_choice,
+        ValueChoice::ClosestToZero
+    );
     inst.params_mut().solver_split_threshold = Some(1);
     assert!(matches!(
         inst.invoke_solver(),
