@@ -5,9 +5,9 @@
 //! non-aggregate columns) instead of being emitted. After the pending queue
 //! drains, [`GroupTable::finalize`] turns the groups touched since the last
 //! drain back into head rows and reports the rows that changed. At every
-//! drain the table therefore equals the grouping of the rule's full join —
-//! what the reference interpreter recomputes from scratch — at a cost of
-//! O(delta derivations + distinct values of the touched groups).
+//! drain the table therefore equals the grouping of the rule's full join,
+//! as if it were recomputed from scratch, at a cost of O(delta derivations
+//! plus the distinct values of the touched groups).
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -152,8 +152,8 @@ impl GroupTable {
 
     /// Fold one derivation (a frontier row of the rule's plan) into its
     /// group: `sign` is +1 when the derivation appeared, -1 when it went.
-    /// Derivations that leave a head variable unbound are dropped, as the
-    /// reference drops the failed instantiation.
+    /// Derivations that leave a head variable unbound are dropped, like a
+    /// failed instantiation of a plain head.
     pub fn fold(&mut self, chunk: &[IVal], sign: i64) {
         self.vals.clear();
         for col in &self.cols {

@@ -30,22 +30,20 @@
 //! * **Compiled plans** (`crate::plan`) — `add_rule` compiles each rule
 //!   once into a `crate::plan::RulePlan`: positional slot bindings,
 //!   per-column match actions, probe keys, and a safety-checked join order
-//!   (selections and index probes replace the interpreted
-//!   `Atom::match_tuple`/`Bindings` walk). The pipelined delta loop fires
-//!   the pinned variant of a plan for each delta tuple, joining only
-//!   against indexed stabilized relations, out of engine-owned scratch
-//!   buffers (no allocation per delta).
+//!   (selections and index probes, not a walk over name-keyed bindings).
+//!   The pipelined delta loop fires the pinned variant of a plan for each
+//!   delta tuple, joining only against indexed stabilized relations, out of
+//!   engine-owned scratch buffers (no allocation per delta).
 //! * **Batched delta bookkeeping** — visibility changes are accumulated in
 //!   dense per-relation counters during a run and folded into the
 //!   name-keyed [`DeltaSummary`] once at the end, so the hot loop never
 //!   touches a `BTreeMap<String, _>`.
 //!
-//! The original interpreted engine is preserved as [`reference`](mod@reference) (the
-//! executable specification); the equivalence test-suite asserts both
-//! engines agree on fixpoint tables, delta summaries and outbox contents.
+//! The test suite (`tests/equivalence_datalog.rs`) checks the engine after
+//! every `run()` against a naive evaluator that recomputes every rule from
+//! the surviving base facts: fixpoint tables, delta summaries and outbox.
 
 mod groups;
-pub mod reference;
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
 
@@ -57,7 +55,6 @@ use crate::tuple::{IRow, IVal, RelStore, Tuple};
 use crate::value::NodeId;
 
 use groups::GroupTable;
-pub use reference::ReferenceEngine;
 
 /// A tuple addressed to another Cologne instance.
 ///
@@ -163,15 +160,6 @@ impl DeltaSummary {
     pub fn total_changes(&self) -> u64 {
         self.changes.values().map(RelationDelta::total).sum()
     }
-
-    fn record(&mut self, relation: &str, inserted: bool) {
-        let entry = self.changes.entry(relation.to_string()).or_default();
-        if inserted {
-            entry.inserted += 1;
-        } else {
-            entry.deleted += 1;
-        }
-    }
 }
 
 /// An internal pending delta: interned relation id plus interned row.
@@ -216,9 +204,9 @@ pub struct Engine {
     /// Relation stores, indexed by relation id (always sized to the
     /// interner's relation count).
     stores: Vec<RelStore>,
-    /// Whether the relation "exists" in the legacy sense: a delta has been
-    /// applied to it (mirrors the reference engine's lazily created
-    /// `HashMap` entries, which persist even when no visibility changed).
+    /// Whether the relation "exists": a delta has been applied to it, even
+    /// one that changed no visibility. [`Engine::relation_names`] lists
+    /// exactly these.
     exists: Vec<bool>,
     rules: Vec<Rule>,
     /// Compiled plan per rule (parallel to `rules`).
@@ -866,7 +854,7 @@ fn diff_sorted(
 }
 
 /// Instantiate a simple (non-aggregate) head row; `None` when a head
-/// variable is unbound, matching the reference's failed instantiation.
+/// variable is unbound, which drops the derivation.
 fn build_head_row(head: &HeadPlan, chunk: &[IVal]) -> Option<IRow> {
     let mut vals = Vec::with_capacity(head.cols.len());
     for col in &head.cols {
@@ -975,6 +963,51 @@ mod tests {
         e.run();
         assert_eq!(e.relation_len("big"), 1);
         assert!(e.contains("big", &int_tuple(&[2, 40])));
+    }
+
+    /// Integer arithmetic that leaves `i64` drops the derivation, like a
+    /// division by zero, instead of panicking or wrapping; in-range rows of
+    /// the same rules still derive.
+    #[test]
+    fn overflowing_arithmetic_drops_the_derivation() {
+        // out(Op, X, Y) <- num(X), Y := expr
+        let rule = |op: &str, expr: Expr| {
+            Rule::new(
+                op,
+                Head::simple(
+                    "out",
+                    vec![Term::Const(op.into()), Term::var("X"), Term::var("Y")],
+                ),
+                vec![
+                    BodyItem::Atom(Atom::new("num", vec![Term::var("X")])),
+                    BodyItem::Assign("Y".into(), expr),
+                ],
+            )
+        };
+        let x = || Box::new(Expr::var("X"));
+        let mut e = engine();
+        e.add_rules([
+            rule("mul", Expr::bin(Op::Mul, Expr::var("X"), Expr::int(2))),
+            rule("div", Expr::bin(Op::Div, Expr::var("X"), Expr::int(-1))),
+            rule("neg", Expr::Neg(x())),
+            rule("abs", Expr::Abs(x())),
+        ]);
+        for v in [i64::MAX, i64::MIN, -3] {
+            e.insert("num", int_tuple(&[v]));
+        }
+        e.run();
+        let row = |op: &str, x: i64, y: i64| vec![op.into(), Value::Int(x), Value::Int(y)];
+        let mut expected = vec![
+            row("abs", -3, 3),
+            row("abs", i64::MAX, i64::MAX),
+            row("div", -3, 3),
+            row("div", i64::MAX, -i64::MAX),
+            row("mul", -3, -6),
+            row("neg", -3, 3),
+            row("neg", i64::MAX, -i64::MAX),
+        ];
+        expected.sort();
+        assert_eq!(e.tuples("out"), expected);
     }
 
     /// hostCpu(H, SUM<C>) <- assign(V, H, C)

@@ -2,8 +2,10 @@
 //!
 //! Colog rule bodies contain, besides predicates, boolean expressions
 //! (selections such as `Hid1 != Hid2` or `Mem <= M`) and assignments
-//! (`R2 := -R1`). Both are built from [`Expr`] trees and evaluated against
-//! the variable [`Bindings`] accumulated while joining the body predicates.
+//! (`R2 := -R1`). Both are built from [`Expr`] trees. The engine compiles
+//! each tree once into a slot-reading plan expression and evaluates only
+//! that (module `plan`); [`Bindings`] is the name-keyed variable map the
+//! Cologne grounder builds while matching solver rules.
 
 use crate::value::Value;
 
@@ -111,166 +113,7 @@ impl Expr {
             Expr::Abs(e) | Expr::Neg(e) | Expr::Not(e) => e.collect_vars(out),
         }
     }
-
-    /// Evaluate against bindings; fails on unbound variables, type errors or
-    /// symbolic (solver) values, which regular Datalog evaluation must never
-    /// encounter.
-    pub fn eval(&self, bindings: &Bindings) -> Result<Value, EvalError> {
-        match self {
-            Expr::Term(Term::Const(v)) => {
-                if v.is_symbolic() {
-                    Err(EvalError::SymbolicValue)
-                } else {
-                    Ok(v.clone())
-                }
-            }
-            Expr::Term(Term::Var(name)) => match bindings.get(name) {
-                Some(v) if v.is_symbolic() => Err(EvalError::SymbolicValue),
-                Some(v) => Ok(v.clone()),
-                None => Err(EvalError::UnboundVariable(name.clone())),
-            },
-            Expr::Neg(e) => match e.eval(bindings)? {
-                Value::Int(i) => Ok(Value::Int(-i)),
-                Value::Float(f) => Ok(Value::float(-f.0)),
-                other => Err(EvalError::TypeMismatch(format!("cannot negate {other}"))),
-            },
-            Expr::Abs(e) => match e.eval(bindings)? {
-                Value::Int(i) => Ok(Value::Int(i.abs())),
-                Value::Float(f) => Ok(Value::float(f.0.abs())),
-                other => Err(EvalError::TypeMismatch(format!("cannot take |{other}|"))),
-            },
-            Expr::Not(e) => {
-                let v = e.eval(bindings)?;
-                match v.as_bool() {
-                    Some(b) => Ok(Value::Bool(!b)),
-                    None => Err(EvalError::TypeMismatch(format!("cannot negate {v}"))),
-                }
-            }
-            Expr::BinOp(op, a, b) => {
-                let va = a.eval(bindings)?;
-                let vb = b.eval(bindings)?;
-                eval_binop(*op, &va, &vb)
-            }
-        }
-    }
-
-    /// Evaluate and coerce to a boolean (for selection predicates).
-    pub fn eval_bool(&self, bindings: &Bindings) -> Result<bool, EvalError> {
-        let v = self.eval(bindings)?;
-        v.as_bool()
-            .ok_or_else(|| EvalError::TypeMismatch(format!("expected boolean, got {v}")))
-    }
 }
-
-fn eval_binop(op: Op, a: &Value, b: &Value) -> Result<Value, EvalError> {
-    use Op::*;
-    match op {
-        And | Or => {
-            let (ba, bb) = match (a.as_bool(), b.as_bool()) {
-                (Some(x), Some(y)) => (x, y),
-                _ => {
-                    return Err(EvalError::TypeMismatch(format!(
-                        "boolean operator on {a} and {b}"
-                    )))
-                }
-            };
-            Ok(Value::Bool(if op == And { ba && bb } else { ba || bb }))
-        }
-        Eq | Ne => {
-            // Numeric comparison when both are numeric; structural otherwise.
-            let equal = match (a.as_f64(), b.as_f64()) {
-                (Some(x), Some(y)) => x == y,
-                _ => a == b,
-            };
-            Ok(Value::Bool(if op == Eq { equal } else { !equal }))
-        }
-        Lt | Le | Gt | Ge => {
-            let (x, y) = match (a.as_f64(), b.as_f64()) {
-                (Some(x), Some(y)) => (x, y),
-                _ => {
-                    return Err(EvalError::TypeMismatch(format!(
-                        "ordering comparison on {a} and {b}"
-                    )))
-                }
-            };
-            let r = match op {
-                Lt => x < y,
-                Le => x <= y,
-                Gt => x > y,
-                Ge => x >= y,
-                _ => unreachable!(),
-            };
-            Ok(Value::Bool(r))
-        }
-        Add | Sub | Mul | Div => match (a, b) {
-            (Value::Int(x), Value::Int(y)) => {
-                let r = match op {
-                    Add => x + y,
-                    Sub => x - y,
-                    Mul => x * y,
-                    Div => {
-                        if *y == 0 {
-                            return Err(EvalError::DivisionByZero);
-                        }
-                        x / y
-                    }
-                    _ => unreachable!(),
-                };
-                Ok(Value::Int(r))
-            }
-            _ => {
-                let (x, y) = match (a.as_f64(), b.as_f64()) {
-                    (Some(x), Some(y)) => (x, y),
-                    _ => {
-                        return Err(EvalError::TypeMismatch(format!(
-                            "arithmetic on {a} and {b}"
-                        )))
-                    }
-                };
-                let r = match op {
-                    Add => x + y,
-                    Sub => x - y,
-                    Mul => x * y,
-                    Div => {
-                        if y == 0.0 {
-                            return Err(EvalError::DivisionByZero);
-                        }
-                        x / y
-                    }
-                    _ => unreachable!(),
-                };
-                Ok(Value::float(r))
-            }
-        },
-    }
-}
-
-/// Errors raised while evaluating expressions.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EvalError {
-    /// A variable was not bound by the body predicates evaluated so far.
-    UnboundVariable(String),
-    /// Operation applied to incompatible value types.
-    TypeMismatch(String),
-    /// Integer or float division by zero.
-    DivisionByZero,
-    /// A symbolic (solver) value reached regular Datalog evaluation; such
-    /// rules must be routed to the constraint-solver grounding path instead.
-    SymbolicValue,
-}
-
-impl std::fmt::Display for EvalError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EvalError::UnboundVariable(v) => write!(f, "unbound variable {v}"),
-            EvalError::TypeMismatch(m) => write!(f, "type mismatch: {m}"),
-            EvalError::DivisionByZero => write!(f, "division by zero"),
-            EvalError::SymbolicValue => write!(f, "symbolic solver value in regular evaluation"),
-        }
-    }
-}
-
-impl std::error::Error for EvalError {}
 
 /// Variable bindings built up while matching body predicates.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -331,91 +174,127 @@ impl Bindings {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rule::{Atom, BodyItem, Head, Rule};
     use crate::value::{NodeId, SymId};
+    use crate::Engine;
 
-    fn bind(pairs: &[(&str, Value)]) -> Bindings {
-        let mut b = Bindings::new();
-        for (n, v) in pairs {
-            b.bind(n, v.clone());
-        }
-        b
+    /// `V := expr` as the engine evaluates it over one `input(X, Y)` row:
+    /// the value the derivation carries, or `None` when it is dropped.
+    fn eval(expr: Expr, x: Value, y: Value) -> Option<Value> {
+        let mut engine = Engine::new(NodeId(0));
+        engine.add_rule(Rule::new(
+            "r",
+            Head::simple("out", vec![Term::var("V")]),
+            vec![
+                BodyItem::Atom(Atom::new("input", vec![Term::var("X"), Term::var("Y")])),
+                BodyItem::Assign("V".into(), expr),
+            ],
+        ));
+        engine.insert("input", vec![x, y]);
+        engine.run();
+        let out = engine.tuples("out");
+        assert!(out.len() <= 1, "one input row derives at most one value");
+        out.into_iter().next().map(|mut t| t.remove(0))
+    }
+
+    fn abs(e: Expr) -> Expr {
+        Expr::Abs(Box::new(e))
+    }
+
+    fn neg(e: Expr) -> Expr {
+        Expr::Neg(Box::new(e))
     }
 
     #[test]
     fn arithmetic_int_and_float() {
-        let b = bind(&[("X", Value::Int(6)), ("Y", Value::float(1.5))]);
-        let e = Expr::bin(Op::Mul, Expr::var("X"), Expr::int(2));
-        assert_eq!(e.eval(&b).unwrap(), Value::Int(12));
-        let f = Expr::bin(Op::Add, Expr::var("X"), Expr::var("Y"));
-        assert_eq!(f.eval(&b).unwrap(), Value::float(7.5));
-        let d = Expr::bin(Op::Div, Expr::var("X"), Expr::int(4));
-        assert_eq!(d.eval(&b).unwrap(), Value::Int(1)); // integer division
+        let (x, y) = (Value::Int(6), Value::float(1.5));
+        let e = |expr| eval(expr, x.clone(), y.clone());
+        assert_eq!(
+            e(Expr::bin(Op::Mul, Expr::var("X"), Expr::int(2))),
+            Some(Value::Int(12))
+        );
+        // an Int meeting a Float computes in floats
+        assert_eq!(
+            e(Expr::bin(Op::Add, Expr::var("X"), Expr::var("Y"))),
+            Some(Value::float(7.5))
+        );
+        // integer division truncates
+        assert_eq!(
+            e(Expr::bin(Op::Div, Expr::var("X"), Expr::int(4))),
+            Some(Value::Int(1))
+        );
     }
 
     #[test]
     fn division_by_zero_reported() {
-        let b = Bindings::new();
-        let e = Expr::bin(Op::Div, Expr::int(4), Expr::int(0));
-        assert_eq!(e.eval(&b), Err(EvalError::DivisionByZero));
+        // A zero divisor drops the derivation, for ints and floats alike.
+        let (x, y) = (Value::Int(4), Value::float(0.0));
+        assert_eq!(
+            eval(
+                Expr::bin(Op::Div, Expr::var("X"), Expr::int(0)),
+                x.clone(),
+                y.clone()
+            ),
+            None
+        );
+        assert_eq!(
+            eval(Expr::bin(Op::Div, Expr::var("X"), Expr::var("Y")), x, y),
+            None
+        );
     }
 
     #[test]
     fn comparisons_and_boolean_ops() {
-        let b = bind(&[("A", Value::Int(3)), ("B", Value::Int(5))]);
-        let lt = Expr::bin(Op::Lt, Expr::var("A"), Expr::var("B"));
-        assert_eq!(lt.eval_bool(&b), Ok(true));
-        let ne = Expr::bin(Op::Ne, Expr::var("A"), Expr::var("B"));
-        let both = Expr::bin(Op::And, lt, ne);
-        assert_eq!(both.eval_bool(&b), Ok(true));
-        let not = Expr::Not(Box::new(Expr::bin(Op::Ge, Expr::var("A"), Expr::var("B"))));
-        assert_eq!(not.eval_bool(&b), Ok(true));
+        let e = |expr| eval(expr, Value::Int(3), Value::Int(5));
+        let lt = Expr::bin(Op::Lt, Expr::var("X"), Expr::var("Y"));
+        assert_eq!(e(lt.clone()), Some(Value::Bool(true)));
+        let ne = Expr::bin(Op::Ne, Expr::var("X"), Expr::var("Y"));
+        assert_eq!(e(Expr::bin(Op::And, lt, ne)), Some(Value::Bool(true)));
+        let not = Expr::Not(Box::new(Expr::bin(Op::Ge, Expr::var("X"), Expr::var("Y"))));
+        assert_eq!(e(not), Some(Value::Bool(true)));
     }
 
     #[test]
     fn equality_is_numeric_across_types_but_structural_otherwise() {
-        let b = Bindings::new();
-        let num = Expr::bin(Op::Eq, Expr::int(2), Expr::value(Value::float(2.0)));
-        assert_eq!(num.eval_bool(&b), Ok(true));
+        let e = |expr| eval(expr, Value::Int(2), Value::float(2.0));
+        assert_eq!(
+            e(Expr::bin(Op::Eq, Expr::var("X"), Expr::var("Y"))),
+            Some(Value::Bool(true))
+        );
         let strs = Expr::bin(Op::Eq, Expr::value("a".into()), Expr::value("b".into()));
-        assert_eq!(strs.eval_bool(&b), Ok(false));
+        assert_eq!(e(strs), Some(Value::Bool(false)));
     }
 
     #[test]
     fn abs_and_neg() {
-        let b = bind(&[("X", Value::Int(-4))]);
-        assert_eq!(
-            Expr::Abs(Box::new(Expr::var("X"))).eval(&b).unwrap(),
-            Value::Int(4)
-        );
-        assert_eq!(
-            Expr::Neg(Box::new(Expr::var("X"))).eval(&b).unwrap(),
-            Value::Int(4)
-        );
-        let f = bind(&[("X", Value::float(-2.5))]);
-        assert_eq!(
-            Expr::Abs(Box::new(Expr::var("X"))).eval(&f).unwrap(),
-            Value::float(2.5)
-        );
+        let e = |expr| eval(expr, Value::Int(-4), Value::float(-2.5));
+        assert_eq!(e(abs(Expr::var("X"))), Some(Value::Int(4)));
+        assert_eq!(e(neg(Expr::var("X"))), Some(Value::Int(4)));
+        assert_eq!(e(abs(Expr::var("Y"))), Some(Value::float(2.5)));
     }
 
     #[test]
     fn unbound_and_symbolic_errors() {
-        let b = Bindings::new();
+        // A variable the body never binds, or a symbolic solver value,
+        // fails the evaluation and drops the derivation.
         assert_eq!(
-            Expr::var("Missing").eval(&b),
-            Err(EvalError::UnboundVariable("Missing".into()))
+            eval(Expr::var("Missing"), Value::Int(1), Value::Int(2)),
+            None
         );
-        let s = bind(&[("S", Value::Sym(SymId(1)))]);
-        assert_eq!(Expr::var("S").eval(&s), Err(EvalError::SymbolicValue));
+        assert_eq!(
+            eval(Expr::var("X"), Value::Sym(SymId(1)), Value::Int(2)),
+            None
+        );
     }
 
     #[test]
     fn type_errors_reported() {
-        let b = bind(&[("N", Value::Addr(NodeId(1)))]);
-        let e = Expr::bin(Op::Add, Expr::var("N"), Expr::int(1));
-        assert!(matches!(e.eval(&b), Err(EvalError::TypeMismatch(_))));
-        let c = Expr::bin(Op::Lt, Expr::value("a".into()), Expr::int(1));
-        assert!(matches!(c.eval(&b), Err(EvalError::TypeMismatch(_))));
+        let e = |expr| eval(expr, Value::Addr(NodeId(1)), Value::Int(1));
+        assert_eq!(e(Expr::bin(Op::Add, Expr::var("X"), Expr::var("Y"))), None);
+        assert_eq!(
+            e(Expr::bin(Op::Lt, Expr::value("a".into()), Expr::var("Y"))),
+            None
+        );
     }
 
     #[test]

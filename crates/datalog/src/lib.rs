@@ -42,10 +42,10 @@ pub mod serde;
 pub mod tuple;
 pub mod value;
 
-pub use engine::{DeltaSummary, Engine, EngineStats, ReferenceEngine, RelationDelta, RemoteTuple};
-pub use expr::{Bindings, EvalError, Expr, Op, Term};
+pub use engine::{DeltaSummary, Engine, EngineStats, RelationDelta, RemoteTuple};
+pub use expr::{Bindings, Expr, Op, Term};
 pub use rule::{AggFunc, Atom, BodyItem, Head, HeadArg, Rule};
 pub use schema::{did_you_mean, IngestError, SchemaError, SchemaSet, TupleSchema};
 pub use serde::{decode_tuple, decode_value, encode_tuple, encode_value, DecodeError};
-pub use tuple::{Relation, Tuple};
+pub use tuple::Tuple;
 pub use value::{NodeId, RelId, StrId, SymId, Value, ValueKind, F64};

@@ -1,4 +1,4 @@
-//! Compiled rule plans: the engine's replacement for interpreted matching.
+//! Compiled rule plans: the form in which the engine evaluates a rule.
 //!
 //! [`crate::Engine::add_rule`] compiles each rule once into a [`RulePlan`]:
 //! variable names become dense `u16` slots, atom arguments become per-column
@@ -8,26 +8,25 @@
 //! body atom is resolved either by probing a lazily built bound-column hash
 //! index or by scanning the relation's arena.
 //!
-//! ## Invariants (kept in lock-step with `engine::reference`)
+//! ## Invariants
 //!
 //! * **Binding equivalence** — for every rule and database state, executing
-//!   a plan yields exactly the multiset of variable bindings the reference
-//!   interpreter's `join_body` produces. Atom reordering is only applied
+//!   a plan yields exactly the multiset of variable bindings of evaluating
+//!   the body left to right as written. Atom reordering is only applied
 //!   when provably safe (see [`reorder_safe`]): every filter/assign must
 //!   reference only variables bound by *earlier* items in the original
 //!   order, and no assignment target may appear in an atom. Otherwise the
-//!   plan preserves the original body order, including reference quirks
-//!   such as rules deadened by forward references (compiled to
-//!   [`PExpr::Unbound`], which fails every evaluation just as the
-//!   interpreter does).
+//!   plan preserves the original body order, so a forward reference reads
+//!   a variable that is not bound yet: it compiles to [`PExpr::Unbound`],
+//!   which fails every evaluation and so deadens the rule.
 //! * **Static boundness** — whether a slot is bound at a given plan
 //!   position is a compile-time fact (atoms and assignments bind their
 //!   variables for *all* frontier rows), so the executor needs no runtime
 //!   bound mask and unbound reads compile to `Unbound`/`HeadCol::Unbound`.
-//! * **Error parity** — [`PExpr::eval`] mirrors `Expr::eval` exactly:
-//!   symbolic values, unbound variables, type mismatches and division by
-//!   zero all fail, a failed filter drops the row, and a failed assignment
-//!   drops the row (matching the interpreter's `if let Ok` pattern).
+//! * **Failed evaluation drops the row** — [`PExpr::eval`] fails on
+//!   symbolic values, unbound variables, type mismatches, division by zero
+//!   and integer overflow. A failed filter drops the row, and so does a
+//!   failed assignment.
 //! * **Pinned firing** — `pinned[rel]` is the plan used by pipelined
 //!   semi-naive delta firing, for simple and aggregate heads alike: the
 //!   atom occurrence of `rel` matches only the delta row. Rules with pinned
@@ -100,8 +99,9 @@ pub(crate) enum PExpr {
 }
 
 impl PExpr {
-    /// Evaluate against a frontier row. `Err(())` corresponds exactly to the
-    /// reference interpreter's `EvalError` cases.
+    /// Evaluate against a frontier row. `Err(())` on a symbolic value, an
+    /// unbound variable, a type mismatch, a zero divisor or an integer
+    /// result outside `i64`.
     pub fn eval(&self, slots: &[IVal]) -> Result<IVal, ()> {
         match self {
             PExpr::Const(v) => {
@@ -121,12 +121,12 @@ impl PExpr {
                 }
             }
             PExpr::Neg(e) => match e.eval(slots)? {
-                IVal::Int(i) => Ok(IVal::Int(-i)),
+                IVal::Int(i) => i.checked_neg().map(IVal::Int).ok_or(()),
                 IVal::Float(bits) => Ok(fval(-f64::from_bits(bits))),
                 _ => Err(()),
             },
             PExpr::Abs(e) => match e.eval(slots)? {
-                IVal::Int(i) => Ok(IVal::Int(i.abs())),
+                IVal::Int(i) => i.checked_abs().map(IVal::Int).ok_or(()),
                 IVal::Float(bits) => Ok(fval(f64::from_bits(bits).abs())),
                 _ => Err(()),
             },
@@ -148,7 +148,9 @@ pub(crate) fn fval(x: f64) -> IVal {
     IVal::Float(crate::value::F64(x).canonical_bits())
 }
 
-/// Mirror of `expr::eval_binop` over interned values.
+/// A binary operator over interned values. Comparisons are numeric when
+/// both sides are numbers, `==`/`!=` structural otherwise; arithmetic stays
+/// in `i64` for two ints (checked) and goes to `f64` for any other numbers.
 fn eval_binop(op: Op, a: IVal, b: IVal) -> Result<IVal, ()> {
     use Op::*;
     match op {
@@ -173,17 +175,15 @@ fn eval_binop(op: Op, a: IVal, b: IVal) -> Result<IVal, ()> {
             _ => Err(()),
         },
         Add | Sub | Mul | Div => match (a, b) {
-            (IVal::Int(x), IVal::Int(y)) => Ok(IVal::Int(match op {
-                Add => x + y,
-                Sub => x - y,
-                Mul => x * y,
-                _ => {
-                    if y == 0 {
-                        return Err(());
-                    }
-                    x / y
-                }
-            })),
+            (IVal::Int(x), IVal::Int(y)) => match op {
+                Add => x.checked_add(y),
+                Sub => x.checked_sub(y),
+                Mul => x.checked_mul(y),
+                // `None` for a zero divisor and for `i64::MIN / -1`
+                _ => x.checked_div(y),
+            }
+            .map(IVal::Int)
+            .ok_or(()),
             _ => match (a.as_f64(), b.as_f64()) {
                 (Some(x), Some(y)) => Ok(fval(match op {
                     Add => x + y,
@@ -268,9 +268,9 @@ fn slot_map(rule: &Rule) -> HashMap<String, u16> {
     map
 }
 
-/// True when atom reordering provably preserves reference semantics: every
-/// filter/assign reads only variables bound by earlier items (no forward
-/// references, which deaden the rule in the reference interpreter), and no
+/// True when atom reordering provably preserves the written order's
+/// bindings: every filter/assign reads only variables bound by earlier items
+/// (no forward references, which deaden the rule), and no
 /// assignment target appears in any atom (an atom could otherwise observe
 /// the variable before or after the overwrite depending on order).
 fn reorder_safe(rule: &Rule) -> bool {
@@ -567,7 +567,7 @@ pub(crate) fn compile(rule: &Rule, recompute: bool, interner: &mut Interner) -> 
     let mut pinned = Vec::new();
     if !recompute {
         // Pipelined firing pins the delta at the first (unique) occurrence
-        // of each body relation, exactly like the reference interpreter.
+        // of each body relation.
         let mut seen: Vec<&str> = Vec::new();
         for (idx, item) in rule.body.iter().enumerate() {
             if let BodyItem::Atom(a) = item {
@@ -819,7 +819,7 @@ mod tests {
         let mut interner = Interner::default();
         let plan = compile(&rule, false, &mut interner);
         // Original order preserved: the filter compiles to an always-failing
-        // expression, deadening the rule exactly like the interpreter.
+        // expression, deadening the rule.
         match &plan.full[0] {
             PlanOp::Filter(PExpr::Bin(_, l, _)) => assert!(matches!(**l, PExpr::Unbound)),
             other => panic!("expected filter first, got {other:?}"),

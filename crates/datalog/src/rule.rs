@@ -9,15 +9,12 @@
 //! ## Relationship to compiled plans
 //!
 //! This IR is *name-based*: atoms refer to relations by string and to
-//! variables by name, and [`Atom::match_tuple`] unifies against a
-//! [`Bindings`] map. The engine does not evaluate rules in this form.
+//! variables by name. The engine does not evaluate rules in this form.
 //! When a rule is registered with [`crate::Engine::add_rule`] it is
 //! compiled once into a `RulePlan` (module `plan`, crate-private): relation
 //! names become interned `RelId`s, variable names become dense `u16` slots,
 //! and the body atoms are reordered into an explicit join order with a
-//! per-atom index probe strategy. The [`crate::engine::ReferenceEngine`]
-//! keeps interpreting this IR directly, which is what makes it a useful
-//! equivalence oracle for the compiled path.
+//! per-atom index probe strategy.
 //!
 //! Invariants the compiler relies on (and `plan::compile` checks or
 //! preserves):
@@ -34,7 +31,7 @@
 //!   recompute-and-diff rather than per-delta counting, because a single
 //!   delta can participate in several derivations of the same head tuple.
 
-use crate::expr::{Bindings, EvalError, Expr, Term};
+use crate::expr::{Expr, Term};
 use crate::value::Value;
 
 /// A predicate occurrence `rel(arg1, ..., argn)`.
@@ -66,44 +63,6 @@ impl Atom {
             args,
             located: true,
         }
-    }
-
-    /// Match a tuple against this atom, extending `bindings`.
-    /// Returns false if arity or already-bound variables disagree.
-    pub fn match_tuple(&self, tuple: &[Value], bindings: &mut Bindings) -> bool {
-        if tuple.len() != self.args.len() {
-            return false;
-        }
-        for (term, value) in self.args.iter().zip(tuple.iter()) {
-            match term {
-                Term::Const(c) => {
-                    if c != value {
-                        return false;
-                    }
-                }
-                Term::Var(name) => {
-                    if !bindings.bind(name, value.clone()) {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    /// Instantiate the atom into a tuple using bindings. Fails on unbound
-    /// variables.
-    pub fn instantiate(&self, bindings: &Bindings) -> Result<Vec<Value>, EvalError> {
-        self.args
-            .iter()
-            .map(|t| match t {
-                Term::Const(c) => Ok(c.clone()),
-                Term::Var(name) => bindings
-                    .get(name)
-                    .cloned()
-                    .ok_or_else(|| EvalError::UnboundVariable(name.clone())),
-            })
-            .collect()
     }
 
     /// Variable names appearing in the atom, in order of first appearance.
@@ -258,17 +217,6 @@ impl Head {
     pub fn has_aggregate(&self) -> bool {
         self.args.iter().any(|a| matches!(a, HeadArg::Agg(_, _)))
     }
-
-    /// The group-by terms (non-aggregate head arguments), in order.
-    pub fn group_by(&self) -> Vec<&Term> {
-        self.args
-            .iter()
-            .filter_map(|a| match a {
-                HeadArg::Term(t) => Some(t),
-                HeadArg::Agg(_, _) => None,
-            })
-            .collect()
-    }
 }
 
 /// A complete rule.
@@ -314,35 +262,69 @@ mod tests {
     use super::*;
     use crate::expr::Op;
 
+    /// The head relation after running `rule` over `facts`.
+    fn derive(rule: Rule, facts: &[(&str, Vec<Value>)]) -> Vec<Vec<Value>> {
+        let head = rule.head.relation.clone();
+        let mut engine = crate::Engine::new(crate::NodeId(0));
+        engine.add_rule(rule);
+        for (relation, tuple) in facts {
+            engine.insert(relation, tuple.clone());
+        }
+        engine.run();
+        engine.tuples(&head)
+    }
+
     #[test]
     fn atom_matching_binds_and_checks() {
-        let atom = Atom::new("vm", vec![Term::var("Vid"), Term::var("Cpu"), Term::int(4)]);
-        let mut b = Bindings::new();
-        assert!(atom.match_tuple(&[Value::Int(1), Value::Int(50), Value::Int(4)], &mut b));
-        assert_eq!(b.get("Vid"), Some(&Value::Int(1)));
-        // constant mismatch
-        let mut b2 = Bindings::new();
-        assert!(!atom.match_tuple(&[Value::Int(1), Value::Int(50), Value::Int(8)], &mut b2));
-        // arity mismatch
-        let mut b3 = Bindings::new();
-        assert!(!atom.match_tuple(&[Value::Int(1)], &mut b3));
-        // join conflict on repeated variable
-        let dup = Atom::new("link", vec![Term::var("X"), Term::var("X")]);
-        let mut b4 = Bindings::new();
-        assert!(!dup.match_tuple(&[Value::Int(1), Value::Int(2)], &mut b4));
+        let int = Value::Int;
+        // out(Vid, Cpu) <- vm(Vid, Cpu, 4)
+        let vm = Rule::new(
+            "r",
+            Head::simple("out", vec![Term::var("Vid"), Term::var("Cpu")]),
+            vec![BodyItem::Atom(Atom::new(
+                "vm",
+                vec![Term::var("Vid"), Term::var("Cpu"), Term::int(4)],
+            ))],
+        );
+        let facts = [
+            ("vm", vec![int(1), int(50), int(4)]),
+            ("vm", vec![int(2), int(50), int(8)]), // constant mismatch
+            ("vm", vec![int(3)]),                  // arity mismatch
+        ];
+        assert_eq!(derive(vm, &facts), vec![vec![int(1), int(50)]]);
+        // join conflict on a repeated variable
+        let dup = Rule::new(
+            "d",
+            Head::simple("loop", vec![Term::var("X")]),
+            vec![BodyItem::Atom(Atom::new(
+                "link",
+                vec![Term::var("X"), Term::var("X")],
+            ))],
+        );
+        let facts = [
+            ("link", vec![int(1), int(2)]),
+            ("link", vec![int(3), int(3)]),
+        ];
+        assert_eq!(derive(dup, &facts), vec![vec![int(3)]]);
     }
 
     #[test]
     fn atom_instantiation() {
-        let atom = Atom::new("host", vec![Term::var("Hid"), Term::int(0)]);
-        let mut b = Bindings::new();
-        b.bind("Hid", Value::Int(9));
-        assert_eq!(
-            atom.instantiate(&b).unwrap(),
-            vec![Value::Int(9), Value::Int(0)]
+        let up = || vec![BodyItem::Atom(Atom::new("up", vec![Term::var("Hid")]))];
+        let facts = [("up", vec![Value::Int(9)])];
+        // host(Hid, 0) <- up(Hid)
+        let host = Rule::new(
+            "h",
+            Head::simple("host", vec![Term::var("Hid"), Term::int(0)]),
+            up(),
         );
-        let missing = Atom::new("host", vec![Term::var("Nope")]);
-        assert!(missing.instantiate(&b).is_err());
+        assert_eq!(
+            derive(host, &facts),
+            vec![vec![Value::Int(9), Value::Int(0)]]
+        );
+        // a head variable the body never binds drops the derivation
+        let missing = Rule::new("m", Head::simple("host", vec![Term::var("Nope")]), up());
+        assert!(derive(missing, &facts).is_empty());
     }
 
     #[test]
@@ -395,7 +377,6 @@ mod tests {
             located: false,
         };
         assert!(head.has_aggregate());
-        assert_eq!(head.group_by().len(), 1);
         let rule = Rule::new(
             "d1",
             head,

@@ -7,16 +7,12 @@
 //! tuples are inserted or deleted by adjusting counts rather than
 //! recomputing rules from scratch.
 //!
-//! Two representations live here:
-//!
-//! * [`Relation`] — the public `HashMap<Tuple, count>` form, still used by
-//!   the test-only reference interpreter ([`crate::engine::reference`]);
-//! * `RelStore` (crate-internal) — the indexed arena the production engine
-//!   evaluates against: rows are flat arrays of copyable `IVal` words,
-//!   distinct rows live once in an arena keyed by hash, the visible-row
-//!   count is maintained incrementally (O(1) `relation_len`), and secondary
-//!   hash indexes over bound-column sets are built lazily on first probe and
-//!   maintained on every visibility transition.
+//! The production engine evaluates against `RelStore` (crate-internal), an
+//! indexed arena: rows are flat arrays of copyable `IVal` words, distinct
+//! rows live once in an arena keyed by hash, the visible-row count is
+//! maintained incrementally (O(1) `relation_len`), and secondary hash
+//! indexes over bound-column sets are built lazily on first probe and
+//! maintained on every visibility transition.
 
 use std::cell::OnceCell;
 use std::collections::HashMap;
@@ -27,106 +23,6 @@ use crate::value::{NodeId, SymId, Value, F64};
 
 /// A tuple: an ordered list of attribute values belonging to some relation.
 pub type Tuple = Vec<Value>;
-
-/// A named, materialized relation with counted multiplicities.
-#[derive(Debug, Clone, Default)]
-pub struct Relation {
-    tuples: HashMap<Tuple, i64>,
-}
-
-impl Relation {
-    /// Empty relation.
-    pub fn new() -> Self {
-        Relation {
-            tuples: HashMap::new(),
-        }
-    }
-
-    /// Number of distinct visible tuples.
-    pub fn len(&self) -> usize {
-        self.tuples.len()
-    }
-
-    /// True if no tuple is visible.
-    pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
-    }
-
-    /// True if `t` is currently visible (count > 0).
-    pub fn contains(&self, t: &Tuple) -> bool {
-        self.tuples.get(t).is_some_and(|&c| c > 0)
-    }
-
-    /// Current derivation count for `t` (0 if absent).
-    pub fn count(&self, t: &Tuple) -> i64 {
-        self.tuples.get(t).copied().unwrap_or(0)
-    }
-
-    /// Iterate over visible tuples.
-    pub fn iter(&self) -> impl Iterator<Item = &Tuple> {
-        self.tuples.iter().filter(|&(_, &c)| c > 0).map(|(t, _)| t)
-    }
-
-    /// Collect visible tuples into a vector (deterministically sorted, which
-    /// keeps distributed runs reproducible).
-    pub fn sorted_tuples(&self) -> Vec<Tuple> {
-        let mut out: Vec<Tuple> = self.iter().cloned().collect();
-        out.sort();
-        out
-    }
-
-    /// Adjust the count of `t` by `delta`.
-    ///
-    /// Returns `Some(true)` if the tuple became visible, `Some(false)` if it
-    /// became invisible, and `None` if visibility did not change.
-    pub fn adjust(&mut self, t: Tuple, delta: i64) -> Option<bool> {
-        if delta == 0 {
-            return None;
-        }
-        let entry = self.tuples.entry(t).or_insert(0);
-        let before = *entry > 0;
-        *entry += delta;
-        let after = *entry > 0;
-        let key_dead = *entry == 0;
-        if key_dead {
-            // Clean up zero-count entries to keep iteration cheap.
-            // (We need the key to remove it; re-borrow via retain-free path.)
-        }
-        match (before, after) {
-            (false, true) => Some(true),
-            (true, false) => Some(false),
-            _ => None,
-        }
-    }
-
-    /// Remove entries whose count dropped to zero (housekeeping).
-    pub fn compact(&mut self) {
-        self.tuples.retain(|_, &mut c| c != 0);
-    }
-
-    /// Replace the contents with exactly the given tuples, each at count 1.
-    /// Returns the (insertions, deletions) diff against the previous state.
-    pub fn replace_with(&mut self, new_tuples: Vec<Tuple>) -> (Vec<Tuple>, Vec<Tuple>) {
-        let mut target: HashMap<Tuple, i64> = HashMap::with_capacity(new_tuples.len());
-        for t in new_tuples {
-            *target.entry(t).or_insert(0) = 1;
-        }
-        let mut inserted = Vec::new();
-        let mut deleted = Vec::new();
-        for (t, &c) in &self.tuples {
-            if c > 0 && !target.contains_key(t) {
-                deleted.push(t.clone());
-            }
-        }
-        for t in target.keys() {
-            if !self.contains(t) {
-                inserted.push(t.clone());
-            }
-        }
-        self.tuples = target;
-        (inserted, deleted)
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Interned representation (engine-internal)
@@ -436,8 +332,11 @@ impl RelStore {
             .find(|&i| self.rows[i as usize] == *row)
     }
 
-    /// Adjust the count of `row` by `delta`; same contract as
-    /// [`Relation::adjust`]. Secondary indexes and the visible count are
+    /// Adjust the count of `row` by `delta`.
+    ///
+    /// Returns `Some(true)` if the row became visible (count > 0),
+    /// `Some(false)` if it stopped being visible, and `None` if visibility
+    /// did not change. Secondary indexes and the visible count are
     /// maintained on every visibility transition.
     pub fn adjust(&mut self, row: &IRow, delta: i64) -> Option<bool> {
         if delta == 0 {
@@ -514,8 +413,8 @@ impl RelStore {
             .map(move |((row, cell), _)| cell.get_or_init(|| row.to_tuple(strs)))
     }
 
-    /// Visible public tuples, sorted (same order as
-    /// [`Relation::sorted_tuples`]).
+    /// Visible public tuples, sorted (deterministic, which keeps
+    /// distributed runs reproducible).
     pub fn sorted_pubs(&self, strs: &SymbolTable) -> Vec<Tuple> {
         let mut out: Vec<Tuple> = self.scan_pubs(strs).cloned().collect();
         out.sort();
@@ -579,71 +478,59 @@ impl RelStore {
 mod tests {
     use super::*;
 
-    fn t(vals: &[i64]) -> Tuple {
+    fn t(vals: &[i64]) -> IRow {
+        let vals: Vec<IVal> = vals.iter().map(|&v| IVal::Int(v)).collect();
+        IRow::from_vals(&vals)
+    }
+
+    fn ints(vals: &[i64]) -> Tuple {
         vals.iter().map(|&v| Value::Int(v)).collect()
     }
 
     #[test]
     fn adjust_tracks_visibility_transitions() {
-        let mut r = Relation::new();
-        assert_eq!(r.adjust(t(&[1, 2]), 1), Some(true));
-        assert_eq!(r.adjust(t(&[1, 2]), 1), None); // still visible
-        assert_eq!(r.adjust(t(&[1, 2]), -1), None);
-        assert_eq!(r.adjust(t(&[1, 2]), -1), Some(false));
-        assert!(!r.contains(&t(&[1, 2])));
-        assert_eq!(r.adjust(t(&[1, 2]), 0), None);
+        let mut r = RelStore::default();
+        assert_eq!(r.adjust(&t(&[1, 2]), 1), Some(true));
+        assert_eq!(r.adjust(&t(&[1, 2]), 1), None); // still visible
+        assert_eq!(r.adjust(&t(&[1, 2]), -1), None);
+        assert_eq!(r.adjust(&t(&[1, 2]), -1), Some(false));
+        assert!(!r.contains_row(&t(&[1, 2])));
+        assert_eq!(r.adjust(&t(&[1, 2]), 0), None);
     }
 
     #[test]
     fn len_and_iter_skip_invisible() {
-        let mut r = Relation::new();
-        r.adjust(t(&[1]), 1);
-        r.adjust(t(&[2]), 1);
-        r.adjust(t(&[2]), -1);
-        r.compact();
-        assert_eq!(r.len(), 1);
-        assert_eq!(r.iter().count(), 1);
-        assert!(r.contains(&t(&[1])));
+        let mut r = RelStore::default();
+        let strs = SymbolTable::default();
+        r.adjust(&t(&[1]), 1);
+        r.adjust(&t(&[2]), 1);
+        r.adjust(&t(&[2]), -1);
+        assert_eq!(r.visible_len(), 1);
+        assert_eq!(r.scan_pubs(&strs).count(), 1);
+        assert_eq!(r.num_rows(), 2, "the arena keeps the invisible row");
+        assert!(r.contains_row(&t(&[1])));
     }
 
     #[test]
     fn sorted_tuples_is_deterministic() {
-        let mut r = Relation::new();
-        r.adjust(t(&[3, 1]), 1);
-        r.adjust(t(&[1, 2]), 1);
-        r.adjust(t(&[2, 0]), 1);
-        assert_eq!(r.sorted_tuples(), vec![t(&[1, 2]), t(&[2, 0]), t(&[3, 1])]);
-    }
-
-    #[test]
-    fn replace_with_computes_diff() {
-        let mut r = Relation::new();
-        r.adjust(t(&[1]), 1);
-        r.adjust(t(&[2]), 1);
-        let (ins, del) = r.replace_with(vec![t(&[2]), t(&[3])]);
-        assert_eq!(ins, vec![t(&[3])]);
-        assert_eq!(del, vec![t(&[1])]);
-        assert!(r.contains(&t(&[2])));
-        assert!(r.contains(&t(&[3])));
-        assert!(!r.contains(&t(&[1])));
-    }
-
-    #[test]
-    fn replace_with_empty_clears() {
-        let mut r = Relation::new();
-        r.adjust(t(&[1]), 1);
-        let (ins, del) = r.replace_with(vec![]);
-        assert!(ins.is_empty());
-        assert_eq!(del, vec![t(&[1])]);
-        assert!(r.is_empty());
+        let mut r = RelStore::default();
+        let strs = SymbolTable::default();
+        r.adjust(&t(&[3, 1]), 1);
+        r.adjust(&t(&[1, 2]), 1);
+        r.adjust(&t(&[2, 0]), 1);
+        assert_eq!(
+            r.sorted_pubs(&strs),
+            vec![ints(&[1, 2]), ints(&[2, 0]), ints(&[3, 1])]
+        );
     }
 
     #[test]
     fn negative_counts_keep_tuple_invisible() {
-        let mut r = Relation::new();
-        assert_eq!(r.adjust(t(&[5]), -1), None);
-        assert!(!r.contains(&t(&[5])));
-        assert_eq!(r.adjust(t(&[5]), 1), None); // back to zero, still invisible
-        assert_eq!(r.adjust(t(&[5]), 1), Some(true));
+        let mut r = RelStore::default();
+        assert_eq!(r.adjust(&t(&[5]), -1), None);
+        assert!(!r.contains_row(&t(&[5])));
+        assert_eq!(r.adjust(&t(&[5]), 1), None); // back to zero, still invisible
+        assert_eq!(r.adjust(&t(&[5]), 1), Some(true));
+        assert_eq!(r.visible_len(), 1);
     }
 }

@@ -1,53 +1,18 @@
 //! Property-based tests for the incremental Datalog engine: incremental
-//! maintenance under arbitrary insert/delete sequences is equivalent to
-//! recomputing from scratch, and aggregates match their reference
-//! definitions.
+//! maintenance under arbitrary insert/delete sequences ends where the naive
+//! oracle's recomputation from scratch ends, and aggregates match the
+//! oracle's per-group definitions.
+
+#[path = "common/naive_datalog.rs"]
+mod naive_datalog;
 
 use proptest::prelude::*;
 
-use cologne_datalog::{AggFunc, Atom, BodyItem, Engine, Head, HeadArg, NodeId, Rule, Term, Value};
+use cologne_datalog::{AggFunc, Atom, BodyItem, Head, HeadArg, NodeId, Rule, Term, Value};
+use naive_datalog::{transitive_closure_rules, Checked, ScriptOp};
 
-fn tc_engine() -> Engine {
-    let mut e = Engine::new(NodeId(0));
-    e.add_rule(Rule::new(
-        "r1",
-        Head::simple("path", vec![Term::var("X"), Term::var("Y")]),
-        vec![BodyItem::Atom(Atom::new(
-            "link",
-            vec![Term::var("X"), Term::var("Y")],
-        ))],
-    ));
-    e.add_rule(Rule::new(
-        "r2",
-        Head::simple("path", vec![Term::var("X"), Term::var("Z")]),
-        vec![
-            BodyItem::Atom(Atom::new("link", vec![Term::var("X"), Term::var("Y")])),
-            BodyItem::Atom(Atom::new("path", vec![Term::var("Y"), Term::var("Z")])),
-        ],
-    ));
-    e
-}
-
-/// Reference transitive closure.
-fn closure(
-    edges: &std::collections::BTreeSet<(i64, i64)>,
-) -> std::collections::BTreeSet<(i64, i64)> {
-    let mut reach = edges.clone();
-    loop {
-        let mut added = false;
-        let snapshot: Vec<(i64, i64)> = reach.iter().copied().collect();
-        for &(a, b) in edges.iter() {
-            for &(c, d) in &snapshot {
-                if b == c && reach.insert((a, d)) {
-                    added = true;
-                }
-            }
-        }
-        if !added {
-            break;
-        }
-    }
-    reach
+fn pair(a: i64, b: i64) -> Vec<Value> {
+    vec![Value::Int(a), Value::Int(b)]
 }
 
 proptest! {
@@ -62,23 +27,12 @@ proptest! {
     fn incremental_insertions_equal_recomputation(
         edge_list in prop::collection::vec((0i64..6, 0i64..6), 1..20)
     ) {
-        let mut engine = tc_engine();
-        let mut edges: std::collections::BTreeSet<(i64, i64)> = Default::default();
-        for (a, b) in &edge_list {
-            if a == b {
-                continue;
-            }
-            engine.insert("link", vec![Value::Int(*a), Value::Int(*b)]);
-            engine.run(); // pipelined: one delta at a time
-            edges.insert((*a, *b));
+        let mut script = Vec::new();
+        for &(a, b) in edge_list.iter().filter(|(a, b)| a != b) {
+            script.push(ScriptOp::Insert("link", pair(a, b)));
+            script.push(ScriptOp::Run); // pipelined: one delta at a time
         }
-        let expected = closure(&edges);
-        let actual: std::collections::BTreeSet<(i64, i64)> = engine
-            .tuples("path")
-            .into_iter()
-            .map(|t| (t[0].as_int().unwrap(), t[1].as_int().unwrap()))
-            .collect();
-        prop_assert_eq!(actual, expected);
+        Checked::new(NodeId(0), &transitive_closure_rules()).apply(&script)?;
     }
 
     /// Interleaved insertions and deletions on a *non-recursive* rule (the
@@ -89,67 +43,42 @@ proptest! {
         ops in prop::collection::vec((0i64..4, 0i64..4, prop::bool::ANY), 1..30)
     ) {
         // twoHop(X,Z) <- link(X,Y), hop(Y,Z): a join of two base relations.
-        let mut engine = Engine::new(NodeId(0));
-        engine.add_rule(Rule::new(
+        let rule = Rule::new(
             "r1",
             Head::simple("twoHop", vec![Term::var("X"), Term::var("Z")]),
             vec![
                 BodyItem::Atom(Atom::new("link", vec![Term::var("X"), Term::var("Y")])),
                 BodyItem::Atom(Atom::new("hop", vec![Term::var("Y"), Term::var("Z")])),
             ],
-        ));
-        let mut link_counts: std::collections::BTreeMap<(i64, i64), i64> = Default::default();
-        let mut hop_counts: std::collections::BTreeMap<(i64, i64), i64> = Default::default();
-        for (i, (a, b, insert)) in ops.iter().enumerate() {
-            let (rel, counts) = if i % 2 == 0 {
-                ("link", &mut link_counts)
+        );
+        let mut script = Vec::new();
+        for (i, &(a, b, insert)) in ops.iter().enumerate() {
+            let rel = if i % 2 == 0 { "link" } else { "hop" };
+            script.push(if insert {
+                ScriptOp::Insert(rel, pair(a, b))
             } else {
-                ("hop", &mut hop_counts)
-            };
-            let tuple = vec![Value::Int(*a), Value::Int(*b)];
-            if *insert {
-                engine.insert(rel, tuple);
-                *counts.entry((*a, *b)).or_insert(0) += 1;
-            } else {
-                engine.delete(rel, tuple);
-                *counts.entry((*a, *b)).or_insert(0) -= 1;
-            }
-            engine.run();
+                ScriptOp::Delete(rel, pair(a, b))
+            });
+            script.push(ScriptOp::Run);
         }
-        let links: Vec<(i64, i64)> =
-            link_counts.iter().filter(|(_, &c)| c > 0).map(|(&e, _)| e).collect();
-        let hops: Vec<(i64, i64)> =
-            hop_counts.iter().filter(|(_, &c)| c > 0).map(|(&e, _)| e).collect();
-        let mut expected: std::collections::BTreeSet<(i64, i64)> = Default::default();
-        for &(x, y) in &links {
-            for &(y2, z) in &hops {
-                if y == y2 {
-                    expected.insert((x, z));
-                }
-            }
-        }
-        let actual: std::collections::BTreeSet<(i64, i64)> = engine
-            .tuples("twoHop")
-            .into_iter()
-            .map(|t| (t[0].as_int().unwrap(), t[1].as_int().unwrap()))
-            .collect();
-        prop_assert_eq!(actual, expected);
+        Checked::new(NodeId(0), &[rule]).apply(&script)?;
     }
 
-    /// SUM/MIN/MAX/COUNT aggregates always equal their reference values over
+    /// SUM/MIN/MAX/COUNT aggregates always equal their definitions over
     /// the visible tuples.
     #[test]
     fn aggregates_match_reference(
         rows in prop::collection::vec((0i64..4, -10i64..10), 1..20)
     ) {
-        let mut e = Engine::new(NodeId(0));
-        for (func, rel) in [
+        let rules: Vec<Rule> = [
             (AggFunc::Sum, "sums"),
             (AggFunc::Min, "mins"),
             (AggFunc::Max, "maxs"),
             (AggFunc::Count, "counts"),
-        ] {
-            e.add_rule(Rule::new(
+        ]
+        .into_iter()
+        .map(|(func, rel)| {
+            Rule::new(
                 "agg",
                 Head {
                     relation: rel.into(),
@@ -157,27 +86,15 @@ proptest! {
                     located: false,
                 },
                 vec![BodyItem::Atom(Atom::new("data", vec![Term::var("G"), Term::var("V")]))],
-            ));
-        }
+            )
+        })
+        .collect();
         let unique: std::collections::BTreeSet<(i64, i64)> = rows.iter().copied().collect();
-        for (g, v) in &unique {
-            e.insert("data", vec![Value::Int(*g), Value::Int(*v)]);
-        }
-        e.run();
-        let mut groups: std::collections::BTreeMap<i64, Vec<i64>> = Default::default();
-        for (g, v) in &unique {
-            groups.entry(*g).or_default().push(*v);
-        }
-        for (g, values) in &groups {
-            let sum: i64 = values.iter().sum();
-            let min = *values.iter().min().unwrap();
-            let max = *values.iter().max().unwrap();
-            let count = values.len() as i64;
-            prop_assert!(e.contains("sums", &vec![Value::Int(*g), Value::Int(sum)]));
-            prop_assert!(e.contains("mins", &vec![Value::Int(*g), Value::Int(min)]));
-            prop_assert!(e.contains("maxs", &vec![Value::Int(*g), Value::Int(max)]));
-            prop_assert!(e.contains("counts", &vec![Value::Int(*g), Value::Int(count)]));
-        }
-        prop_assert_eq!(e.relation_len("sums"), groups.len());
+        let script: Vec<ScriptOp> =
+            unique.iter().map(|&(g, v)| ScriptOp::Insert("data", pair(g, v))).collect();
+        let mut checked = Checked::new(NodeId(0), &rules);
+        checked.apply(&script)?;
+        let groups = unique.iter().map(|(g, _)| g).collect::<std::collections::BTreeSet<_>>();
+        prop_assert_eq!(checked.engine.relation_len("sums"), groups.len());
     }
 }
