@@ -296,6 +296,8 @@ impl GroundingPlan {
         run.ground_derivation_rules()?;
         run.ground_constraint_rules()?;
         let (objective, goal_relation) = run.build_objective()?;
+        // A `STDEV` goal learns its loads' fixed total at the root fixpoint.
+        run.model.presolve();
         Ok(GroundedCop {
             model: run.model,
             syms: run.syms,
@@ -615,7 +617,7 @@ impl<'a> GroundingRun<'a> {
         for (key, operand_lists) in groups {
             let mut agg_values: Vec<Value> = Vec::with_capacity(agg_args.len());
             for ((_, func, _), operands) in agg_args.iter().zip(operand_lists.iter()) {
-                agg_values.push(self.compute_aggregate(*func, operands)?);
+                agg_values.push(self.compute_aggregate(rule, *func, operands)?);
             }
             // Interleave key values and aggregate values back into head order.
             let mut row = Vec::with_capacity(rule.head.args.len());
@@ -638,10 +640,28 @@ impl<'a> GroundingRun<'a> {
 
     fn compute_aggregate(
         &mut self,
+        rule: &RuleDecl,
         func: AggFunc,
         operands: &[Value],
     ) -> Result<Value, CologneError> {
         let all_concrete = operands.iter().all(|v| !v.is_symbolic());
+        let all_int = operands
+            .iter()
+            .all(|v| matches!(v, Value::Int(_) | Value::Bool(_)));
+        if all_int && matches!(func, AggFunc::Sum | AggFunc::SumAbs) {
+            // `AggFunc::compute` wraps on overflow; sum with the checked
+            // arithmetic of constant folding instead.
+            let sum = operands.iter().try_fold(0i64, |sum, v| {
+                let i = v.as_int().unwrap_or(0);
+                sum.checked_add(if func == AggFunc::SumAbs {
+                    i.checked_abs()?
+                } else {
+                    i
+                })
+            });
+            let detail = || format!("{} of {} values", func.keyword(), operands.len());
+            return checked(rule, sum, detail).map(Value::Int);
+        }
         if all_concrete {
             return Ok(func.compute(operands));
         }
@@ -1118,12 +1138,19 @@ fn fold(
     result: Option<i64>,
     expr: impl FnOnce() -> String,
 ) -> Result<SymVal, CologneError> {
-    result
-        .map(SymVal::Concrete)
-        .ok_or_else(|| CologneError::UnsupportedExpression {
-            rule: rule.label.clone(),
-            detail: format!("constant {} overflows i64", expr()),
-        })
+    checked(rule, result, expr).map(SymVal::Concrete)
+}
+
+/// `result`, or the error [`fold`] reports for an overflowing constant.
+fn checked(
+    rule: &RuleDecl,
+    result: Option<i64>,
+    expr: impl FnOnce() -> String,
+) -> Result<i64, CologneError> {
+    result.ok_or_else(|| CologneError::UnsupportedExpression {
+        rule: rule.label.clone(),
+        detail: format!("constant {} overflows i64", expr()),
+    })
 }
 
 #[cfg(test)]
@@ -1224,6 +1251,36 @@ mod tests {
         }
     }
 
+    /// A `SUM`/`SUMABS` over concrete values reports overflow like constant
+    /// folding does.
+    #[test]
+    fn concrete_sums_reject_overflow() {
+        let params = ProgramParams::new().with_var_domain("assign", VarDomain::BOOL);
+        for (agg, cpus) in [
+            ("SUM", [i64::MAX, 1]),
+            ("SUMABS", [i64::MAX, -1]),
+            ("SUMABS", [i64::MIN, 0]),
+        ] {
+            let src = format!(
+                "goal minimize C in total(C).
+                 var assign(Vid,V) forall toAssign(Vid).
+                 r1 toAssign(Vid) <- vm(Vid,Cpu).
+                 d1 total({agg}<Cpu>) <- assign(Vid,V), vm(Vid,Cpu)."
+            );
+            let mut engine = Engine::new(NodeId(0));
+            for (vid, cpu) in cpus.into_iter().enumerate() {
+                engine.insert("vm", vec![Value::Int(vid as i64), Value::Int(cpu)]);
+            }
+            match ground(&mut engine, &src, &params).err() {
+                Some(CologneError::UnsupportedExpression { rule, detail }) => {
+                    let expected = format!("constant {agg} of 2 values overflows i64");
+                    assert_eq!((rule.as_str(), detail), ("d1", expected), "{cpus:?}");
+                }
+                other => panic!("{agg} {cpus:?}: expected an overflow error, got {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn acloud_grounding_creates_expected_structure() {
         let mut engine = mini_acloud_engine();
@@ -1287,6 +1344,37 @@ mod tests {
                 .map(|r| cop.resolve(&r[2], &best).as_int().unwrap() * 4)
                 .sum();
             assert!(mem <= 4, "host {hid} over memory: {mem}");
+        }
+    }
+
+    /// ACloud and ACloud (M) learn the loads' total at the root: every VM
+    /// sits on exactly one host (rule c1). Without c1 there is none.
+    #[test]
+    fn acloud_groundings_learn_the_loads_total() {
+        let migration = format!(
+            "{MINI_ACLOUD}
+            d5 migrate(Vid,Hid1,Hid2,C) <- assign(Vid,Hid1,V), origin(Vid,Hid2), Hid1!=Hid2, (V==1)==(C==1).
+            d6 migrateCount(SUM<C>) <- migrate(Vid,Hid1,Hid2,C).
+            c3 migrateCount(C) -> C<=max_migrates.
+            "
+        );
+        let without_c1 = MINI_ACLOUD.replace("c1 assignCount(Vid,V) -> V==1.", "");
+        assert_ne!(without_c1, MINI_ACLOUD);
+        let params = ProgramParams::new()
+            .with_var_domain("assign", VarDomain::BOOL)
+            .with_constant("max_migrates", 1);
+        for (src, total) in [
+            (MINI_ACLOUD.to_string(), Some(40 + 20)),
+            (migration, Some(60)),
+            (without_c1, None),
+        ] {
+            let mut engine = mini_acloud_engine();
+            if src.contains("origin") {
+                engine.insert("origin", vec![Value::Int(1), Value::Int(10)]);
+                engine.insert("origin", vec![Value::Int(2), Value::Int(10)]);
+            }
+            let mut cop = ground(&mut engine, &src, &params).unwrap();
+            assert_eq!(cop.model.presolve(), vec![total], "{src}");
         }
     }
 

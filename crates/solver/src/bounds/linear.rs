@@ -2,12 +2,14 @@
 //!
 //! Drops integrality and every non-linear constraint, keeping only the
 //! objective-defining linear equality and the *exactly-one* packing groups
-//! (`Σ x_i == 1` over 0/1 variables) that dominate the paper's groundings —
-//! in ACloud every VM is placed on exactly one host, in Follow-the-Sun every
-//! job runs in exactly one site. Over that skeleton the bound is computable
-//! greedily: each packing group contributes the best objective coefficient
-//! among its members that can still be selected, everything else contributes
-//! its interval extremum.
+//! posted as plain equalities (`Σ x_i == 1` over 0/1 variables). Over that
+//! skeleton the bound is computable greedily: each packing group contributes
+//! the best objective coefficient among its members that can still be
+//! selected, everything else contributes its interval extremum. The Colog
+//! groundings post no such equality: ACloud's "every VM on exactly one
+//! host" (rule c1) is a reified equality on a count variable, fixed only by
+//! root propagation, so the recognizer matches nothing there.
+//! [`crate::Model::presolve`] reads that shape instead.
 
 use super::{BoundResult, DualBound};
 use crate::domain::Domain;

@@ -17,10 +17,13 @@
 //!   linear skeleton: the objective-defining linear equality (recognized via
 //!   [`crate::propagator::LinearView`]) is minimized over the propagated
 //!   domain box, strengthened group-by-group over the *exactly-one* packing
-//!   constraints (`Σ x_i == 1` over 0/1 variables) that dominate the
-//!   ACloud and Follow-the-Sun groundings: exactly one member of each group
-//!   is 1, so the group contributes at least its smallest objective
-//!   coefficient instead of the naive per-variable interval minimum.
+//!   constraints posted as plain equalities (`Σ x_i == 1` over 0/1
+//!   variables): exactly one member of each group is 1, so the group
+//!   contributes at least its smallest objective coefficient instead of the
+//!   naive per-variable interval minimum. The Colog groundings post none:
+//!   ACloud's rule c1 becomes a reified equality on a count variable that
+//!   only root propagation fixes, so there the engine reduces to the
+//!   interval bound.
 //! * [`RelaxedMerge`] — a ddo-style relaxed decision diagram over the top
 //!   decision levels: the root is expanded breadth-first with the search's
 //!   own branching heuristic, each layer is propagated, and layers wider
@@ -43,7 +46,8 @@
 //! Both engines start from the propagated objective domain, sound by itself.
 //! Non-linear objectives are bounded there: for `STDEV` goals the
 //! [`crate::propagators::ScaledVariance`] propagator lifts the domain's
-//! floor to the variance's real minimum over the load boxes.
+//! floor to the variance's real minimum over the load boxes, cut by the
+//! loads' fixed total when [`crate::Model::presolve`] found one.
 //!
 //! # Determinism
 //!

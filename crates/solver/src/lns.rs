@@ -22,11 +22,12 @@
 //! 2. **Freeze.** Every iteration opens one trail level
 //!    ([`crate::Store::push_choice`]), tightens the objective to *strictly
 //!    better than the incumbent*, and re-asserts the incumbent value of
-//!    every *kept* (non-destroyed) decision variable, propagating after each
-//!    assignment. A conflict here means the kept set pins a variable that
-//!    must change for any improvement — the iteration is abandoned and, under
-//!    [`DestroyStrategy::ConflictGuided`], the offending variable is
-//!    force-destroyed next round.
+//!    every *kept* (non-destroyed) decision variable, in one batch
+//!    propagated once. A conflict here means the kept set pins a variable
+//!    that must change for any improvement — the batch is undone and
+//!    replayed one assignment at a time to find it, the iteration is
+//!    abandoned and, under [`DestroyStrategy::ConflictGuided`], the
+//!    offending variable is force-destroyed next round.
 //! 3. **Repair.** A bounded first-fail exact search
 //!    (`search::resolve_subtree`, private) runs below the freeze level, with
 //!    the incumbent objective seeded as its branch-and-bound bound and a
@@ -77,7 +78,6 @@ use crate::search::{
 };
 use crate::stats::SearchStats;
 use crate::store::Store;
-use crate::Assignment;
 
 /// How [`crate::search::solve_in`] explores the search space.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -170,7 +170,6 @@ pub(crate) fn solve_lns(
     observer: &mut Option<&mut dyn SolveObserver>,
 ) -> SearchOutcome {
     let mut stats = SearchStats::default();
-    let mut solutions: Vec<Assignment> = Vec::new();
     // Restart events (geometric budget growths) share one counter across the
     // dive and repair phases.
     let mut restarts: u64 = 0;
@@ -202,7 +201,6 @@ pub(crate) fn solve_lns(
             let child = budget.child(&stats, slice);
             let mut dive = solve_exact_in(model, objective, config, child, space, &mut *observer);
             stats.merge(&dive.stats);
-            solutions.append(&mut dive.solutions);
             let stop = match dive.stop {
                 // A proof (optimum or infeasibility), a cancellation or the
                 // solution cap ends the solve.
@@ -231,9 +229,9 @@ pub(crate) fn solve_lns(
                 }
             };
             let outcome = SearchOutcome {
+                solutions: dive.best.iter().cloned().collect(),
                 best: dive.best,
                 best_objective: dive.best_objective,
-                solutions,
                 stats,
                 stop,
                 certificate: dive.certificate,
@@ -298,6 +296,8 @@ pub(crate) fn solve_lns(
         // Conflict-guided carry-over: variables whose frozen assignment
         // clashed with the improving bound last iteration.
         let mut forced: Vec<usize> = Vec::new();
+        // The propagators watching the kept set, reused across iterations.
+        let mut watchers: Vec<usize> = Vec::new();
         // Repairs are first-fail; the rest of the heuristics are the solve's.
         let repair_cfg = SearchConfig {
             branching: Branching::SmallestDomain,
@@ -332,7 +332,7 @@ pub(crate) fn solve_lns(
             // touches the objective, so seeding its watchers reaches the same
             // fixpoint as seeding every propagator (the exact searcher's
             // bound-seed argument).
-            let mut frozen_ok = match tighten_to_improve(&mut space.store, objective, best) {
+            let bounded = match tighten_to_improve(&mut space.store, objective, best) {
                 Err(()) => false,
                 Ok(false) => true,
                 Ok(true) => {
@@ -347,11 +347,41 @@ pub(crate) fn solve_lns(
                         .is_ok()
                 }
             };
-            if frozen_ok {
-                'freeze: for &i in &candidates {
-                    if destroy.contains(&i) {
-                        continue;
+            // Assign the kept set at once and propagate once, seeded by its
+            // watchers: propagation is monotone, so this reaches the fixpoint
+            // of the one-at-a-time loop below. Only a conflict undoes the
+            // batch and replays that loop, which names the variable to blame.
+            let kept = || candidates.iter().filter(|i| !destroy.contains(i));
+            let batched = bounded && {
+                space.store.push_choice();
+                watchers.clear();
+                let assigned: Result<(), ()> = kept().try_for_each(|&i| {
+                    if space
+                        .store
+                        .assign(i, incumbent.value(VarId::from_index(i)))?
+                    {
+                        watchers.extend_from_slice(model.props_watching(i));
                     }
+                    Ok(())
+                });
+                let ok = assigned.is_ok()
+                    && model
+                        .propagate_in(
+                            &mut space.store,
+                            &mut space.queue,
+                            &mut stats,
+                            Some(&watchers),
+                        )
+                        .is_ok();
+                if !ok {
+                    space.store.backtrack();
+                }
+                ok
+            };
+            let mut frozen_ok = batched;
+            if bounded && !batched {
+                frozen_ok = true;
+                'freeze: for &i in kept() {
                     let value = incumbent.value(VarId::from_index(i));
                     let applied = space.store.assign(i, value);
                     if applied.is_err() {
@@ -425,7 +455,6 @@ pub(crate) fn solve_lns(
                 (repair.best.take(), repair.best_objective)
             {
                 stats.lns_improvements += 1;
-                solutions.append(&mut repair.solutions);
                 incumbent = assignment;
                 best = value;
                 if let Some(dual) = stats.dual_bound {
@@ -470,9 +499,9 @@ pub(crate) fn solve_lns(
     };
 
     let outcome = SearchOutcome {
+        solutions: vec![incumbent.clone()],
         best: Some(incumbent),
         best_objective: Some(best),
-        solutions,
         stats,
         stop,
         certificate,
@@ -529,15 +558,37 @@ mod tests {
         assert!(lns.stats.lns_iterations > 0, "LNS iterations must run");
     }
 
+    /// The incumbent chain of an LNS run, read from its event stream.
+    fn incumbent_chain(m: &Model, obj: VarId, config: &SearchConfig) -> (SearchOutcome, Vec<i64>) {
+        use crate::observe::{EventLog, SolveEvent};
+        use crate::search::solve_in_observed;
+        let mut log = EventLog::bounded(65536);
+        let out = solve_in_observed(
+            m,
+            Objective::Minimize(obj),
+            config,
+            &mut SearchSpace::new(),
+            Some(&mut log),
+        );
+        assert_eq!(log.dropped(), 0);
+        let chain = log.drain().into_iter().filter_map(|e| match e {
+            SolveEvent::Incumbent { objective } => objective,
+            _ => None,
+        });
+        (out, chain.collect())
+    }
+
     #[test]
     fn lns_improves_monotonically() {
         let (m, obj) = balance_model(10);
-        let out = m.minimize(obj, &lns_config(7));
-        let objs: Vec<i64> = out.solutions.iter().map(|s| s.value(obj)).collect();
+        let (out, objs) = incumbent_chain(&m, obj, &lns_config(7));
         for w in objs.windows(2) {
             assert!(w[1] < w[0], "incumbents must strictly improve: {objs:?}");
         }
-        assert!(out.best_objective.is_some());
+        assert_eq!(objs.len() as u64, out.stats.solutions);
+        assert_eq!(objs.last().copied(), out.best_objective);
+        // The outcome keeps only the best assignment.
+        assert_eq!(out.solutions, vec![out.best.clone().unwrap()]);
     }
 
     #[test]
@@ -551,7 +602,7 @@ mod tests {
                 out.stats.fails,
                 out.stats.lns_iterations,
                 out.stats.lns_improvements,
-                out.solutions.len(),
+                out.stats.solutions,
             )
         };
         assert_eq!(run(3), run(3));
@@ -581,11 +632,11 @@ mod tests {
             ..lns_config(5)
         };
         let out = m.minimize(obj, &cfg);
-        assert!(out.solutions.len() <= 2, "got {}", out.solutions.len());
+        assert!(out.stats.solutions <= 2, "got {}", out.stats.solutions);
         assert!(out.best.is_some());
         let unlimited = m.minimize(obj, &lns_config(5));
         assert!(
-            unlimited.solutions.len() > 2,
+            unlimited.stats.solutions > 2,
             "the cap must be the binding constraint in this scenario"
         );
     }

@@ -30,8 +30,8 @@
 
 use crate::domain::Domain;
 use crate::expr::LinExpr;
-use crate::propagator::{Conflict, PropStatus, PropagatorContext};
-use crate::propagators::arith::variance_cap;
+use crate::propagator::{Conflict, LinearView, PropStatus, PropagatorContext};
+use crate::propagators::variance::variance_cap;
 use crate::propagators::{
     AbsVal, LinearEq, LinearLe, LinearNe, MaxOfArray, MinOfArray, MulVar, NValues, ReifLinearEq,
     ReifLinearLe, ScaledVariance,
@@ -40,6 +40,10 @@ use crate::search::{self, Objective, SearchConfig, SearchOutcome, SearchSpace};
 use crate::stats::SearchStats;
 use crate::store::{PropQueue, Store};
 use crate::Propagator;
+
+/// The equality `y + Σ cⱼ·vⱼ == bound` defining a variable `y`, as its other
+/// terms and its bound: `y == bound − Σ cⱼ·vⱼ`.
+type Definition<'a> = (&'a [(i64, VarId)], i64);
 
 /// Handle to an integer decision variable in a [`Model`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -323,7 +327,9 @@ impl Model {
     /// Minimizing this integer expression is equivalent to minimizing the
     /// standard deviation of `xs`; it is how the Colog `STDEV` goal of the
     /// ACloud program (rule `d2`) is lowered onto an integer solver. One
-    /// [`ScaledVariance`] propagator bounds it over all of `xs` at once.
+    /// [`ScaledVariance`] propagator bounds it over all of `xs` at once;
+    /// [`Model::presolve`] gives it the total of `xs` when the model fixes
+    /// one.
     pub fn scaled_variance_var(&mut self, xs: &[VarId]) -> VarId {
         let boxes = xs
             .iter()
@@ -421,6 +427,153 @@ impl Model {
         let result = self.propagate_in(&mut store, &mut queue, &mut stats, None);
         self.domains = store.into_domains();
         result
+    }
+
+    /// Give every [`ScaledVariance`] the total of its operands when the
+    /// root fixpoint fixes one, so it also filters the loads against the
+    /// incumbent. The operands are expanded through their definitions (the
+    /// equalities [`Model::linear_var`] posts) down to leaves, and the
+    /// leaves must fall into fixed plain sums whose unfixed members share
+    /// one coefficient: in ACloud, each VM's host count, fixed to 1 by rule
+    /// c1 (see `fixed_total`). The root domains become that
+    /// fixpoint, and the searches find their root already propagated. A
+    /// model where no total is found is left untouched, as is one whose root
+    /// conflicts (the search reports it). Returns each variance's total, in
+    /// posting order; a variance that has one keeps it. The grounder calls
+    /// this once per grounded model.
+    pub fn presolve(&mut self) -> Vec<Option<i64>> {
+        let variances: Vec<usize> = (0..self.propagators.len())
+            .filter(|&i| self.variance_mut(i).is_some())
+            .collect();
+        if variances.is_empty() {
+            return Vec::new();
+        }
+        let mut store = Store::from_domains(self.domains.clone());
+        let (mut queue, mut stats) = (PropQueue::new(), SearchStats::default());
+        let root_ok = self
+            .propagate_in(&mut store, &mut queue, &mut stats, None)
+            .is_ok();
+        let root = store.into_domains();
+        let mut totals = Vec::with_capacity(variances.len());
+        let mut learned = false;
+        for &i in &variances {
+            let variance = self.variance_mut(i).expect("a variance");
+            if variance.total.is_none() && root_ok {
+                let xs = std::mem::take(&mut variance.xs);
+                let total = self.fixed_total(&root, &xs);
+                let variance = self.variance_mut(i).expect("a variance");
+                (variance.xs, variance.total) = (xs, total);
+                if total.is_some() {
+                    let z = variance.z;
+                    self.subscriptions[z.index()].push(i);
+                    learned = true;
+                }
+            }
+            totals.push(self.variance_mut(i).expect("a variance").total);
+        }
+        if learned {
+            // The floor over the boxes cut by the total lifts `z` at the root.
+            let mut store = Store::from_domains(root);
+            let _ = self.propagate_in(&mut store, &mut queue, &mut stats, Some(&variances));
+            self.domains = store.into_domains();
+        }
+        totals
+    }
+
+    fn variance_mut(&mut self, i: usize) -> Option<&mut ScaledVariance> {
+        self.propagators[i].as_any_mut()?.downcast_mut()
+    }
+
+    /// `Σ xs`, when the `root` domains fix it.
+    ///
+    /// The sum is expanded through the variables' definitions: `y` is
+    /// defined by the equality whose first term is `(1, y)` and whose other
+    /// variables are all older (the shape [`Model::linear_var`] posts), and
+    /// fixed variables are constants. What is left are leaves. Each leaf
+    /// must belong to a *group*: the members of a fixed plain sum
+    /// `s == b + Σ members` (every coefficient 1; in ACloud `assignCount(v)`,
+    /// fixed to 1 by rule c1), whose unfixed members all carry the same
+    /// coefficient in the expansion. Then `Σ xs` is the constant plus each
+    /// group's coefficient times its members' fixed sum. Anything else, or
+    /// an overflow, gives `None`. Linear in the model's size.
+    fn fixed_total(&self, root: &[Domain], xs: &[VarId]) -> Option<i64> {
+        let n = root.len();
+        let fixed = |v: usize| root[v].fixed_value().map(i128::from);
+        let mut defs: Vec<Option<Definition>> = vec![None; n];
+        for p in &self.propagators {
+            if let Some(LinearView::Eq { terms, bound }) = p.linear_view() {
+                if let Some((&(1, y), rest)) = terms.split_first() {
+                    if rest.iter().all(|&(_, v)| v < y) && defs[y.index()].is_none() {
+                        defs[y.index()] = Some((rest, bound));
+                    }
+                }
+            }
+        }
+        // Newest first, so a definition is expanded after every use of it.
+        let mut coef = vec![0i128; n];
+        for &x in xs {
+            coef[x.index()] += 1;
+        }
+        let mut constant = 0i128;
+        for y in (0..n).rev() {
+            let c = coef[y];
+            if c == 0 {
+                continue;
+            }
+            if let Some(value) = fixed(y) {
+                constant = constant.checked_add(c.checked_mul(value)?)?;
+            } else if let Some((rest, bound)) = defs[y] {
+                // y == bound − Σ cⱼ·vⱼ
+                constant = constant.checked_add(c.checked_mul(bound.into())?)?;
+                for &(cj, v) in rest {
+                    let term = c.checked_mul(cj.into())?;
+                    coef[v.index()] = coef[v.index()].checked_sub(term)?;
+                }
+            } else {
+                continue;
+            }
+            coef[y] = 0;
+        }
+        // The fixed plain sums, and the first one each variable is a member of.
+        let groups: Vec<(usize, Definition)> = (0..n)
+            .filter_map(|s| {
+                let (rest, bound) = defs[s]?;
+                let plain = fixed(s).is_some() && rest.iter().all(|&(c, _)| c == -1);
+                plain.then_some((s, (rest, bound)))
+            })
+            .collect();
+        let mut group_of = vec![usize::MAX; n];
+        for (g, &(_, (rest, _))) in groups.iter().enumerate() {
+            for &(_, v) in rest {
+                if group_of[v.index()] == g {
+                    return None; // a repeated member
+                }
+                if group_of[v.index()] == usize::MAX {
+                    group_of[v.index()] = g;
+                }
+            }
+        }
+        let mut group_coef: Vec<Option<i128>> = vec![None; groups.len()];
+        for leaf in (0..n).filter(|&v| coef[v] != 0) {
+            let slot = group_coef.get_mut(group_of[leaf])?;
+            if *slot.get_or_insert(coef[leaf]) != coef[leaf] {
+                return None;
+            }
+        }
+        let mut total = constant;
+        for (g, (&(s, (rest, bound)), a)) in groups.iter().zip(group_coef).enumerate() {
+            let Some(a) = a else { continue };
+            let mut members = fixed(s)? - i128::from(bound);
+            for &(_, v) in rest {
+                match fixed(v.index()) {
+                    Some(value) => members -= value,
+                    None if group_of[v.index()] == g && coef[v.index()] == a => {}
+                    None => return None,
+                }
+            }
+            total = total.checked_add(a.checked_mul(members)?)?;
+        }
+        i64::try_from(total).ok()
     }
 
     // ----- search entry points ---------------------------------------------
@@ -522,6 +675,83 @@ mod tests {
         assert_eq!(best.value(x), 5);
         assert_eq!(best.value(y), 5);
         assert_eq!(best.value(var), 0);
+    }
+
+    /// ACloud in miniature: VM `v` on host `h` adds `cpu(v, h)` to the
+    /// host's load over its base; with `one_host` each VM's host count is
+    /// fixed to 1 through a reified equality, as rule c1 grounds it.
+    fn placement(
+        m: &mut Model,
+        vms: usize,
+        bases: &[i64],
+        cpu: impl Fn(usize, usize) -> i64,
+        one_host: bool,
+    ) -> VarId {
+        let assign: Vec<Vec<VarId>> = (0..vms)
+            .map(|_| bases.iter().map(|_| m.new_bool()).collect())
+            .collect();
+        for row in &assign {
+            let terms: Vec<(i64, VarId)> = row.iter().map(|&a| (1, a)).collect();
+            let count = m.linear_var(&terms, 0);
+            if one_host {
+                let b = m.new_bool();
+                m.reif_linear_eq(b, &[(1, count)], 1);
+                m.linear_eq(&[(1, b)], 1);
+            }
+        }
+        let loads: Vec<VarId> = (0..bases.len())
+            .map(|h| {
+                let terms: Vec<(i64, VarId)> =
+                    (0..vms).map(|v| (cpu(v, h), assign[v][h])).collect();
+                let cpu = m.linear_var(&terms, 0);
+                m.linear_var(&[(1, cpu)], bases[h])
+            })
+            .collect();
+        m.scaled_variance_var(&loads)
+    }
+
+    #[test]
+    fn presolve_learns_the_total_of_a_placement() {
+        let (cpus, bases) = ([4, 7, 9, 5], [1, 0, 3]);
+        let build = |m: &mut Model| placement(m, 4, &bases, |v, _| cpus[v], true);
+        let mut m = Model::new();
+        let z = build(&mut m);
+        assert_eq!(m.presolve(), vec![Some(25 + 4)]);
+        assert_eq!(m.presolve(), vec![Some(29)], "a variance keeps its total");
+        let learned = m.minimize(z, &SearchConfig::default());
+        let mut plain = Model::new();
+        let plain_z = build(&mut plain);
+        let reference = plain.minimize(plain_z, &SearchConfig::default());
+        assert_eq!(learned.stop, StopReason::Complete);
+        assert_eq!(learned.best_objective, reference.best_objective);
+        assert!(learned.stats.nodes < reference.stats.nodes);
+        // A VM that weighs differently on different hosts leaves the total
+        // open.
+        let mut skewed = Model::new();
+        placement(&mut skewed, 4, &bases, |v, h| cpus[v] + h as i64, true);
+        assert_eq!(skewed.presolve(), vec![None]);
+    }
+
+    #[test]
+    fn presolve_without_a_total_leaves_the_model_untouched() {
+        // Without the one-host rule a VM may sit nowhere: the total is open.
+        let run = |presolve: bool| {
+            let mut m = Model::new();
+            let z = placement(&mut m, 4, &[1, 0, 3], |v, _| [4, 7, 9, 5][v], false);
+            if presolve {
+                assert_eq!(m.presolve(), vec![None]);
+            }
+            let out = m.minimize(z, &SearchConfig::default());
+            let s = out.stats;
+            (
+                out.best_objective,
+                s.nodes,
+                s.fails,
+                s.propagations,
+                s.prunings,
+            )
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]

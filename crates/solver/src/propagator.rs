@@ -195,6 +195,13 @@ pub trait Propagator: Send + Sync {
     fn linear_view(&self) -> Option<LinearView<'_>> {
         None
     }
+
+    /// The concrete propagator, for the model-level presolve that hands
+    /// some propagators facts derived at the root (see
+    /// [`crate::Model::presolve`]). The default opts out.
+    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
+        None
+    }
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
-//! Non-linear arithmetic propagators: products, the scaled variance,
-//! absolute values, and min/max over arrays of variables.
+//! Non-linear arithmetic propagators: products, absolute values, and
+//! min/max over arrays of variables.
 
 use crate::model::VarId;
 use crate::propagator::{Conflict, PropStatus, Propagator, PropagatorContext};
@@ -91,100 +91,6 @@ fn div_ceil(a: i64, b: i64) -> i64 {
         q + 1
     } else {
         q
-    }
-}
-
-/// `z == n·Σxᵢ² − (Σxᵢ)²` over the `n` variables `xs`: the scaled integer
-/// variance Colog's `STDEV` goal is lowered to (the standard deviation's
-/// argmin, in integers). `z` is bounded below by the real minimum over the
-/// whole box `Π [loᵢ, hiᵢ]`, not term by term. Only `z` is pruned and `z` is
-/// not watched: a tightened upper bound conflicts in the store itself.
-#[derive(Debug, Clone)]
-pub struct ScaledVariance {
-    pub z: VarId,
-    pub xs: Vec<VarId>,
-}
-
-impl ScaledVariance {
-    pub fn new(z: VarId, xs: Vec<VarId>) -> Self {
-        assert!(!xs.is_empty());
-        ScaledVariance { z, xs }
-    }
-}
-
-/// The least integer `≥` the real minimum of `n·Σxᵢ² − (Σxᵢ)²` over the `n`
-/// boxes `xᵢ ∈ [loᵢ, hiᵢ]`, or `None` if an intermediate overflows `i128`.
-///
-/// That minimum is `n·min_t Σ dist(t, [loᵢ, hiᵢ])²`: each `xᵢ` is clamped to
-/// one level `t`, their mean. The excess `Σ (clamp(t, loᵢ, hiᵢ) − t)` falls
-/// with `t` and is zero there, so the largest box end with a nonnegative
-/// excess starts the segment holding `t`. On it the boxes pinned at a bound
-/// (count `m`, sum `a`, sum of squares `p`) give `t = a/m` and the minimum
-/// `n·(m·p − a²)/m`, 0 when all boxes overlap. `O(n²)`, no allocation.
-fn variance_floor(boxes: impl Iterator<Item = (i64, i64)> + Clone) -> Option<i128> {
-    let boxes = boxes.map(|(lo, hi)| (i128::from(lo), i128::from(hi)));
-    let excess = |t: i128| -> i128 { boxes.clone().map(|(lo, hi)| t.clamp(lo, hi) - t).sum() };
-    // The smallest lower end always qualifies.
-    let ends = boxes.clone().flat_map(|(lo, hi)| [lo, hi]);
-    let level = ends.filter(|&e| excess(e) >= 0).max()?;
-    let pin = |(lo, hi): (i128, i128)| (hi <= level).then_some(hi).or((lo > level).then_some(lo));
-    let pinned = boxes.clone().filter_map(pin);
-    let (m, a) = (pinned.clone().count() as i128, pinned.clone().sum::<i128>());
-    let p = pinned.map(|v| v * v).try_fold(0i128, i128::checked_add)?;
-    let spread = m.checked_mul(p)?.checked_sub(a.checked_mul(a)?)?;
-    // `m ≥ 1` and `spread ≥ 0` (Cauchy–Schwarz), so this rounds up.
-    Some(((boxes.count() as i128).checked_mul(spread)? + m - 1) / m)
-}
-
-/// `n·Σ max(loᵢ², hiᵢ²) − min (Σxᵢ)²` over the same boxes: an upper bound on
-/// the scaled variance, or `None` if it overflows `i128`.
-pub(crate) fn variance_cap(boxes: impl Iterator<Item = (i64, i64)>) -> Option<i128> {
-    let (mut n, mut sum_lo, mut sum_hi, mut max_sq) = (0i128, 0i128, 0i128, 0i128);
-    for (lo, hi) in boxes.map(|(lo, hi)| (i128::from(lo), i128::from(hi))) {
-        (n, sum_lo, sum_hi) = (n + 1, sum_lo + lo, sum_hi + hi);
-        max_sq = max_sq.checked_add((lo * lo).max(hi * hi))?;
-    }
-    let min_sum = 0.clamp(sum_lo, sum_hi);
-    n.checked_mul(max_sq)?
-        .checked_sub(min_sum.checked_mul(min_sum)?)
-}
-
-impl Propagator for ScaledVariance {
-    fn name(&self) -> &'static str {
-        "scaled_variance"
-    }
-
-    fn dependencies(&self) -> Vec<VarId> {
-        self.xs.clone()
-    }
-
-    fn prune(&self, ctx: &mut PropagatorContext<'_>) -> Result<PropStatus, Conflict> {
-        let boxes = self.xs.iter().map(|&x| (ctx.min(x), ctx.max(x)));
-        let (floor, cap) = (variance_floor(boxes.clone()), variance_cap(boxes));
-        if let Some(floor) = floor {
-            // Past `i64::MAX` `z` has no value; over point boxes it is exact.
-            let floor = i64::try_from(floor).map_err(|_| Conflict)?;
-            if self.xs.iter().all(|&x| ctx.is_fixed(x)) {
-                ctx.assign(self.z, floor)?;
-                return Ok(PropStatus::Entailed);
-            }
-            ctx.set_min(self.z, floor)?;
-        }
-        if let Some(cap) = cap.and_then(|c| i64::try_from(c).ok()) {
-            ctx.set_max(self.z, cap)?;
-        }
-        Ok(PropStatus::Active)
-    }
-
-    // Prunes only `z`, which feeds no bound: one pass is a fixpoint.
-    fn idempotent(&self) -> bool {
-        true
-    }
-
-    // Over point boxes the floor is the exact value.
-    fn check(&self, values: &dyn Fn(VarId) -> i64) -> bool {
-        let points = self.xs.iter().map(|&x| (values(x), values(x)));
-        variance_floor(points) == Some(values(self.z).into())
     }
 }
 
@@ -395,106 +301,6 @@ mod tests {
         m.propagate_root().unwrap();
         assert_eq!(m.domain(z).min(), -15);
         assert_eq!(m.domain(z).max(), 12);
-    }
-
-    /// Calls `visit` with every multiset of `h` boxes drawn from `boxes`
-    /// (the floor is symmetric in its boxes, so order does not matter).
-    fn each_multiset<F: FnMut(&[(i64, i64)])>(
-        boxes: &[(i64, i64)],
-        h: usize,
-        chosen: &mut Vec<(i64, i64)>,
-        visit: &mut F,
-    ) {
-        if chosen.len() == h {
-            return visit(chosen);
-        }
-        for (i, &b) in boxes.iter().enumerate() {
-            chosen.push(b);
-            each_multiset(&boxes[i..], h, chosen, visit);
-            chosen.pop();
-        }
-    }
-
-    #[test]
-    fn variance_floor_is_the_rounded_up_box_minimum() {
-        let boxes: Vec<(i64, i64)> = (-3..=6)
-            .flat_map(|lo| (lo..=6).map(move |hi| (lo, hi)))
-            .collect();
-        let mut cases = 0;
-        for h in 1..=4usize {
-            let n = h as i64;
-            each_multiset(&boxes, h, &mut Vec::new(), &mut |bs| {
-                cases += 1;
-                let floor = variance_floor(bs.iter().copied()).unwrap();
-                // Both minima are n·min_t Σ(xᵢ(t) − t)², where xᵢ(t) is the
-                // point of box i nearest to t: over the reals (the clamp of
-                // t), or over the integers (the clamp of t rounded). Either
-                // way the best t is the mean of at most four numbers inside
-                // the boxes' hull, a multiple of 1/12, so scanning t = k/12
-                // there finds both exactly, in units of 1/144.
-                let (mut real_144, mut integer_144) = (i64::MAX, i64::MAX);
-                let hull =
-                    bs.iter().map(|b| b.0).min().unwrap()..=bs.iter().map(|b| b.1).max().unwrap();
-                for k in 12 * hull.start()..=12 * hull.end() {
-                    let (mut real, mut integer) = (0, 0);
-                    for &(lo, hi) in bs {
-                        let d = (12 * lo - k).max(k - 12 * hi).max(0);
-                        real += d * d;
-                        let d = k - 12 * ((k + 6).div_euclid(12)).clamp(lo, hi);
-                        integer += d * d;
-                    }
-                    real_144 = real_144.min(real);
-                    integer_144 = integer_144.min(integer);
-                }
-                let real_ceil = (n * real_144 + 143) / 144;
-                assert_eq!(floor, i128::from(real_ceil), "boxes {bs:?}");
-                assert_eq!(n * integer_144 % 144, 0, "boxes {bs:?}");
-                let exact = n * integer_144 / 144;
-                assert!(
-                    floor <= i128::from(exact),
-                    "boxes {bs:?}: {floor} > {exact}"
-                );
-            });
-        }
-        assert_eq!(cases, 55 + 1540 + 29_260 + 424_270);
-    }
-
-    #[test]
-    fn scaled_variance_check_matches_the_formula() {
-        let mut m = Model::new();
-        let xs: Vec<VarId> = (0..3).map(|_| m.new_var(-5, 9)).collect();
-        let z = m.new_var(-1000, 1000);
-        let p = ScaledVariance::new(z, xs.clone());
-        for (a, b, c) in [(0, 0, 0), (3, -5, 9), (7, 7, 8), (-2, 4, 1)] {
-            let value = 3 * (a * a + b * b + c * c) - (a + b + c) * (a + b + c);
-            let at = |z_value: i64| {
-                move |v: VarId| match v.index() {
-                    0 => a,
-                    1 => b,
-                    2 => c,
-                    _ => z_value,
-                }
-            };
-            assert!(p.check(&at(value)), "({a}, {b}, {c}) = {value}");
-            assert!(!p.check(&at(value + 1)));
-        }
-    }
-
-    #[test]
-    fn scaled_variance_bounds_and_fixes_z() {
-        let mut m = Model::new();
-        let x = m.new_var(0, 2);
-        let y = m.new_var(5, 9);
-        let z = m.scaled_variance_var(&[x, y]);
-        m.propagate_root().unwrap();
-        // Closest loads are 2 and 5: 2·(4 + 25) − 49 = 9. Farthest are 0
-        // and 9: 2·81 − 81 = 81; the cap 2·(4 + 81) − 25 lies above it.
-        assert_eq!(m.domain(z).min(), 9);
-        assert_eq!(m.domain(z).max(), 145);
-        m.linear_eq(&[(1, x)], 1);
-        m.linear_eq(&[(1, y)], 6);
-        m.propagate_root().unwrap();
-        assert_eq!(m.domain(z).fixed_value(), Some(2 * (1 + 36) - 49));
     }
 
     #[test]

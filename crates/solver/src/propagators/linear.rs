@@ -231,7 +231,9 @@ impl Propagator for LinearNe {
             }
         }
         match unfixed {
-            None => {
+            // With no unfixed term, or only one whose coefficient is 0, the
+            // sum is already decided.
+            None | Some((0, _)) => {
                 if fixed_sum == self.bound {
                     Err(Conflict)
                 } else {
@@ -240,7 +242,7 @@ impl Propagator for LinearNe {
             }
             Some((c, v)) => {
                 let remaining = self.bound - fixed_sum;
-                if c != 0 && remaining % c == 0 {
+                if remaining % c == 0 {
                     ctx.remove_value(v, remaining / c)?;
                 }
                 Ok(PropStatus::Entailed)
@@ -329,6 +331,26 @@ mod tests {
         let y = m.new_var(5, 5);
         m.linear_ne(&[(1, x), (1, y)], 7);
         assert!(m.propagate_root().is_err());
+    }
+
+    #[test]
+    fn linear_ne_zero_coefficient_term_cannot_rescue_a_decided_sum() {
+        // 3·x0 + 0·x1 ≠ 0 with x0 = 0: x1 cannot change the sum, so every
+        // completion violates the constraint.
+        let mut m = Model::new();
+        let x0 = m.new_var(0, 0);
+        let x1 = m.new_var(0, 7);
+        m.linear_ne(&[(3, x0), (0, x1)], 0);
+        assert!(m.propagate_root().is_err());
+        assert!(m.satisfy(&SearchConfig::default()).solutions.is_empty());
+        // With x0 free the constraint only removes x0 = 0.
+        let mut m = Model::new();
+        let x0 = m.new_var(0, 4);
+        let x1 = m.new_var(0, 7);
+        m.linear_ne(&[(3, x0), (0, x1)], 0);
+        let out = m.solve_all(&SearchConfig::default());
+        assert_eq!(out.solutions.len(), 4 * 8);
+        assert!(out.solutions.iter().all(|s| s.value(x0) != 0));
     }
 
     #[test]

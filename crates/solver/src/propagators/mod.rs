@@ -6,9 +6,11 @@
 //! * [`linear`] — linear equalities/inequalities/disequalities over integer
 //!   variables, the workhorse for `SUM<...>` aggregates and arithmetic
 //!   selection expressions;
-//! * [`arith`] — products, absolute values and the scaled variance, used
-//!   for `C == V * Cpu`, the `SUMABS` aggregate and the `STDEV` goal (one
-//!   global propagator that bounds `n·Σx² − (Σx)²` over all host loads);
+//! * [`arith`] — products, absolute values and min/max, used for
+//!   `C == V * Cpu` and the `SUMABS` aggregate;
+//! * [`variance`] — the scaled variance `n·Σx² − (Σx)²` behind the `STDEV`
+//!   goal: one global propagator over all host loads that, once the loads'
+//!   total is known, also filters each load against the incumbent;
 //! * [`reified`] — boolean reification of linear constraints, used for
 //!   conditional expressions such as `(V==1) == (C==1)` and the interference
 //!   cost `(C==1) == (|C1-C2| < F_mindiff)`;
@@ -24,8 +26,10 @@ pub mod arith;
 pub mod counting;
 pub mod linear;
 pub mod reified;
+pub mod variance;
 
-pub use arith::{AbsVal, MaxOfArray, MinOfArray, MulVar, ScaledVariance};
+pub use arith::{AbsVal, MaxOfArray, MinOfArray, MulVar};
 pub use counting::NValues;
 pub use linear::{LinearEq, LinearLe, LinearNe};
 pub use reified::{ReifLinearEq, ReifLinearLe};
+pub use variance::ScaledVariance;

@@ -255,8 +255,10 @@ pub struct SearchOutcome {
     /// Objective value of `best`, when optimizing.
     pub best_objective: Option<i64>,
     /// The solutions recorded, in order: every solution for `Satisfy`, the
-    /// improving incumbents for optimization (for the LNS portfolio, the
-    /// incumbents adopted at round boundaries).
+    /// improving incumbents for exact optimization (for the LNS portfolio,
+    /// the incumbents adopted at round boundaries). Sequential LNS keeps
+    /// only its best assignment; [`SearchStats::solutions`] still counts
+    /// every incumbent, and a [`SolveObserver`] sees each one.
     pub solutions: Vec<Assignment>,
     /// Search statistics; their `limit_reached` and `cancelled` flags are
     /// projections of `stop`.
