@@ -718,6 +718,15 @@ mod tests {
         // share 9 and the floor is 4.5. Symmetrically x₀ ≥ 4.
         let got = prune_once(&[(0, 10); 3], 15, 6).unwrap();
         assert_eq!(got, vec![(4, 6), (4, 6), (4, 6), (0, 6)]);
+        // 40 loads sort on the heap: the level is 1.5, and a load at 0 or 3
+        // leaves the other 39 a floor of 92.3 > 20.
+        let got = prune_once(&[(0, 3); 40], 60, 20).unwrap();
+        assert!(got[..40].iter().all(|&b| b == (1, 2)), "{got:?}");
+        assert_eq!(got[40], (0, 20));
+        // Ends past ±2⁴⁰ leave the total unused: only `z` moves.
+        let huge = 1 << 41;
+        let got = prune_once(&[(0, huge), (0, huge)], huge, 6).unwrap();
+        assert_eq!(got, vec![(0, huge), (0, huge), (0, 6)]);
         // Without the total only `z` moves.
         let mut m = Model::new();
         let xs: Vec<VarId> = (0..3).map(|_| m.new_var(0, 10)).collect();
