@@ -425,6 +425,10 @@ mod tests {
 
     #[test]
     fn per_node_params_override_base() {
+        let portfolio = cologne_solver::SolverMode::Lns(cologne_solver::LnsConfig {
+            workers: std::num::NonZeroUsize::new(2),
+            ..Default::default()
+        });
         let base = ProgramParams::new()
             .with_var_domain("assign", VarDomain::BOOL)
             .with_solver_node_limit(Some(1234))
@@ -432,7 +436,7 @@ mod tests {
             .with_solver_branching(Branching::SmallestDomain)
             .with_solver_value_choice(ValueChoice::ClosestToZero)
             .with_solver_split_threshold(None)
-            .with_solver_workers(std::num::NonZeroUsize::new(2));
+            .with_solver_mode(portfolio.clone());
         let special = base
             .clone()
             .with_constant("tag", 7)
@@ -454,7 +458,7 @@ mod tests {
             assert_eq!(search.branching, Branching::SmallestDomain);
             assert_eq!(search.value_choice, ValueChoice::ClosestToZero);
             assert_eq!(search.split_threshold, None);
-            assert_eq!(search.workers, std::num::NonZeroUsize::new(2));
+            assert_eq!(search.mode, portfolio);
         }
         // the override replaces them on its node only
         let inst = d.instance(NodeId(1)).unwrap();

@@ -7,7 +7,6 @@
 //! changing the Colog surface syntax.
 
 use std::collections::BTreeMap;
-use std::num::NonZeroUsize;
 use std::time::Duration;
 
 use cologne_solver::{
@@ -71,12 +70,6 @@ pub struct ProgramParams {
     /// Search mode for COP invocations: exact branch-and-bound (the paper's
     /// mode) or large neighborhood search with its [`cologne_solver::LnsConfig`].
     pub solver_mode: SolverMode,
-    /// Worker threads for each COP search (`None` = sequential, the paper's
-    /// setup). With `Some(n)`, exact goals run the spine-splitting parallel
-    /// branch-and-bound and LNS goals run the multi-seed portfolio — both
-    /// return results identical to the sequential engines (see the solver's
-    /// `parallel` module for the determinism contract).
-    pub solver_workers: Option<NonZeroUsize>,
     /// Dual-bound engine for COP invocations. Anything but
     /// [`BoundMode::Off`] computes a certified dual bound at the frozen root
     /// of every solve and reports the optimality gap in the solve
@@ -111,7 +104,6 @@ impl Default for ProgramParams {
             solver_value_choice: ValueChoice::default(),
             solver_split_threshold: Some(DEFAULT_SPLIT_THRESHOLD),
             solver_mode: SolverMode::default(),
-            solver_workers: None,
             solver_bound_mode: BoundMode::default(),
             solver_gap_limit: None,
             warm_start: true,
@@ -172,13 +164,6 @@ impl ProgramParams {
     /// style).
     pub fn with_solver_mode(mut self, mode: SolverMode) -> Self {
         self.solver_mode = mode;
-        self
-    }
-
-    /// Set the COP search worker-thread count (builder style). `None` keeps
-    /// the sequential engines.
-    pub fn with_solver_workers(mut self, workers: Option<NonZeroUsize>) -> Self {
-        self.solver_workers = workers;
         self
     }
 
@@ -275,7 +260,6 @@ impl ProgramParams {
             max_solutions: None,
             node_limit: self.solver_node_limit,
             warm_start: None,
-            workers: self.solver_workers,
             gap_limit: self.solver_gap_limit,
             bound_mode: self.solver_bound_mode,
         }
@@ -301,6 +285,7 @@ impl ProgramParams {
 mod tests {
     use super::*;
     use cologne_solver::LnsConfig;
+    use std::num::NonZeroUsize;
 
     #[test]
     fn defaults_match_paper() {
@@ -309,7 +294,6 @@ mod tests {
         assert_eq!(p.var_domain("assign"), VarDomain::BOOL);
         assert_eq!(p.constant("max_migrates"), None);
         assert_eq!(p.solver_branching, Branching::InputOrder);
-        assert_eq!(p.solver_workers, None);
         assert_eq!(p.solver_bound_mode, BoundMode::Off);
         assert_eq!(p.solver_gap_limit, None);
         assert!(p.warm_start);
@@ -350,14 +334,6 @@ mod tests {
         };
         let p = p.with_solver_mode(SolverMode::Lns(lns.clone()));
         assert_eq!(p.solver_mode, SolverMode::Lns(lns));
-    }
-
-    #[test]
-    fn solver_workers_builder_roundtrips() {
-        let p = ProgramParams::new().with_solver_workers(NonZeroUsize::new(4));
-        assert_eq!(p.solver_workers, NonZeroUsize::new(4));
-        let p = p.with_solver_workers(None);
-        assert_eq!(p.solver_workers, None);
     }
 
     #[test]
@@ -412,6 +388,7 @@ mod tests {
     fn search_config_reflects_every_solver_field() {
         let lns = LnsConfig {
             seed: 7,
+            workers: NonZeroUsize::new(3),
             ..Default::default()
         };
         let params = ProgramParams::new()
@@ -421,7 +398,6 @@ mod tests {
             .with_solver_value_choice(ValueChoice::ClosestToZero)
             .with_solver_split_threshold(Some(5))
             .with_solver_mode(SolverMode::Lns(lns))
-            .with_solver_workers(NonZeroUsize::new(3))
             .with_solver_bound_mode(BoundMode::Relaxed)
             .with_solver_gap_limit(Some(0.125));
         let config = params.search_config();
@@ -436,7 +412,6 @@ mod tests {
             solver_value_choice,
             solver_split_threshold,
             solver_mode,
-            solver_workers,
             solver_bound_mode,
             solver_gap_limit,
         } = params;
@@ -446,7 +421,6 @@ mod tests {
         assert_eq!(config.value_choice, solver_value_choice);
         assert_eq!(config.split_threshold, solver_split_threshold);
         assert_eq!(config.mode, solver_mode);
-        assert_eq!(config.workers, solver_workers);
         assert_eq!(config.bound_mode, solver_bound_mode);
         assert_eq!(config.gap_limit, solver_gap_limit);
 
@@ -459,7 +433,6 @@ mod tests {
         assert_ne!(config.value_choice, default.value_choice);
         assert_ne!(config.split_threshold, default.split_threshold);
         assert_ne!(config.mode, default.mode);
-        assert_ne!(config.workers, default.workers);
         assert_ne!(config.bound_mode, default.bound_mode);
         assert_ne!(config.gap_limit, default.gap_limit);
         // the parameterless limits stay unset, the warm start is per solve

@@ -206,7 +206,7 @@ pub fn compute_root_bound(
 }
 
 /// [`compute_root_bound`] for callers that have not propagated the root yet
-/// (the parallel coordinators): propagates the model's root into a scratch
+/// (the LNS portfolio's coordinator): propagates the model's root into a scratch
 /// store first. Returns `None` on root infeasibility — the search itself
 /// will discover and report that.
 pub(crate) fn compute_at_root(

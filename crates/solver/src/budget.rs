@@ -1,12 +1,11 @@
 //! One stop policy for every search engine: the [`SearchConfig`] limits
 //! become one [`Budget`] per solve. Every engine polls [`Budget::check`] at
 //! its own deterministic points (node entry, LNS iterations, portfolio
-//! rounds, parallel cell commits); every sub-search (LNS dive or repair,
-//! parallel cell, portfolio dive or worker, warm-start completion probe)
-//! runs on a [`Budget::child`]; [`Budget::finish`] turns the [`StopReason`]
-//! into the [`SearchStats`] flags and the root's `on_node_budget` event.
+//! rounds); every sub-search (LNS dive or repair, portfolio dive or worker,
+//! warm-start completion probe) runs on a [`Budget::child`];
+//! [`Budget::finish`] turns the [`StopReason`] into the [`SearchStats`]
+//! flags and the root's `on_node_budget` event.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
 use crate::observe::{notify, SolveObserver};
@@ -37,14 +36,6 @@ pub enum StopReason {
     Cancelled,
 }
 
-/// Work counters and the stop flag shared by the workers of one parallel
-/// exact search.
-pub(crate) struct Shared {
-    pub(crate) cancel: AtomicBool,
-    pub(crate) nodes: AtomicU64,
-    pub(crate) fails: AtomicU64,
-}
-
 /// What a sub-search may spend. Each set cap narrows what remains of the
 /// parent's budget; `gap` keeps the parent's gap limit (children run without
 /// one otherwise).
@@ -57,7 +48,7 @@ pub(crate) struct Slice {
 }
 
 /// The limits of one search; see the module docs.
-pub(crate) struct Budget<'a> {
+pub(crate) struct Budget {
     start: Instant,
     deadline: Option<Instant>,
     nodes: Option<u64>,
@@ -69,10 +60,6 @@ pub(crate) struct Budget<'a> {
     /// The solve's own budget (not a child): only it reports
     /// [`SolveObserver::on_node_budget`].
     root: bool,
-    /// Counters shared with the other workers of a parallel exact search,
-    /// and how much of this search's own counts are already added to them.
-    shared: Option<&'a Shared>,
-    published: (u64, u64),
 }
 
 /// `limit - used`, narrowed by `cap`.
@@ -81,7 +68,7 @@ fn narrowed(limit: Option<u64>, used: u64, cap: Option<u64>) -> Option<u64> {
     left.zip(cap).map(|(l, c)| l.min(c)).or(left).or(cap)
 }
 
-impl<'a> Budget<'a> {
+impl Budget {
     /// The budget of one solve, from `config`'s limits. The clock starts now.
     pub(crate) fn new(config: &SearchConfig, objective: Objective) -> Self {
         let start = Instant::now();
@@ -94,8 +81,6 @@ impl<'a> Budget<'a> {
             solutions: config.max_solutions.map(|k| k as u64),
             satisfy: matches!(objective, Objective::Satisfy),
             root: true,
-            shared: None,
-            published: (0, 0),
         }
     }
 
@@ -112,7 +97,7 @@ impl<'a> Budget<'a> {
     /// The budget of a sub-search started after this search spent `spent`:
     /// the same deadline, what remains of the node, fail and solution
     /// budgets narrowed by `slice`, and this gap limit only if `slice.gap`.
-    pub(crate) fn child<'b>(&self, spent: &SearchStats, slice: Slice) -> Budget<'b> {
+    pub(crate) fn child(&self, spent: &SearchStats, slice: Slice) -> Budget {
         Budget {
             start: Instant::now(),
             deadline: self.deadline,
@@ -122,36 +107,13 @@ impl<'a> Budget<'a> {
             solutions: narrowed(self.solutions, spent.solutions, slice.solutions),
             satisfy: self.satisfy,
             root: false,
-            shared: None,
-            published: (0, 0),
         }
     }
 
-    /// The budget of one worker run of a parallel exact search: these
-    /// limits, with nodes and fails counted against `shared`, the totals of
-    /// every run.
-    pub(crate) fn worker(&self, shared: &'a Shared) -> Self {
-        Budget {
-            start: Instant::now(),
-            shared: Some(shared),
-            published: (0, 0),
-            ..*self
-        }
-    }
-
-    /// Should the search stop, having spent `stats`? Checks, in order: a
-    /// shared stop flag, the gap, the clock (only when `poll_clock`: the
-    /// searcher polls it every 64 nodes), fails, nodes, the solution cap.
-    pub(crate) fn check(&mut self, stats: &SearchStats, poll_clock: bool) -> Option<StopReason> {
-        let (nodes, fails) = match self.shared {
-            None => (stats.nodes, stats.fails),
-            Some(shared) => {
-                if shared.cancel.load(Ordering::Relaxed) {
-                    return Some(StopReason::Cancelled);
-                }
-                self.publish(shared, stats)
-            }
-        };
+    /// Should the search stop, having spent `stats`? Checks, in order: the
+    /// gap, the clock (only when `poll_clock`: the searcher polls it every 64
+    /// nodes), fails, nodes, the solution cap.
+    pub(crate) fn check(&self, stats: &SearchStats, poll_clock: bool) -> Option<StopReason> {
         // Strict comparison: a zero gap limit never stops a search early.
         if matches!((self.gap, stats.gap), (Some(limit), Some(gap)) if gap < limit) {
             return Some(StopReason::Gap);
@@ -159,10 +121,10 @@ impl<'a> Budget<'a> {
         if poll_clock && self.deadline.is_some_and(|d| Instant::now() >= d) {
             return Some(StopReason::Time);
         }
-        if self.fails.is_some_and(|f| fails >= f) {
+        if self.fails.is_some_and(|f| stats.fails >= f) {
             return Some(StopReason::Fails);
         }
-        if self.nodes.is_some_and(|n| nodes >= n) {
+        if self.nodes.is_some_and(|n| stats.nodes >= n) {
             return Some(StopReason::Nodes);
         }
         self.solutions_done(stats)
@@ -179,34 +141,14 @@ impl<'a> Budget<'a> {
         })
     }
 
-    /// Add this run's counts since the last call to the shared totals and
-    /// return the totals (without limits, nothing is shared).
-    fn publish(&mut self, shared: &Shared, stats: &SearchStats) -> (u64, u64) {
-        if self.nodes.is_none() && self.fails.is_none() {
-            return (stats.nodes, stats.fails);
-        }
-        let (nodes, fails) = (
-            stats.nodes - self.published.0,
-            stats.fails - self.published.1,
-        );
-        self.published = (stats.nodes, stats.fails);
-        (
-            shared.nodes.fetch_add(nodes, Ordering::Relaxed) + nodes,
-            shared.fails.fetch_add(fails, Ordering::Relaxed) + fails,
-        )
-    }
-
     /// Close a search: stamp the elapsed time, report a root node or fail
     /// stop to the observer (a `Break` there turns it into `Cancelled`), and
     /// write the [`SearchStats`] flags from the stop reason.
     pub(crate) fn finish(
-        &mut self,
+        &self,
         mut outcome: SearchOutcome,
         observer: &mut Option<&mut dyn SolveObserver>,
     ) -> SearchOutcome {
-        if let Some(shared) = self.shared {
-            self.publish(shared, &outcome.stats);
-        }
         let stats = &mut outcome.stats;
         stats.elapsed_micros = self.start.elapsed().as_micros() as u64;
         if self.root
@@ -258,7 +200,6 @@ pub(crate) mod tests {
     enum Engine {
         Exact,
         Lns,
-        ExactParallel,
         Portfolio,
     }
 
@@ -277,19 +218,21 @@ pub(crate) mod tests {
     const FAIL_LIMIT: u64 = 100;
     const SOLUTION_CAP: usize = 2;
     const GAP_LIMIT: f64 = 1.0;
-    /// Workers may overshoot a shared budget by one polling interval each.
+    /// Each portfolio worker may overshoot its slice by one polling interval.
     const OVERSHOOT_PER_WORKER: u64 = 64;
 
     fn config(engine: Engine, cause: Cause) -> SearchConfig {
-        let (mode, workers) = match engine {
-            Engine::Exact => (SolverMode::Exact, 1),
-            Engine::Lns => (SolverMode::Lns(LnsConfig::default()), 1),
-            Engine::ExactParallel => (SolverMode::Exact, 2),
-            Engine::Portfolio => (SolverMode::Lns(LnsConfig::default()), 2),
+        let lns = |workers| LnsConfig {
+            workers: NonZeroUsize::new(workers),
+            ..LnsConfig::default()
+        };
+        let mode = match engine {
+            Engine::Exact => SolverMode::Exact,
+            Engine::Lns => SolverMode::Lns(lns(1)),
+            Engine::Portfolio => SolverMode::Lns(lns(2)),
         };
         let base = SearchConfig {
             mode,
-            workers: NonZeroUsize::new(workers),
             ..SearchConfig::default()
         };
         match cause {
@@ -363,12 +306,7 @@ pub(crate) mod tests {
             (Cause::Solutions, StopReason::Solutions),
             (Cause::Cancel, StopReason::Cancelled),
         ];
-        let engines = [
-            (Engine::Exact, 1),
-            (Engine::Lns, 1),
-            (Engine::ExactParallel, 2),
-            (Engine::Portfolio, 2),
-        ];
+        let engines = [(Engine::Exact, 1), (Engine::Lns, 1), (Engine::Portfolio, 2)];
         for (cause, expected) in table {
             let mut projections = Vec::new();
             for (engine, workers) in engines {

@@ -64,6 +64,7 @@
 //! schedule-dependent stopping rule; use node limits for reproducible runs).
 
 use std::collections::BTreeSet;
+use std::num::NonZeroUsize;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -131,6 +132,11 @@ pub struct LnsConfig {
     /// Hard cap on destroy/repair iterations (`None` = bounded only by the
     /// enclosing search limits).
     pub max_iterations: Option<u64>,
+    /// Worker threads. `None` (the default) or `Some(1)` runs this driver
+    /// alone; two or more run the multi-seed portfolio of
+    /// [`crate::parallel`], which is rerun-deterministic at a fixed seed.
+    /// The only parallel engine: exact search is always sequential.
+    pub workers: Option<NonZeroUsize>,
 }
 
 impl Default for LnsConfig {
@@ -143,6 +149,7 @@ impl Default for LnsConfig {
             repair_fail_base: 64,
             repair_growth: 1.5,
             max_iterations: None,
+            workers: None,
         }
     }
 }
@@ -157,14 +164,15 @@ fn tighten_to_improve(store: &mut Store, objective: Objective, best: i64) -> Res
 }
 
 /// The LNS driver under `budget`. `config` carries the heuristics, `lns`
-/// the destroy/repair shape. Called through [`crate::search::solve_in`]
-/// when [`SearchConfig::mode`] is [`SolverMode::Lns`] and the objective is
-/// an optimization, and by the portfolio for each worker.
+/// the destroy/repair shape (its `workers` is not read here). Called through
+/// [`crate::search::solve_in`] when [`SearchConfig::mode`] is
+/// [`SolverMode::Lns`] and the objective is an optimization, and by the
+/// portfolio for each worker.
 pub(crate) fn solve_lns(
     model: &Model,
     objective: Objective,
     config: &SearchConfig,
-    mut budget: Budget<'_>,
+    budget: Budget,
     lns: &LnsConfig,
     space: &mut SearchSpace,
     observer: &mut Option<&mut dyn SolveObserver>,

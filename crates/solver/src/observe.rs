@@ -15,7 +15,7 @@
 //!   finished;
 //! * [`SolveObserver::on_node_budget`] — the solve's own node or fail
 //!   budget stopped it (once, as it ends; the budget slices of LNS dives,
-//!   repairs and parallel workers never fire it);
+//!   repairs and portfolio workers never fire it);
 //! * [`SolveObserver::on_progress`] — a periodic heartbeat every
 //!   [`PROGRESS_NODE_INTERVAL`] search nodes with a [`SearchStats`]
 //!   snapshot.

@@ -38,7 +38,6 @@
 //! searcher's behaviour: both must produce identical incumbents, solution
 //! sets and fail counts on every model.
 
-use std::num::NonZeroUsize;
 use std::time::Duration;
 
 use crate::bounds::{self, BoundCertificate, BoundMode};
@@ -121,7 +120,8 @@ pub struct SearchConfig {
     /// Exploration mode: exact branch-and-bound (the default), or large
     /// neighborhood search ([`SolverMode::Lns`]) for instances exact search
     /// cannot close. LNS applies to optimization objectives only;
-    /// satisfaction goals always run exact.
+    /// satisfaction goals always run exact. Exact search is sequential; only
+    /// LNS runs in parallel ([`crate::LnsConfig::workers`]).
     pub mode: SolverMode,
     /// Variable selection heuristic.
     pub branching: Branching,
@@ -163,19 +163,6 @@ pub struct SearchConfig {
     /// ignored (the search falls back to a cold start); `Satisfy` searches
     /// ignore warm starts entirely.
     pub warm_start: Option<Assignment>,
-    /// Number of worker threads for the parallel engines of
-    /// [`crate::parallel`]. `None` (the default) or `Some(1)` runs the
-    /// sequential searchers, bit-identical to previous releases. With two or
-    /// more workers, exact searches split the tree along its leftmost
-    /// feasible spine into cells that scoped worker threads solve
-    /// speculatively; the coordinator commits them in sequential order and
-    /// redoes any cell whose entry bound turned out stale. LNS runs a
-    /// multi-seed portfolio sharing incumbents at round boundaries. The
-    /// reported result (objective, best assignment, incumbent sequence)
-    /// stays identical to the sequential search; see the module docs of
-    /// [`crate::parallel`] for the exact determinism contract and its
-    /// node-count caveat.
-    pub workers: Option<NonZeroUsize>,
     /// Stop as soon as the certified optimality gap drops *strictly below*
     /// this threshold (requires [`SearchConfig::bound_mode`] ≠
     /// [`BoundMode::Off`], otherwise no gap ever exists and the limit is
@@ -203,7 +190,6 @@ impl Default for SearchConfig {
             max_solutions: None,
             node_limit: None,
             warm_start: None,
-            workers: None,
             gap_limit: None,
             bound_mode: BoundMode::default(),
         }
@@ -285,10 +271,9 @@ enum BranchKind {
     Split { mid: i64, hi_first: bool },
 }
 
-/// One concrete branching decision. `pub(crate)` because the parallel
-/// frontier enumerator ([`crate::parallel`]) records the decision path of
-/// each subtree as a sequence of these ops and replays them on worker-local
-/// stores.
+/// One concrete branching decision. `pub(crate)` because the relaxed bound
+/// engine ([`crate::bounds`]) expands its decision diagram with
+/// [`node_branches`] and applies the branches with [`apply_branch`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum BranchOp {
     Assign(i64),
@@ -297,8 +282,7 @@ pub(crate) enum BranchOp {
 }
 
 /// Apply one branching decision to `store` — the single definition shared by
-/// the sequential driver and the parallel subtree replay, so the two cannot
-/// drift apart.
+/// the searcher and the relaxed bound engine, so the two cannot drift apart.
 pub(crate) fn apply_branch(store: &mut Store, var_idx: usize, op: BranchOp) -> Result<bool, ()> {
     match op {
         BranchOp::Assign(v) => store.assign(var_idx, v),
@@ -312,10 +296,10 @@ pub(crate) fn apply_branch(store: &mut Store, var_idx: usize, op: BranchOp) -> R
 /// node branches on and the ordered branch decisions it would try, or `None`
 /// when every variable is fixed (the node is a solution leaf).
 ///
-/// The parallel frontier enumerator uses this to expand a node into subtree
-/// seeds; it must stay in lock-step with `Searcher::enter_node` /
-/// `Frame::branch_op` so that the enumerated frontier is exactly the set of
-/// branches the sequential search would try, in the same order.
+/// The relaxed bound engine uses this to expand a node into its branches; it
+/// must stay in lock-step with `Searcher::enter_node` / `Frame::branch_op` so
+/// that the expansion is exactly the set of branches the search would try,
+/// in the same order.
 pub(crate) fn node_branches(
     config: &SearchConfig,
     domains: &[Domain],
@@ -337,8 +321,8 @@ pub(crate) fn node_branches(
     Some((var_idx, ops))
 }
 
-/// Variable selection as a free function (shared by the searcher and the
-/// parallel frontier enumerator).
+/// Variable selection as a free function (shared by the searcher and
+/// [`node_branches`]).
 fn select_var_with(branching: Branching, domains: &[Domain]) -> Option<usize> {
     let unfixed = domains.iter().enumerate().filter(|(_, d)| !d.is_fixed());
     match branching {
@@ -423,11 +407,11 @@ pub struct SearchSpace {
     /// frame's slice starts at its `values_start` and is truncated away when
     /// the frame is popped.
     pub(crate) values: Vec<i64>,
-    /// Worker-private spaces for the parallel engines ([`crate::parallel`]),
+    /// Worker-private spaces for the LNS portfolio ([`crate::parallel`]),
     /// lazily grown to the configured worker count and retained across
-    /// invocations so repeated parallel solves reuse their trails, queues and
-    /// arenas the same way sequential solves reuse this space. Empty unless
-    /// [`SearchConfig::workers`] ever enabled parallelism.
+    /// invocations so repeated portfolio solves reuse their trails, queues
+    /// and arenas the same way sequential solves reuse this space. Empty
+    /// unless [`crate::LnsConfig::workers`] ever asked for two or more.
     pub(crate) pool: Vec<SearchSpace>,
 }
 
@@ -442,7 +426,7 @@ struct Searcher<'m, 'o, 'p> {
     model: &'m Model,
     objective: Objective,
     config: &'m SearchConfig,
-    budget: Budget<'m>,
+    budget: Budget,
     stats: SearchStats,
     best: Option<Assignment>,
     best_objective: Option<i64>,
@@ -462,11 +446,6 @@ struct Searcher<'m, 'o, 'p> {
     /// reference so nested searches (LNS dives and repairs) can share one
     /// observer without fighting the trait object's invariant lifetime.
     observer: &'o mut Option<&'p mut dyn SolveObserver>,
-    /// Coupling to a parallel-search coordinator, when this searcher runs as
-    /// a subtree worker (see [`crate::parallel`]): the shared incumbent-bound
-    /// slots its entry bound is validated against. `None` on every
-    /// sequential path.
-    link: Option<&'m crate::parallel::SearchLink<'m>>,
 }
 
 /// Run a search over `model` with the given objective.
@@ -478,8 +457,10 @@ pub fn solve(model: &Model, objective: Objective, config: &SearchConfig) -> Sear
 /// Run a search over `model`, reusing the caller's [`SearchSpace`].
 ///
 /// Dispatches on [`SearchConfig::mode`]: optimization objectives under
-/// [`SolverMode::Lns`] run the destroy/repair driver of [`crate::lns`];
-/// everything else (the default) runs exact branch-and-bound.
+/// [`SolverMode::Lns`] run the destroy/repair driver of [`crate::lns`] (the
+/// portfolio of [`crate::parallel`] with two or more
+/// [`crate::LnsConfig::workers`]); everything else (the default) runs exact
+/// branch-and-bound.
 pub fn solve_in(
     model: &Model,
     objective: Objective,
@@ -503,10 +484,9 @@ pub fn solve_in_observed(
 ) -> SearchOutcome {
     let mut observer = observer;
     let budget = Budget::new(config, objective);
-    let parallel = crate::parallel::worker_count(config) > 1;
     if let SolverMode::Lns(lns) = &config.mode {
         if !matches!(objective, Objective::Satisfy) {
-            if parallel {
+            if lns.workers.is_some_and(|w| w.get() > 1) {
                 return crate::parallel::solve_lns_portfolio(
                     model,
                     objective,
@@ -528,27 +508,17 @@ pub fn solve_in_observed(
             );
         }
     }
-    if parallel {
-        return crate::parallel::solve_exact_parallel(
-            model,
-            objective,
-            config,
-            budget,
-            space,
-            &mut observer,
-        );
-    }
     solve_exact_in(model, objective, config, budget, space, &mut observer)
 }
 
 /// The exact branch-and-bound search under `budget` (ignores
-/// [`SearchConfig::mode`] and [`SearchConfig::workers`]); the LNS drivers
-/// call this for their incumbent dives.
+/// [`SearchConfig::mode`]): the one exact code path, also run by the LNS
+/// drivers for their incumbent dives.
 pub(crate) fn solve_exact_in(
     model: &Model,
     objective: Objective,
     config: &SearchConfig,
-    budget: Budget<'_>,
+    budget: Budget,
     space: &mut SearchSpace,
     observer: &mut Option<&mut dyn SolveObserver>,
 ) -> SearchOutcome {
@@ -779,7 +749,7 @@ pub(crate) fn resolve_subtree(
     model: &Model,
     objective: Objective,
     config: &SearchConfig,
-    budget: Budget<'_>,
+    budget: Budget,
     space: &mut SearchSpace,
     incumbent: Option<i64>,
     observer: &mut Option<&mut dyn SolveObserver>,
@@ -796,41 +766,12 @@ pub(crate) fn resolve_subtree(
     searcher.finish()
 }
 
-/// [`resolve_subtree`] for a parallel subtree worker: unobserved (the
-/// [`SolveObserver`] is not `Send`, so events are sequenced on the
-/// coordinator thread from the merged result instead), under a budget shared
-/// with the other workers, and coupled to the coordinator through `link` for
-/// entry-bound invalidation (`incumbent` is the worker's speculative entry
-/// bound; the coordinator validates it against the sequential bound).
-pub(crate) fn resolve_subtree_linked<'a>(
-    model: &'a Model,
-    objective: Objective,
-    config: &'a SearchConfig,
-    budget: Budget<'a>,
-    space: &mut SearchSpace,
-    incumbent: Option<i64>,
-    link: &'a crate::parallel::SearchLink<'a>,
-) -> SearchOutcome {
-    debug_assert!(
-        space.store.level() > 0,
-        "resolve_subtree_linked requires an open subtree level"
-    );
-    let mut no_observer: Option<&mut dyn SolveObserver> = None;
-    let mut searcher = Searcher::new(model, objective, config, budget, &mut no_observer);
-    searcher.link = Some(link);
-    searcher.best_objective = incumbent;
-    space.frames.clear();
-    space.values.clear();
-    searcher.run(space);
-    searcher.finish()
-}
-
 impl<'m, 'o, 'p> Searcher<'m, 'o, 'p> {
     fn new(
         model: &'m Model,
         objective: Objective,
         config: &'m SearchConfig,
-        budget: Budget<'m>,
+        budget: Budget,
         observer: &'o mut Option<&'p mut dyn SolveObserver>,
     ) -> Self {
         Searcher {
@@ -846,7 +787,6 @@ impl<'m, 'o, 'p> Searcher<'m, 'o, 'p> {
             certificate: None,
             primal: None,
             observer,
-            link: None,
         }
     }
 
@@ -887,7 +827,7 @@ impl<'m, 'o, 'p> Searcher<'m, 'o, 'p> {
         }
     }
 
-    fn finish(mut self) -> SearchOutcome {
+    fn finish(self) -> SearchOutcome {
         let outcome = SearchOutcome {
             best: self.best,
             best_objective: self.best_objective,
@@ -909,14 +849,6 @@ impl<'m, 'o, 'p> Searcher<'m, 'o, 'p> {
             return true;
         }
         let poll = self.stats.nodes % 64 == 0;
-        // A published prefix incumbent has beaten this worker's entry bound:
-        // the speculative run is doomed to fail validation, so abandon it
-        // early (the coordinator redoes the subtree with the exact
-        // sequential entry bound, and never reads this stop reason).
-        if poll && self.link.is_some_and(|link| link.invalidated()) {
-            self.stop = Some(StopReason::Cancelled);
-            return true;
-        }
         self.stop = self.budget.check(&self.stats, poll);
         self.stop.is_some()
     }

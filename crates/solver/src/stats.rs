@@ -44,10 +44,11 @@ pub struct SearchStats {
     /// initial incumbent for LNS).
     pub warm_start: bool,
     /// Number of worker threads the search ran on (0 for the sequential
-    /// engines; see [`crate::SearchConfig::workers`]).
+    /// engines; see [`crate::LnsConfig::workers`]).
     pub parallel_workers: u64,
-    /// Number of independent subtrees the parallel exact engine split the
-    /// search into (0 for sequential and LNS searches).
+    /// Always 0: no engine splits the search into subtrees. Kept only so the
+    /// wire encoding of `SearchStats` holds until the next protocol version
+    /// drops it.
     pub subtrees: u64,
     /// Number of synchronized portfolio rounds the parallel LNS engine ran
     /// (0 for sequential and exact searches).
@@ -69,7 +70,7 @@ impl SearchStats {
     }
 
     /// Merge another stats record into this one. Used wherever many searches
-    /// contribute to one aggregate figure: the parallel engines merge their
+    /// contribute to one aggregate figure: the LNS portfolio merges its
     /// per-worker counters in a fixed reduction order, the LNS driver merges
     /// dive and repair stats, and distributed executions merge per-node COP
     /// totals. Counters sum; depth and worker counts take the maximum; flags
@@ -119,9 +120,6 @@ impl std::fmt::Display for SearchStats {
         }
         if self.parallel_workers > 0 {
             write!(f, " workers={}", self.parallel_workers)?;
-            if self.subtrees > 0 {
-                write!(f, " subtrees={}", self.subtrees)?;
-            }
             if self.portfolio_rounds > 0 {
                 write!(f, " rounds={}", self.portfolio_rounds)?;
             }

@@ -462,9 +462,10 @@ pub struct LargeAcloudConfig {
     pub node_limit: u64,
     /// RNG seed for the synthetic workload.
     pub seed: u64,
-    /// Worker threads for the COP search (`None` = sequential). Parallel
-    /// runs of this scenario return the same incumbent as sequential ones;
-    /// see the solver's `parallel` module for the determinism contract.
+    /// LNS portfolio workers (`None` = one sequential LNS driver), copied
+    /// into [`LargeAcloudConfig::lns_params`]. Exact search is sequential,
+    /// so the exact mode ignores it. A seeded portfolio run is
+    /// rerun-deterministic; see the solver's `parallel` module.
     pub workers: Option<std::num::NonZeroUsize>,
 }
 
@@ -482,12 +483,13 @@ impl Default for LargeAcloudConfig {
 
 impl LargeAcloudConfig {
     /// The LNS configuration the scenario is evaluated with: a small dive
-    /// budget (the bulk of the node budget goes to repairs) and the default
-    /// conflict-guided destroy policy.
+    /// budget (the bulk of the node budget goes to repairs), the default
+    /// conflict-guided destroy policy and this configuration's `workers`.
     pub fn lns_params(&self) -> LnsConfig {
         LnsConfig {
             seed: self.seed ^ 0x1A75,
             dive_node_limit: (self.node_limit / 8).max(500),
+            workers: self.workers,
             ..Default::default()
         }
     }
@@ -502,7 +504,6 @@ pub fn large_acloud_instance(config: &LargeAcloudConfig, mode: SolverMode) -> Co
         .with_solver_branching(Branching::SmallestDomain)
         .with_solver_node_limit(Some(config.node_limit))
         .with_solver_max_time(None)
-        .with_solver_workers(config.workers)
         .with_solver_mode(mode);
     let mut instance = CologneInstance::new(NodeId(0), ACLOUD_CENTRALIZED, params)
         .expect("ACloud program compiles");

@@ -54,14 +54,12 @@ pub struct ChurnConfig {
     pub solver_node_limit: Option<u64>,
     /// Search mode per COP execution: exact branch-and-bound (the default)
     /// or LNS — the mode of choice for churn instances too large for an
-    /// optimality proof per tick.
+    /// optimality proof per tick. LNS's own `workers` sets the portfolio
+    /// size.
     pub solver_mode: SolverMode,
     /// Start each re-solve from the previous tick's placement (the default)
     /// or cold-start every tick's search.
     pub warm_start: bool,
-    /// Worker threads per COP search (`None` = sequential). The per-tick
-    /// results are identical either way; see the solver's `parallel` module.
-    pub solver_workers: Option<std::num::NonZeroUsize>,
     /// RNG seed for the churn trace.
     pub seed: u64,
 }
@@ -80,7 +78,6 @@ impl Default for ChurnConfig {
             solver_node_limit: None,
             solver_mode: SolverMode::Exact,
             warm_start: true,
-            solver_workers: None,
             seed: 42,
         }
     }
@@ -261,7 +258,6 @@ pub fn run_churn(config: &ChurnConfig) -> ChurnOutcome {
         .with_solver_max_time(None)
         .with_solver_node_limit(config.solver_node_limit)
         .with_solver_mode(config.solver_mode.clone())
-        .with_solver_workers(config.solver_workers)
         .with_warm_start(config.warm_start);
     let topology = Topology::line(config.data_centers as u32, LinkProps::default());
     let mut driver = DeploymentBuilder::new(ACLOUD_CENTRALIZED)

@@ -51,10 +51,6 @@ pub struct FollowSunConfig {
     pub solver_node_limit: u64,
     /// Optional per-link migration cap (the `d11`/`c5` policy of Sec. 4.3).
     pub migration_limit: Option<i64>,
-    /// Worker threads per local COP search (`None` = sequential). The
-    /// negotiated allocations are identical either way; see the solver's
-    /// `parallel` module for the determinism contract.
-    pub solver_workers: Option<std::num::NonZeroUsize>,
     /// RNG seed.
     pub seed: u64,
     /// Optional network fault plan (loss, duplication, jitter, partitions,
@@ -82,7 +78,6 @@ impl Default for FollowSunConfig {
             negotiation_period_secs: 5,
             solver_node_limit: 50_000,
             migration_limit: None,
-            solver_workers: None,
             seed: 11,
             fault_plan: None,
         }
@@ -332,7 +327,6 @@ pub fn build_followsun_deployment(
         .with_solver_max_time(max_time)
         .with_solver_value_choice(ValueChoice::ClosestToZero)
         .with_solver_split_threshold(Some(2))
-        .with_solver_workers(config.solver_workers)
         // A crashed node re-solves from a cold pipeline; under a fault plan
         // warm incumbents are disabled everywhere so quiet and hostile runs
         // tie-break identically.
